@@ -1,0 +1,54 @@
+"""Golden transcripts: `run` and `diff` output for every corpus file, byte for byte.
+
+Each transcript is the stdout of `nftaa-sim run --seed 7 FILE` or
+`nftaa-sim diff --seed 7 --verbose FILE`, driven through `cli.main`,
+followed by an `exit=<code>` line holding the command's return value. A
+refactor must leave every transcript untouched; a change that alters one
+regenerates them and says so in CHANGES.md:
+
+    PYTHONPATH=src python -m tests.test_golden
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from nftaa_sim.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPUS = sorted((ROOT / "scenarios").glob("**/*.scn"))
+COMMANDS = {"run": ["run", "--seed", "7"], "diff": ["diff", "--seed", "7", "--verbose"]}
+CASES = [(command, path) for path in CORPUS for command in COMMANDS]
+
+
+def _golden_path(command: str, path: Path) -> Path:
+    return GOLDEN / f"{path.stem}.{command}.txt"
+
+
+def transcript(command: str, path: Path) -> str:
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        code = main(COMMANDS[command] + [str(path)])
+    return f"{captured.getvalue()}exit={code}\n"
+
+
+def test_corpus_has_eleven_files_with_distinct_names():
+    assert len(CORPUS) == 11
+    assert len({path.stem for path in CORPUS}) == 11
+
+
+@pytest.mark.parametrize("command,path", CASES,
+                         ids=[f"{c}-{p.stem}" for c, p in CASES])
+def test_transcript_is_unchanged(command, path):
+    expected = _golden_path(command, path).read_bytes()
+    assert transcript(command, path).encode() == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for command, path in CASES:
+        _golden_path(command, path).write_bytes(transcript(command, path).encode())
+    print(f"wrote {len(CASES)} transcripts to {GOLDEN}")
