@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .addresses import Address, contract_address, salt_from_int, to_hex
 from .errors import ErrorCode, LedgerError
 from .events import Event, EventKind
-from .ledger import Ledger, TxReceipt
+from .ledger import CodeId, Ledger, TxReceipt
 from .ops import (
     CreateTba,
     Fail,
@@ -43,7 +43,7 @@ from .ops import (
     UpgradeAccount,
     WithdrawAssets,
 )
-from .scenario import EXECUTABLE, ScenarioScript, Step, parse_amount
+from .scenario import CONFIG, EXECUTABLE, PROXY_FORMS, ScenarioScript, Step, parse_amount
 from .staking import QueueConfig, estimate_drain_time, simulate_drain
 from .tba import diagnostic_lines
 
@@ -57,6 +57,9 @@ SKIPPED = "skipped"
 NOT_COMPARABLE = "not_comparable"
 
 _FAILING = {ROLLED_BACK, PARTIAL, NOT_COMPARABLE}
+
+# staking steps: sugar for a proxy call of this method
+_STAKING_METHOD = {"stake": "stake", "addstake": "add_to_stake", "unstake": "request_unstake"}
 
 
 @dataclass
@@ -135,19 +138,9 @@ class RunReport:
 
 
 def build_config(script: ScenarioScript, seed: int | None = None) -> QueueConfig:
-    values = script.config_dict()
-    kwargs: dict[str, object] = {}
-    if "unlock_delay" in values:
-        kwargs["unlock_delay"] = int(values["unlock_delay"])
-    if "missed_prob" in values:
-        kwargs["missed_slot_probability"] = float(values["missed_prob"])
-    if "per_block_cap" in values:
-        kwargs["per_block_cap"] = int(values["per_block_cap"])
-    if "blocks_per_day" in values:
-        kwargs["blocks_per_day"] = int(values["blocks_per_day"])
-    if "min_stake" in values:
-        kwargs["min_stake"] = parse_amount(values["min_stake"])
-    kwargs["rng_seed"] = seed if seed is not None else int(values.get("seed", "0"))
+    kwargs = {CONFIG[key][0]: CONFIG[key][1](value) for key, value in script.config}
+    if seed is not None:
+        kwargs["rng_seed"] = seed
     return QueueConfig(**kwargs)
 
 
@@ -371,13 +364,9 @@ class ScenarioRunner:
         if kind == "tbacall" and self.lane == "nftaa":
             return None
         if kind in ("proxy", "tbacall"):
-            return self._execute_call(args)
-        if kind == "stake":
-            return self._execute_call((args[0], args[1], "stake", args[2]))
-        if kind == "addstake":
-            return self._execute_call((args[0], args[1], "add_to_stake", args[2]))
-        if kind == "unstake":
-            return self._execute_call((args[0], args[1], "request_unstake"))
+            return self._execute_call(*args)
+        if kind in _STAKING_METHOD:
+            return self._execute_call(args[0], args[1], _STAKING_METHOD[kind], *args[2:])
         if kind == "withdraw":
             actor, account = self.address_of(args[0]), self.address_of(args[1])
             to, amount = self.address_of(args[2]), parse_amount(args[3])
@@ -403,25 +392,24 @@ class ScenarioRunner:
             return Fail("interrupted" if kind == "interrupt" else "injected")
         raise AssertionError(f"unhandled step kind {kind}")
 
-    def _execute_call(self, args: tuple[str, ...]):
-        """proxy/tbacall and the staking sugar, dispatched on the account type."""
-        actor = self.address_of(args[0])
-        account = self.address_of(args[1])
-        method = args[2]
-        payload_args: dict[str, object] = {}
-        if method == "transfer_value":
-            payload_args = {"to": self.address_of(args[3]),
-                            "amount": parse_amount(args[4])}
-        elif method in ("stake", "add_to_stake"):
-            payload_args = {"amount": parse_amount(args[3])}
-        payload = ProxyPayload(method, **payload_args)
-        if self.lane == "tba" or self._is_tba(account):
-            return TbaExecute(actor, account, payload)
-        return ProxyExecute(actor, account, payload)
+    def _execute_call(self, actor: str, account: str, method: str, *rest: str):
+        """proxy/tbacall and the staking sugar, dispatched on the account type.
 
-    def _is_tba(self, account: Address) -> bool:
-        registry = self.ledger.state.registry
-        return any(r.address == account for r in registry.records.values())
+        The method's roles give the payload: an amount, or a recipient label.
+        """
+        caller, target = self.address_of(actor), self.address_of(account)
+        fields: dict[str, object] = {}
+        for role, value in zip(PROXY_FORMS[method].roles, rest):
+            if role.test == "amount":
+                fields["amount"] = parse_amount(value)
+            else:
+                fields["to"] = self.address_of(value)
+        execute = TbaExecute if self.lane == "tba" or self._is_tba(target) else ProxyExecute
+        return execute(caller, target, ProxyPayload(method, **fields))
+
+    def _is_tba(self, address: Address) -> bool:
+        account = self.ledger.state.accounts.get(address)
+        return account is not None and account.code_id is CodeId.TBA_ACCOUNT
 
     def _any_caller(self) -> Address:
         return next(iter(self.ledger.state.accounts))

@@ -1,62 +1,139 @@
 """Scenario script parsing.
 
-Scripts are plain text, one step per line, `#` starts a comment. Labels are
-declared before use (`actor`, `mintnftaa`, `minttoken`, `createtba` declare;
-everything else references), and referencing an undeclared label is a parse
-error rather than a runtime one. `begin`/`commit` group the enclosed steps
-into a single atomic transaction; `expect_error CODE` qualifies the step it
-immediately follows.
+Scripts are plain text, one step per line, `#` starts a comment. Amounts are
+integers in the smallest denomination; `<n>eth` is sugar for n * 10^18.
+`begin`/`commit` make the steps between them one atomic transaction, and
+`expect_error CODE` qualifies the step it immediately follows.
 
-Amounts are plain integers in the smallest denomination, with `<n>eth`
-accepted as sugar for n * 10^18.
+STEP_KINDS is the vocabulary: a row gives step kinds their group and the
+roles of their arguments, and one matcher checks every line against its row.
+Roles: `@type` references a label declared earlier (`@` any type; type
+`none` also takes that bare word), `+type` declares one, `amount`, `int`, a
+quoted `note`, `hex64`, `key=value` (an `@label` value must be declared),
+`code` (an ErrorCode value, ok or partial), any `word`, a literal set `a|b`,
+the `method`/`form` sub-tables, and `?`/`*` for optional/repeated roles.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-ETH = 10**18
-
-# step kinds that build one ledger operation and may appear in begin/commit groups
-TRANSACTIONAL = frozenset({
-    "mintnftaa", "minttoken", "transfernftaa", "transfertoken", "proxy", "tbacall",
-    "stake", "addstake", "unstake", "withdraw", "upgrade", "createtba",
-    "fail", "interrupt",
-})
-# step kinds that change state and may carry an expectation
-EXECUTABLE = TRANSACTIONAL | frozenset({"actor", "faucet", "advance", "commit", "probe"})
-ASSERTS = frozenset({
-    "assert_digest", "assert_event", "assert_note", "assert_bound",
-    "assert_account", "assert_balance", "assert_stake", "assert_staker",
-})
-CONTROL = frozenset({"begin", "expect_error", "expect_tba", "set", "queue_report"})
-ALL_KINDS = EXECUTABLE | ASSERTS | CONTROL
-
-PROXY_FORMS = {
-    "noop": 0,
-    "request_unstake": 0,
-    "stake": 1,           # amount
-    "add_to_stake": 1,    # amount
-    "transfer_value": 2,  # to, amount
-}
-
-CONFIG_KEYS = frozenset({
-    "seed", "unlock_delay", "missed_prob", "per_block_cap", "blocks_per_day",
-    "min_stake",
-})
+from .errors import ErrorCode
+from .staking import ETH, QueueConfig
 
 _TOKEN = re.compile(r'"([^"]*)"|(\S+)')
-_DIGEST = re.compile(r"^[0-9a-f]{64}$")
 _AMOUNT = re.compile(r"^(\d+)(eth)?$")
+_LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+_CODES = frozenset(code.value for code in ErrorCode) | {"ok", "partial"}
+
+
+def parse_amount(token: str) -> int:
+    match = _AMOUNT.match(token)
+    if match is None:
+        raise ValueError(f"bad amount {token!r}")
+    return int(match.group(1)) * (ETH if match.group(2) else 1)
+
+
+# `set` key -> (QueueConfig field, converter); QueueConfig checks the value
+CONFIG = {"seed": ("rng_seed", int), "unlock_delay": ("unlock_delay", int),
+          "missed_prob": ("missed_slot_probability", float),
+          "per_block_cap": ("per_block_cap", int), "blocks_per_day": ("blocks_per_day", int),
+          "min_stake": ("min_stake", parse_amount)}
+
+# role -> (test on a token and the role's words, message when the test fails)
+_CHECKS = {
+    "amount": (lambda t, _: _AMOUNT.match(t.value), "bad amount {!r}"),
+    "int": (lambda t, _: t.value.isdigit(), "expected integer, got {!r}"),
+    "note": (lambda t, _: t.quoted, "note must be quoted"),
+    "hex64": (lambda t, _: re.fullmatch("[0-9a-f]{64}", t.value), "expected 64 lowercase hex"),
+    "key=value": (lambda t, _: "=" in t.value, "expected key=value"),
+    "code": (lambda t, _: t.value in _CODES, "unknown error code {!r}"),
+    "word": (lambda t, _: True, ""),
+    "literal": (lambda t, words: t.value in words, "expected {1}, got {0!r}"),
+}
+
+
+class _Role(NamedTuple):
+    test: str                    # "@", "+", a key of _CHECKS or a sub-table name
+    words: tuple[str, ...] = ()  # label types of @ and +, the accepted words of a literal
+    count: str = ""              # "", "?" (optional) or "*" (optional, repeats)
+    forms: dict | None = None    # sub-table: the next token picks the remaining roles
+
+
+class _Form(NamedTuple):
+    group: str
+    roles: tuple[_Role, ...]
+    low: int                     # fewest arguments
+    high: int | None             # most arguments; None after a `*` role or a sub-table
+
+
+def _table(rows: dict[str, str], grouped: bool = False, **subtables: dict) -> dict[str, _Form]:
+    """Decode each row once: `names -> [group] role role ...`."""
+    table = {}
+    for names, row in rows.items():
+        group, _, spec = row.partition(" ") if grouped else ("", "", row)
+        roles = []
+        for word in spec.split():
+            bare = word.rstrip("?*")
+            if bare[0] in "@+":
+                test, words = bare[0], bare[1:]
+            else:
+                test, words = (bare, "") if bare in _CHECKS or bare in subtables \
+                    else ("literal", bare)
+            roles.append(_Role(test, tuple(filter(None, words.split("|"))), word[len(bare):],
+                               subtables.get(bare)))
+        last = roles[-1] if roles else _Role("")
+        high = None if last.count == "*" or last.forms else len(roles)
+        for name in names.split():
+            table[name] = _Form(group, tuple(roles), sum(not role.count for role in roles), high)
+    return table
+
+
+PROXY_FORMS = _table({"noop request_unstake": "", "stake add_to_stake": "amount",
+                      "transfer_value": "@ amount"})
+PROBE_FORMS = _table({"binding": "@account|token", "tba_address": "@token int",
+                      "locked counts": ""})
+
+# Groups: a `tx` step builds one ledger operation and may sit in a begin/commit
+# group; `tx` and `exec` steps change state and may carry an expectation.
+STEP_KINDS = _table({
+    "mintnftaa": "tx @actor +account note",
+    "minttoken": "tx @actor +token note",
+    "transfernftaa": "tx @actor @account @",
+    "transfertoken": "tx @actor @token @",
+    "proxy tbacall": "tx @actor @account method",
+    "stake addstake": "tx @actor @account amount",
+    "unstake": "tx @actor @account",
+    "withdraw": "tx @actor @account @ amount",
+    "upgrade": "tx @actor @account int",
+    "createtba": "tx @actor @token int +account noexec?",
+    "fail interrupt": "tx",
+    "actor": "exec +actor",
+    "faucet": "exec @ amount",
+    "advance": "exec int",
+    "commit": "exec",
+    "probe": "exec form",
+    "assert_digest": "assert hex64",
+    "assert_event": "assert word key=value*",
+    "assert_note": "assert @account|token note",
+    "assert_bound": "assert @account int",
+    "assert_account": "assert @account|token @account|none",
+    "assert_balance": "assert @ amount",
+    "assert_stake": "assert @account amount",
+    "assert_staker": "assert @account @account|none",
+    "begin": "control",
+    "expect_error expect_tba": "control code",
+    "set": "control " + "|".join(CONFIG) + " word",
+    "queue_report": "control int closed|simulate",
+}, grouped=True, method=PROXY_FORMS, form=PROBE_FORMS)
+EXECUTABLE = frozenset(kind for kind, form in STEP_KINDS.items() if form.group in ("tx", "exec"))
 
 
 class ScenarioParseError(Exception):
     def __init__(self, line: int, column: int, message: str, code: str = "ParseError"):
-        self.line = line
-        self.column = column
-        self.message = message
-        self.code = code
+        self.line, self.column, self.message, self.code = line, column, message, code
         super().__init__(f"line {line}, col {column}: {message}")
 
 
@@ -76,16 +153,7 @@ class ScenarioScript:
         return dict(self.config)
 
 
-def parse_amount(token: str) -> int:
-    match = _AMOUNT.match(token)
-    if match is None:
-        raise ValueError(f"bad amount {token!r}")
-    value = int(match.group(1))
-    return value * ETH if match.group(2) else value
-
-
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     value: str
     column: int
     quoted: bool
@@ -94,11 +162,10 @@ class _Token:
 def _tokenize(line: str) -> list[_Token]:
     tokens = []
     for match in _TOKEN.finditer(line):
-        quoted = match.group(1) is not None
-        value = match.group(1) if quoted else match.group(2)
-        if not quoted and value.startswith("#"):
+        quoted, bare = match.groups()
+        if bare is not None and bare.startswith("#"):
             break
-        tokens.append(_Token(value, match.start() + 1, quoted))
+        tokens.append(_Token(bare or quoted, match.start() + 1, quoted is not None))
     return tokens
 
 
@@ -110,7 +177,6 @@ class _Parser:
         self.config: list[tuple[str, str]] = []
         self.steps: list[Step] = []
         self.in_group = False
-        self.group_open_line = 0
 
     def fail(self, token: _Token, message: str, code: str = "ParseError"):
         raise ScenarioParseError(self.line_no, token.column, message, code)
@@ -119,243 +185,96 @@ class _Parser:
         for self.line_no, raw in enumerate(text.splitlines(), start=1):
             tokens = _tokenize(raw)
             if tokens:
-                self.step(tokens)
+                self.step(tokens[0], tokens[1:])
         if self.in_group:
-            raise ScenarioParseError(self.group_open_line, 1,
-                                     "begin without matching commit")
+            opened = next(s.line for s in reversed(self.steps) if s.kind == "begin")
+            raise ScenarioParseError(opened, 1, "begin without matching commit")
         return ScenarioScript(tuple(self.config), tuple(self.steps))
 
-    # -- helpers ---------------------------------------------------------
-
-    def args(self, tokens: list[_Token], low: int, high: int | None = None) -> list[_Token]:
-        high = low if high is None else high
-        given = len(tokens) - 1
-        if given < low or given > high:
-            expected = str(low) if low == high else f"{low}..{high}"
-            self.fail(tokens[0], f"{tokens[0].value} takes {expected} argument(s), got {given}")
-        return tokens[1:]
-
-    def declare(self, token: _Token, label_type: str) -> str:
-        if token.value in self.labels:
-            self.fail(token, f"label {token.value!r} already declared")
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_-]*", token.value):
-            self.fail(token, f"bad label {token.value!r}")
-        self.labels[token.value] = label_type
-        return token.value
-
-    def ref(self, token: _Token, *types: str) -> str:
-        declared = self.labels.get(token.value)
-        if declared is None:
-            self.fail(token, f"label {token.value!r} not declared", code="UnknownLabel")
-        if types and declared not in types:
-            self.fail(token, f"label {token.value!r} is {declared}, "
-                             f"expected {' or '.join(types)}")
-        return token.value
-
-    def amount(self, token: _Token) -> str:
-        if _AMOUNT.match(token.value) is None:
-            self.fail(token, f"bad amount {token.value!r}")
-        return token.value
-
-    def integer(self, token: _Token) -> str:
-        if not token.value.isdigit():
-            self.fail(token, f"expected integer, got {token.value!r}")
-        return token.value
-
-    def emit(self, kind: str, *args: str):
-        self.steps.append(Step(kind, tuple(args), self.line_no))
-
-    # -- per-kind handling ----------------------------------------------
-
-    def step(self, tokens: list[_Token]):
-        head = tokens[0]
+    def step(self, head: _Token, tokens: list[_Token]):
         kind = head.value
-        if kind not in ALL_KINDS:
+        form = STEP_KINDS.get(kind)
+        if form is None:
             self.fail(head, f"unknown step {kind!r}", code="UnknownStepKind")
-        if self.in_group and kind not in TRANSACTIONAL and kind != "commit":
+        if self.in_group and form.group != "tx" and kind != "commit":
             self.fail(head, f"{kind} cannot appear inside a transaction group")
-
-        if kind == "set":
-            if self.steps:
-                self.fail(head, "set must appear before any step")
-            key, value = self.args(tokens, 2)
-            if key.value not in CONFIG_KEYS:
-                self.fail(key, f"unknown config key {key.value!r}")
-            self.config.append((key.value, value.value))
-            return
-
-        if kind == "actor":
-            (label,) = self.args(tokens, 1)
-            self.emit(kind, self.declare(label, "actor"))
-        elif kind == "faucet":
-            to, amount = self.args(tokens, 2)
-            self.emit(kind, self.ref(to), self.amount(amount))
-        elif kind == "mintnftaa":
-            actor, label, note = self.args(tokens, 3)
-            if not note.quoted:
-                self.fail(note, "note must be quoted")
-            self.emit(kind, self.ref(actor, "actor"),
-                      self.declare(label, "account"), note.value)
-        elif kind == "minttoken":
-            actor, label, note = self.args(tokens, 3)
-            if not note.quoted:
-                self.fail(note, "note must be quoted")
-            self.emit(kind, self.ref(actor, "actor"),
-                      self.declare(label, "token"), note.value)
-        elif kind in ("transfernftaa", "transfertoken"):
-            actor, what, to = self.args(tokens, 3)
-            target_type = ("account",) if kind == "transfernftaa" else ("token",)
-            self.emit(kind, self.ref(actor, "actor"), self.ref(what, *target_type),
-                      self.ref(to))
-        elif kind in ("proxy", "tbacall"):
-            parsed = self.args(tokens, 3, 5)
-            actor, account, method = parsed[0], parsed[1], parsed[2]
-            if method.value not in PROXY_FORMS:
-                self.fail(method, f"unknown proxy method {method.value!r}")
-            extra = parsed[3:]
-            want = PROXY_FORMS[method.value]
-            if len(extra) != want:
-                self.fail(method, f"{method.value} takes {want} argument(s), got {len(extra)}")
-            rendered = [self.ref(actor, "actor"), self.ref(account, "account"),
-                        method.value]
-            if method.value == "transfer_value":
-                rendered.append(self.ref(extra[0]))
-                rendered.append(self.amount(extra[1]))
-            elif want == 1:
-                rendered.append(self.amount(extra[0]))
-            self.emit(kind, *rendered)
-        elif kind in ("stake", "addstake"):
-            actor, account, amount = self.args(tokens, 3)
-            self.emit(kind, self.ref(actor, "actor"), self.ref(account, "account"),
-                      self.amount(amount))
-        elif kind == "unstake":
-            actor, account = self.args(tokens, 2)
-            self.emit(kind, self.ref(actor, "actor"), self.ref(account, "account"))
-        elif kind == "withdraw":
-            actor, account, to, amount = self.args(tokens, 4)
-            self.emit(kind, self.ref(actor, "actor"), self.ref(account, "account"),
-                      self.ref(to), self.amount(amount))
-        elif kind == "upgrade":
-            actor, account, version = self.args(tokens, 3)
-            self.emit(kind, self.ref(actor, "actor"), self.ref(account, "account"),
-                      self.integer(version))
-        elif kind == "createtba":
-            parsed = self.args(tokens, 4, 5)
-            actor, token, salt, label = parsed[0], parsed[1], parsed[2], parsed[3]
-            flags = [t.value for t in parsed[4:]]
-            if flags and flags[0] != "noexec":
-                self.fail(parsed[4], f"unknown flag {flags[0]!r}")
-            self.emit(kind, self.ref(actor, "actor"), self.ref(token, "token"),
-                      self.integer(salt), self.declare(label, "account"), *flags)
-        elif kind == "advance":
-            (count,) = self.args(tokens, 1)
-            self.emit(kind, self.integer(count))
-        elif kind == "begin":
-            self.args(tokens, 0)
-            if self.in_group:
-                self.fail(head, "nested begin")
-            self.in_group = True
-            self.group_open_line = self.line_no
-            self.emit(kind)
-        elif kind == "commit":
-            self.args(tokens, 0)
-            if not self.in_group:
-                self.fail(head, "commit without begin")
-            self.in_group = False
-            self.emit(kind)
-        elif kind in ("fail", "interrupt"):
-            self.args(tokens, 0)
-            self.emit(kind)
-        elif kind in ("expect_error", "expect_tba"):
-            (code,) = self.args(tokens, 1)
-            if self.in_group:
-                self.fail(head, f"{kind} cannot appear inside a transaction group")
+        if kind == "set" and self.steps:
+            self.fail(head, "set must appear before any step")
+        if kind == "commit" and not self.in_group:
+            self.fail(head, "commit without begin")
+        if kind in ("expect_error", "expect_tba"):
+            # the step it qualifies, looking past an expectation for the other lane
             other = "expect_tba" if kind == "expect_error" else "expect_error"
-            recent = [s.kind for s in self.steps[-2:]]
-            qualifies = (recent[-1:] == [other] and recent[:1] and recent[0] in EXECUTABLE) \
-                or (recent[-1:] and recent[-1] in EXECUTABLE)
-            if not qualifies:
+            recent = [step.kind for step in self.steps[-2:] if step.kind != other]
+            if not recent or recent[-1] not in EXECUTABLE:
                 self.fail(head, f"{kind} must immediately follow an executable step")
-            self.emit(kind, code.value)
-        elif kind == "assert_digest":
-            (digest,) = self.args(tokens, 1)
-            if _DIGEST.match(digest.value) is None:
-                self.fail(digest, "expected 64 lowercase hex chars")
-            self.emit(kind, digest.value)
-        elif kind == "assert_event":
-            parsed = self.args(tokens, 1, 9)
-            for kv in parsed[1:]:
-                if "=" not in kv.value:
-                    self.fail(kv, "expected key=value")
-                value = kv.value.split("=", 1)[1]
-                if value.startswith("@"):
-                    self.ref(_Token(value[1:], kv.column, False))
-            self.emit(kind, *[t.value for t in parsed])
-        elif kind == "assert_note":
-            target, note = self.args(tokens, 2)
-            if not note.quoted:
-                self.fail(note, "note must be quoted")
-            self.emit(kind, self.ref(target, "account", "token"), note.value)
-        elif kind == "assert_bound":
-            account, token_id = self.args(tokens, 2)
-            self.emit(kind, self.ref(account, "account"), self.integer(token_id))
-        elif kind == "assert_account":
-            target, expected = self.args(tokens, 2)
-            self.emit(kind, self.ref(target, "account", "token"),
-                      expected.value if expected.value == "none" else self.ref(expected, "account"))
-        elif kind == "assert_balance":
-            target, amount = self.args(tokens, 2)
-            self.emit(kind, self.ref(target), self.amount(amount))
-        elif kind == "assert_stake":
-            account, amount = self.args(tokens, 2)
-            self.emit(kind, self.ref(account, "account"), self.amount(amount))
-        elif kind == "assert_staker":
-            account, expected = self.args(tokens, 2)
-            self.emit(kind, self.ref(account, "account"),
-                      expected.value if expected.value == "none" else self.ref(expected, "account"))
-        elif kind == "probe":
-            parsed = self.args(tokens, 1, 3)
-            what = parsed[0].value
-            if what == "binding":
-                if len(parsed) != 2:
-                    self.fail(parsed[0], "probe binding takes a label")
-                self.emit(kind, what, self.ref(parsed[1], "account", "token"))
-            elif what == "tba_address":
-                if len(parsed) != 3:
-                    self.fail(parsed[0], "probe tba_address takes token and salt")
-                self.emit(kind, what, self.ref(parsed[1], "token"),
-                          self.integer(parsed[2]))
-            elif what in ("locked", "counts"):
-                if len(parsed) != 1:
-                    self.fail(parsed[0], f"probe {what} takes no arguments")
-                self.emit(kind, what)
-            else:
-                self.fail(parsed[0], f"unknown probe {what!r}")
-        elif kind == "queue_report":
-            pending, mode = self.args(tokens, 2)
-            if mode.value not in ("closed", "simulate"):
-                self.fail(mode, "mode must be closed or simulate")
-            self.emit(kind, self.integer(pending), mode.value)
-        else:  # pragma: no cover - ALL_KINDS is exhaustive above
-            self.fail(head, f"unhandled step {kind!r}")
+        values = self.match(head, form, tokens)
+        if kind == "set":
+            return self.configure(*tokens)
+        self.in_group = kind == "begin" or (self.in_group and kind != "commit")
+        self.steps.append(Step(kind, tuple(values), self.line_no))
+
+    def match(self, head: _Token, form: _Form, tokens: list[_Token]) -> list[str]:
+        """Check the tokens after `head` against the roles of its form; returns their values."""
+        given = len(tokens)
+        if not form.low <= given <= (given if form.high is None else form.high):
+            expected = str(form.low) if form.low == form.high else f"{form.low}..{form.high or ''}"
+            self.fail(head, f"{head.value} takes {expected} argument(s), got {given}")
+        values, roles = [], form.roles
+        for position, token in enumerate(tokens):
+            role = roles[position] if position < len(roles) else roles[-1]
+            if role.forms is not None:
+                sub = role.forms.get(token.value)
+                if sub is None:
+                    self.fail(token, f"unknown {head.value} {role.test} {token.value!r}")
+                return values + [token.value] + self.match(token, sub, tokens[position + 1:])
+            values.append(self.check(role, token))
+        return values
+
+    def check(self, role: _Role, token: _Token) -> str:
+        value = token.value
+        if role.test == "@":
+            if value == "none" and "none" in role.words:
+                return value
+            declared = self.labels.get(value)
+            if declared is None:
+                self.fail(token, f"label {value!r} not declared", code="UnknownLabel")
+            if role.words and declared not in role.words:
+                self.fail(token, f"label {value!r} is {declared}, "
+                                 f"expected {' or '.join(role.words)}")
+        elif role.test == "+":
+            if value in self.labels:
+                self.fail(token, f"label {value!r} already declared")
+            if not _LABEL.fullmatch(value):
+                self.fail(token, f"bad label {value!r}")
+            self.labels[value] = role.words[0]
+        else:
+            satisfied, message = _CHECKS[role.test]
+            if not satisfied(token, role.words):
+                self.fail(token, message.format(value, " or ".join(role.words)))
+            target = value.partition("=")[2]
+            if role.test == "key=value" and target.startswith("@"):
+                self.check(_Role("@"), token._replace(value=target[1:]))
+        return value
+
+    def configure(self, key: _Token, value: _Token):
+        name, convert = CONFIG[key.value]
+        try:
+            QueueConfig(**{name: convert(value.value)})
+        except ValueError as bad:
+            self.fail(value, f"bad {key.value} {value.value!r}: {bad}")
+        self.config.append((key.value, value.value))
 
 
 def parse_scenario(text: str) -> ScenarioScript:
     return _Parser().parse(text)
 
 
-# quoted argument positions, for serialization
-_QUOTED_ARG = {"mintnftaa": 2, "minttoken": 2, "assert_note": 1}
-
-
 def serialize_scenario(script: ScenarioScript) -> str:
     lines = [f"set {key} {value}" for key, value in script.config]
     for step in script.steps:
-        parts = [step.kind]
-        for position, arg in enumerate(step.args):
-            if _QUOTED_ARG.get(step.kind) == position:
-                parts.append(f'"{arg}"')
-            else:
-                parts.append(arg)
-        lines.append(" ".join(parts))
+        roles = STEP_KINDS[step.kind].roles
+        lines.append(" ".join([step.kind] + [
+            f'"{arg}"' if position < len(roles) and roles[position].test == "note" else arg
+            for position, arg in enumerate(step.args)]))
     return "\n".join(lines) + ("\n" if lines else "")
