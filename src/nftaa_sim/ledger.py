@@ -214,6 +214,9 @@ class Ledger:
         except LedgerError as failure:
             self.state = backup
             return TxReceipt(tx_id, TxStatus.ROLLED_BACK, failure, ())
+        except BaseException:
+            self.state = backup  # a defect, not a protocol failure: undo, then surface it
+            raise
         self.state.accounts[tx.caller].nonce += 1
         self.events.extend(ctx.events)
         return TxReceipt(tx_id, TxStatus.COMMITTED, None, tuple(ctx.events))
@@ -344,7 +347,6 @@ class Ledger:
                                                         factory.creation_nonce),
                                        CodeId.NFTAA_ACCOUNT)
         factory.creation_nonce += 1
-        factory.created.append(account.address)
         collection = self._collection(factory.collection)
         record = collection.mint(op.caller, op.note, account.address)
         self.state.nftaas[account.address] = NftaaAccount(

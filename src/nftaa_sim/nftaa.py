@@ -8,7 +8,7 @@ record carries the token identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .addresses import Address
 
@@ -29,5 +29,4 @@ class NftaaAccount:
 class FactoryState:
     address: Address
     collection: Address  # where the factory mints the bound tokens
-    created: list[Address] = field(default_factory=list)
     creation_nonce: int = 0

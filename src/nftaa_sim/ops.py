@@ -30,9 +30,6 @@ class ProxyPayload:
         if self.method not in PROXY_METHODS:
             raise ValueError(f"unknown proxy method {self.method!r}")
 
-    def describe(self) -> str:
-        return self.method
-
 
 @dataclass(frozen=True)
 class TransferValue:
@@ -115,22 +112,7 @@ class Fail:
     message: str = "injected"
 
 
-Op = (
-    TransferValue
-    | MintToken
-    | TransferToken
-    | MintNftaa
-    | ProxyExecute
-    | WithdrawAssets
-    | UpgradeAccount
-    | CreateTba
-    | TbaExecute
-    | Fail
-)
-
-
 @dataclass(frozen=True)
 class Transaction:
     caller: Address
     operations: tuple = field(default_factory=tuple)
-    tx_id: int = 0

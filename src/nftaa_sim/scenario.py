@@ -5,8 +5,8 @@ integers in the smallest denomination; `<n>eth` is sugar for n * 10^18.
 `begin`/`commit` make the steps between them one atomic transaction, and
 `expect_error CODE` qualifies the step it immediately follows.
 
-STEP_KINDS is the vocabulary: a row gives step kinds their group and the
-roles of their arguments, and one matcher checks every line against its row.
+STEP_KINDS is the vocabulary: a row gives one or more step kinds their group
+and the roles of their arguments, and one matcher checks every line against it.
 Roles: `@type` references a label declared earlier (`@` any type; type
 `none` also takes that bare word), `+type` declares one, `amount`, `int`, a
 quoted `note`, `hex64`, `key=value` (an `@label` value must be declared),

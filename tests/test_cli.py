@@ -42,6 +42,14 @@ def test_run_exit_two_on_parse_error(tmp_path, capsys):
     assert "line=2" in out
 
 
+def test_run_exit_two_on_bad_config_value(tmp_path, capsys):
+    path = tmp_path / "config.scn"
+    path.write_text("set per_block_cap 0\nactor alice\n")
+    assert main(["run", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("parse_error") and "line=1 col=19" in out
+
+
 def test_run_digest_mode(scenario_file, capsys):
     assert main(["run", str(scenario_file), "--digest"]) == 0
     out = capsys.readouterr().out.strip()

@@ -208,3 +208,14 @@ def test_negative_amount_rejected(ledger):
     alice = ledger.create_eoa("alice")
     with pytest.raises(ValueError):
         ledger.faucet(alice, -1)
+
+
+def test_unexpected_exception_rolls_back_then_propagates(ledger):
+    alice = ledger.create_eoa("alice")
+    bob = ledger.create_eoa("bob")
+    ledger.faucet(alice, 10)
+    digest = ledger.state_digest()
+    with pytest.raises(ValueError):
+        ledger.submit(TransferValue(alice, bob, 5), TransferValue(alice, bob, -1))
+    assert ledger.state_digest() == digest
+    assert ledger.balance_of(bob) == 0

@@ -1,5 +1,8 @@
 """Scenario grammar: tokenizing, label tracking, structure rules, round-trip."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +12,9 @@ from nftaa_sim import (
     parse_scenario,
     serialize_scenario,
 )
-from nftaa_sim.scenario import Step
+from nftaa_sim.scenario import STEP_KINDS, Step
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_empty_file_is_a_valid_script():
@@ -112,6 +117,24 @@ def test_unknown_config_key():
         parse_scenario("set gravity 10\n")
 
 
+@pytest.mark.parametrize("line", ["set unlock_delay abc", "set missed_prob 1.0",
+                                  "set per_block_cap 0"])
+def test_config_values_checked_at_parse_time(line):
+    with pytest.raises(ScenarioParseError) as caught:
+        parse_scenario(line + "\n")
+    assert (caught.value.line, caught.value.column) == (1, line.rindex(" ") + 2)
+    assert line.split()[1] in caught.value.message
+
+
+def test_unknown_expectation_code_rejected():
+    with pytest.raises(ScenarioParseError) as caught:
+        parse_scenario("actor a\nfaucet a 5\nexpect_error NoSuchCode\n")
+    assert (caught.value.line, caught.value.column) == (3, 14)
+    assert "NoSuchCode" in caught.value.message
+    for code in ("ok", "partial", "FraudGuard", "NotComparable"):
+        parse_scenario(f"actor a\nfaucet a 5\nexpect_tba {code}\n")
+
+
 def test_amount_sugar():
     assert parse_amount("32eth") == 32 * 10**18
     assert parse_amount("5") == 5
@@ -203,3 +226,10 @@ def test_round_trip_generated_scripts(text):
 
 def test_steps_compare_ignoring_line_numbers():
     assert Step("actor", ("a",), line=1) == Step("actor", ("a",), line=99)
+
+
+def test_readme_scenario_block_names_every_step_kind():
+    section = README.read_text().split("## Scenario scripts", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    named = {line.split()[0] for line in block.splitlines() if line[:1].isalpha()}
+    assert named == set(STEP_KINDS)
