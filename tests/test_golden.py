@@ -1,7 +1,9 @@
 """Golden transcripts: `run` and `diff` output for every corpus file, byte for byte.
 
 Each transcript is the stdout of `nftaa-sim run --seed 7 FILE` or
-`nftaa-sim diff --seed 7 --verbose FILE`, driven through `cli.main`,
+`nftaa-sim diff --seed 7 --verbose FILE`, driven through `cli.main`, for
+every corpus file and for the scripts kept next to the transcripts (runner
+paths the corpus does not reach),
 followed by an `exit=<code>` line holding the command's return value. A
 refactor must leave every transcript untouched; a change that alters one
 regenerates them and says so in CHANGES.md:
@@ -20,8 +22,9 @@ from nftaa_sim.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = sorted((ROOT / "scenarios").glob("**/*.scn"))
+PINNED = sorted(GOLDEN.glob("*.scn"))
 COMMANDS = {"run": ["run", "--seed", "7"], "diff": ["diff", "--seed", "7", "--verbose"]}
-CASES = [(command, path) for path in CORPUS for command in COMMANDS]
+CASES = [(command, path) for path in CORPUS + PINNED for command in COMMANDS]
 
 
 def _golden_path(command: str, path: Path) -> Path:
@@ -37,7 +40,7 @@ def transcript(command: str, path: Path) -> str:
 
 def test_corpus_has_eleven_files_with_distinct_names():
     assert len(CORPUS) == 11
-    assert len({path.stem for path in CORPUS}) == 11
+    assert len({path.stem for path in CORPUS + PINNED}) == 11 + len(PINNED)
 
 
 @pytest.mark.parametrize("command,path", CASES,
