@@ -46,6 +46,7 @@ from .tba import TbaRecord, TbaRegistry
 from .tokens import NftCollection, validate_note
 
 SYSTEM_LABEL = "__system__"
+SYSTEM_ADDRESS = eoa_address(SYSTEM_LABEL)
 
 
 class CodeId(str, Enum):
@@ -124,7 +125,7 @@ class Ledger:
         self._bootstrap()
 
     def _bootstrap(self) -> None:
-        deployer = self._create_account(eoa_address(SYSTEM_LABEL), None)
+        deployer = self._create_account(SYSTEM_ADDRESS, None)
         self.state.labels.add(SYSTEM_LABEL)
         collection = self._create_account(contract_address(deployer.address, 0),
                                           CodeId.NFT_COLLECTION)
@@ -221,14 +222,13 @@ class Ledger:
         self.events.extend(ctx.events)
         return TxReceipt(tx_id, TxStatus.COMMITTED, None, tuple(ctx.events))
 
-    def submit(self, *operations, caller: Address | None = None) -> TxReceipt:
-        """Apply one transaction; the caller defaults to the first operation's."""
-        if caller is None:
-            caller = next(op.caller for op in operations if hasattr(op, "caller"))
+    def submit(self, *operations) -> TxReceipt:
+        """Apply one transaction, paid by the first operation's caller, else by the system."""
+        caller = next((op.caller for op in operations if hasattr(op, "caller")), SYSTEM_ADDRESS)
         return self.apply_transaction(Transaction(caller, tuple(operations)))
 
-    def must(self, *operations, caller: Address | None = None) -> TxReceipt:
-        receipt = self.submit(*operations, caller=caller)
+    def must(self, *operations) -> TxReceipt:
+        receipt = self.submit(*operations)
         if not receipt.committed:
             raise receipt.error
         return receipt

@@ -11,12 +11,19 @@ A script runs against a fresh ledger in one of three lanes:
   plain token, staking and withdrawal go through the account's execute call,
   and ``upgrade`` has no analog.
 
+One translation serves all three lanes: it turns a step into the named
+ledger operations of the lane (``mint`` and ``account`` for ``mintnftaa`` in
+the tba lane), or raises NotComparable for a kind with no analog there.
+Labels a step creates are bound before its transaction is submitted, so later
+steps of a group can name them, and unbound if that transaction does not
+commit.
+
 ``begin``/``commit`` groups are one atomic transaction in the native and
-nftaa lanes. The tba lane cannot express that: grouped steps run as a
-sequence of dependent transactions, the first failure aborts the remainder,
-and an ``interrupt`` right after ``mintnftaa`` lands in the seam between the
-mint and the account creation. That asymmetry is what the differential
-runner exists to expose.
+nftaa lanes. The tba lane cannot express that: it submits the operations one
+at a time, the first failure skips the remainder, and an ``interrupt`` right
+after a split step lands in the seam between its parts (the mint and the
+account creation). That asymmetry is what the differential runner exists to
+expose.
 
 Reports are plain text and byte-identical across runs with the same script
 and seed.
@@ -38,7 +45,6 @@ from .ops import (
     ProxyExecute,
     ProxyPayload,
     TbaExecute,
-    Transaction,
     TransferToken,
     UpgradeAccount,
     WithdrawAssets,
@@ -57,6 +63,10 @@ SKIPPED = "skipped"
 NOT_COMPARABLE = "not_comparable"
 
 _FAILING = {ROLLED_BACK, PARTIAL, NOT_COMPARABLE}
+
+# step kinds with no analog in a lane's account style
+_NO_ANALOG = {"native": frozenset(), "nftaa": frozenset({"tbacall", "createtba"}),
+              "tba": frozenset({"upgrade"})}
 
 # staking steps: sugar for a proxy call of this method
 _STAKING_METHOD = {"stake": "stake", "addstake": "add_to_stake", "unstake": "request_unstake"}
@@ -205,29 +215,22 @@ class ScenarioRunner:
         steps = self.script.steps
         index = 0
         while index < len(steps):
-            step = steps[index]
-            if step.kind == "begin":
-                group, index = self._collect_group(steps, index)
-                outcome = self._run_group(group, steps[index - 1])
-                executable = True
-            else:
-                outcome = self._run_step(step)
-                index += 1
-                executable = step.kind in EXECUTABLE
+            step, group = steps[index], steps[index:index + 1]
+            index += 1
+            if step.kind == "begin":  # the group runs, and reports, at its commit
+                end = next(i for i in range(index, len(steps)) if steps[i].kind == "commit")
+                group, step = steps[index:end], steps[end]
+                for inner in group:
+                    self.report.outcomes.append(StepOutcome(
+                        len(self.report.outcomes) + 1, inner.line, inner.kind, GROUPED))
+                index = end + 1
+            outcome = self._run_step(step, group)
             self.report.outcomes.append(outcome)
-            if executable:
+            if step.kind in EXECUTABLE:
                 self._check_expectations(outcome, steps, index)
         self.report.events = list(self.ledger.events)
         self.report.final_digest = self.ledger.state_digest()
         return self.report
-
-    def _collect_group(self, steps, index) -> tuple[list[Step], int]:
-        group = []
-        index += 1  # past begin
-        while steps[index].kind != "commit":
-            group.append(steps[index])
-            index += 1
-        return group, index + 1  # past commit
 
     def _expectation_for(self, steps, next_index) -> tuple[str | None, int | None]:
         """The expectation applicable in this lane, if the step carries one."""
@@ -263,134 +266,168 @@ class ScenarioRunner:
     # Step execution
     # ------------------------------------------------------------------
 
-    def _run_step(self, step: Step) -> StepOutcome:
-        index = len(self.report.outcomes) + 1
-        outcome = StepOutcome(index, step.line, step.kind, OK)
+    def _run_step(self, step: Step, group: tuple[Step, ...]) -> StepOutcome:
+        """Run one step; a commit runs the steps of its group, a tx step itself."""
+        kind, args = step.kind, step.args
+        outcome = StepOutcome(len(self.report.outcomes) + 1, step.line, kind, OK)
+        if kind == "commit":
+            outcome.group_kinds = tuple(inner.kind for inner in group)
         try:
-            self._dispatch(step, outcome)
+            if kind == "actor":
+                address = self.ledger.create_eoa(args[0])
+                self.bind_actor(args[0], address)
+                outcome.detail = f"address={to_hex(address)}"
+            elif kind == "faucet":
+                self.ledger.faucet(self.address_of(args[0]), parse_amount(args[1]))
+            elif kind == "advance":
+                outcome.detail = f"height={self.ledger.advance_blocks(int(args[0]))}"
+            elif kind in ("expect_error", "expect_tba"):
+                outcome.status = SKIPPED  # consumed by _check_expectations
+            elif kind == "queue_report":
+                outcome.detail = self._queue_report(int(args[0]), args[1])
+            elif kind == "probe":
+                outcome.detail = self._probe(args)
+            elif kind.startswith("assert_"):
+                self._assert(step)
+            else:
+                self._run_transaction(group, outcome)
         except LedgerError as failure:
-            outcome.status = NOT_COMPARABLE \
-                if failure.code is ErrorCode.NOT_COMPARABLE else ROLLED_BACK
-            outcome.code = failure.code.value
+            _failed(outcome, failure)
         return outcome
 
-    def _dispatch(self, step: Step, outcome: StepOutcome) -> None:
-        kind, args = step.kind, step.args
-        if kind == "actor":
-            address = self.ledger.create_eoa(args[0])
-            self.bind_actor(args[0], address)
-            outcome.detail = f"address={to_hex(address)}"
-        elif kind == "faucet":
-            self.ledger.faucet(self.address_of(args[0]), parse_amount(args[1]))
-        elif kind == "advance":
-            height = self.ledger.advance_blocks(int(args[0]))
-            outcome.detail = f"height={height}"
-        elif kind in ("expect_error", "expect_tba"):
-            outcome.status = SKIPPED  # consumed by _check_expectations
-        elif kind == "queue_report":
-            outcome.detail = self._queue_report(int(args[0]), args[1])
-        elif kind == "probe":
-            outcome.detail = self._probe(args)
-        elif kind.startswith("assert_"):
-            self._assert(step)
-        else:
-            self._run_transactional([step], outcome)
+    # ------------------------------------------------------------------
+    # Transactions: one translation, atomic or sequential submission
+    # ------------------------------------------------------------------
 
-    def _run_transactional(self, group: list[Step], outcome: StepOutcome) -> None:
-        if self.lane == "tba":
-            self._run_tba_sequence(group, outcome)
-            return
-        provisional: list[str] = []
+    def _run_transaction(self, group: tuple[Step, ...], outcome: StepOutcome) -> None:
+        """Translate a step or a begin/commit group and submit it in this lane.
+
+        The atomic lanes submit the group's operations as one transaction and
+        raise its failure; the tba lane reports each part in a `seq=` detail.
+        Labels bound ahead of a transaction that did not commit are unbound
+        here, whichever way it failed.
+        """
+        pending: list[str] = []  # bound ahead of a transaction not yet committed
         try:
-            operations = []
-            mints_ahead = tokens_ahead = 0
+            if self.lane == "tba":
+                self._run_sequence(group, outcome, pending)
+                return
+            operations: list = []
             for step in group:
-                built = self._build_op(step, mints_ahead, tokens_ahead, provisional)
-                if built is None:  # no analog in this lane
-                    outcome.status = NOT_COMPARABLE
-                    outcome.code = ErrorCode.NOT_COMPARABLE.value
-                    return
-                operations.append(built)
-                if isinstance(built, MintNftaa):
-                    mints_ahead += 1
-                    tokens_ahead += 1
-                elif isinstance(built, MintToken):
-                    tokens_ahead += 1
-            caller = next((op.caller for op in operations if hasattr(op, "caller")),
-                          None) or self._any_caller()
-            receipt = self.ledger.apply_transaction(Transaction(caller, tuple(operations)))
-        except LedgerError:
-            for label in provisional:
-                self.unbind(label)
-            raise
-        outcome.tx_count = 1
-        if receipt.committed:
+                operations += [op for _, op in self._translate(step, operations, pending)]
+            outcome.tx_count = 1
+            receipt = self.ledger.must(*operations)
+            pending.clear()
             outcome.status = COMMITTED
             outcome.detail = _creation_detail(receipt)
-        else:
-            outcome.status = ROLLED_BACK
-            outcome.code = receipt.error.code.value
-            for label in provisional:
+        finally:
+            for label in pending:
                 self.unbind(label)
 
-    def _build_op(self, step: Step, mints_ahead: int, tokens_ahead: int,
-                  provisional: list[str]):
-        """Build the ledger operation for one script step, or None if the
-        step has no analog in this lane.
+    def _run_sequence(self, group: tuple[Step, ...], outcome: StepOutcome,
+                      pending: list[str]) -> None:
+        """Submit each operation as its own transaction; skip the rest after a failure.
 
-        Labels created by the step are bound up front from the deterministic
-        address/id sequence so later steps in the same transaction can refer
-        to them; the caller unbinds them if the transaction rolls back.
+        An interrupt right after a split step lands in the seam between the
+        parts that an atomic lane would have fused into one transaction: it
+        is reported there, as failed, and not submitted.
+        """
+        seq: list[str] = []
+        committed = 0
+        failure: LedgerError | None = None
+        rest = list(group)
+        while rest:
+            step = rest.pop(0)
+            if failure is not None:
+                seq.append(f"{step.kind}={SKIPPED}")
+                continue
+            name, parts, done = step.kind, [], 0
+            try:
+                parts = self._translate(step, [], pending)
+                for name, op in parts:
+                    if done and rest and rest[0].kind == "interrupt":
+                        name = rest.pop(0).kind
+                        raise LedgerError(ErrorCode.INJECTED_FAILURE, "interrupted")
+                    done += 1
+                    self.ledger.must(op)
+                    seq.append(f"{name}={COMMITTED}")
+                    committed += 1
+                pending.clear()
+            except LedgerError as error:
+                failure = error
+                seq.append(f"{name}={error.code.value}")
+                seq += [f"{later}={SKIPPED}" for later, _ in parts[done:]]
+        outcome.detail = "seq=" + ",".join(seq)
+        if failure is None:
+            outcome.status = COMMITTED
+        elif committed or len(seq) > 1:
+            outcome.status = PARTIAL if committed else ROLLED_BACK
+            outcome.code = failure.code.value
+        else:
+            _failed(outcome, failure)
+        if outcome.status != NOT_COMPARABLE:
+            outcome.tx_count = committed + (failure is not None)
+
+    def _translate(self, step: Step, ahead: list, labels: list[str]) -> list[tuple[str, object]]:
+        """The named ledger operations of one step in this lane.
+
+        `ahead` holds the operations translated before this step for the same
+        transaction. Labels the step creates are bound before it is submitted,
+        from the deterministic address and id sequences, so that later steps
+        in the transaction can name them; they are appended to `labels`.
         """
         kind, args = step.kind, step.args
+        if kind in _NO_ANALOG[self.lane]:
+            raise LedgerError(ErrorCode.NOT_COMPARABLE, f"{kind} has no {self.lane} analog")
         state = self.ledger.state
-        if kind == "mintnftaa":
-            creator = self.address_of(args[0])
-            account = contract_address(state.factory.address,
-                                       state.factory.creation_nonce + mints_ahead)
-            token_id = state.collection.next_id + tokens_ahead
-            self.bind_account(args[1], account, token_id)
-            provisional.append(args[1])
-            return MintNftaa(creator, state.factory.address, args[2].encode())
-        if kind == "minttoken":
-            actor = self.address_of(args[0])
-            token_id = state.collection.next_id + tokens_ahead
-            self.bind_token(args[1], token_id)
-            provisional.append(args[1])
-            return MintToken(actor, state.collection.address, actor, args[2].encode())
+        collection = state.collection.address
+        if kind in ("mintnftaa", "minttoken"):
+            actor, note = self.address_of(args[0]), args[2].encode()
+            nftaas = sum(isinstance(op, MintNftaa) for op in ahead)
+            token_id = state.collection.next_id + nftaas \
+                + sum(isinstance(op, MintToken) for op in ahead)
+            labels.append(args[1])
+            if kind == "minttoken":
+                self.bind_token(args[1], token_id)
+                return [(kind, MintToken(actor, collection, actor, note))]
+            if self.lane != "tba":
+                self.bind_account(args[1], contract_address(
+                    state.factory.address, state.factory.creation_nonce + nftaas), token_id)
+                return [(kind, MintNftaa(actor, state.factory.address, note))]
+            # registry style: a plain mint, then the account as a second transaction
+            salt = salt_from_int(0)
+            self.bind_account(args[1], state.registry.address_for(collection, token_id, salt),
+                              token_id)
+            return [("mint", MintToken(actor, collection, actor, note)),
+                    ("account", CreateTba(actor, state.registry.address, collection,
+                                          token_id, salt))]
         if kind in ("transfernftaa", "transfertoken"):
-            return TransferToken(self.address_of(args[0]), state.collection.address,
-                                 self.token_of(args[1]), self.address_of(args[2]))
-        if kind == "tbacall" and self.lane == "nftaa":
-            return None
-        if kind in ("proxy", "tbacall"):
-            return self._execute_call(*args)
-        if kind in _STAKING_METHOD:
-            return self._execute_call(args[0], args[1], _STAKING_METHOD[kind], *args[2:])
-        if kind == "withdraw":
+            op = TransferToken(self.address_of(args[0]), collection, self.token_of(args[1]),
+                               self.address_of(args[2]))
+        elif kind in ("proxy", "tbacall"):
+            op = self._execute_call(*args)
+        elif kind in _STAKING_METHOD:
+            op = self._execute_call(args[0], args[1], _STAKING_METHOD[kind], *args[2:])
+        elif kind == "withdraw":
             actor, account = self.address_of(args[0]), self.address_of(args[1])
             to, amount = self.address_of(args[2]), parse_amount(args[3])
-            if self.lane == "tba" or self._is_tba(account):
-                return TbaExecute(actor, account,
-                                  ProxyPayload("transfer_value", amount=amount, to=to))
-            return WithdrawAssets(actor, account, to, amount)
-        if kind == "upgrade":
-            return UpgradeAccount(self.address_of(args[0]), self.address_of(args[1]),
-                                  int(args[2]))
-        if kind == "createtba":
-            if self.lane == "nftaa":
-                return None
-            actor = self.address_of(args[0])
-            token_id = self.token_of(args[1])
+            op = TbaExecute(actor, account, ProxyPayload("transfer_value", amount=amount, to=to)) \
+                if self.lane == "tba" or self._is_tba(account) \
+                else WithdrawAssets(actor, account, to, amount)
+        elif kind == "upgrade":
+            op = UpgradeAccount(self.address_of(args[0]), self.address_of(args[1]), int(args[2]))
+        elif kind == "createtba":
+            actor, token_id = self.address_of(args[0]), self.token_of(args[1])
             salt = salt_from_int(int(args[2]))
-            address = self.ledger.compute_tba_address(token_id, salt)
-            self.bind_account(args[3], address, token_id)
-            provisional.append(args[3])
-            return CreateTba(actor, state.registry.address, state.collection.address,
-                             token_id, salt, has_execute="noexec" not in args[4:])
-        if kind in ("fail", "interrupt"):
-            return Fail("interrupted" if kind == "interrupt" else "injected")
-        raise AssertionError(f"unhandled step kind {kind}")
+            self.bind_account(args[3], self.ledger.compute_tba_address(token_id, salt), token_id)
+            labels.append(args[3])
+            op = CreateTba(actor, state.registry.address, collection, token_id, salt,
+                           has_execute="noexec" not in args[4:])
+        elif kind in ("fail", "interrupt"):
+            op = Fail("interrupted" if kind == "interrupt" else "injected")
+        else:
+            raise AssertionError(f"unhandled step kind {kind}")
+        return [(kind, op)]
 
     def _execute_call(self, actor: str, account: str, method: str, *rest: str):
         """proxy/tbacall and the staking sugar, dispatched on the account type.
@@ -410,116 +447,6 @@ class ScenarioRunner:
     def _is_tba(self, address: Address) -> bool:
         account = self.ledger.state.accounts.get(address)
         return account is not None and account.code_id is CodeId.TBA_ACCOUNT
-
-    def _any_caller(self) -> Address:
-        return next(iter(self.ledger.state.accounts))
-
-    # ------------------------------------------------------------------
-    # Group handling (atomic in native/nftaa, sequential in tba lane)
-    # ------------------------------------------------------------------
-
-    def _run_group(self, group: list[Step], commit_step: Step) -> StepOutcome:
-        index = len(self.report.outcomes) + 1
-        for offset, inner in enumerate(group):
-            self.report.outcomes.append(
-                StepOutcome(index + offset, inner.line, inner.kind, GROUPED))
-        outcome = StepOutcome(index + len(group), commit_step.line, "commit", OK,
-                              group_kinds=tuple(s.kind for s in group))
-        try:
-            self._run_transactional(group, outcome)
-        except LedgerError as failure:
-            outcome.status = ROLLED_BACK
-            outcome.code = failure.code.value
-        return outcome
-
-    # ------------------------------------------------------------------
-    # Token-bound lane: scripts reinterpreted registry-style
-    # ------------------------------------------------------------------
-
-    def _run_tba_sequence(self, group: list[Step], outcome: StepOutcome) -> None:
-        """Run each step as its own transaction; stop at the first failure."""
-        statuses: list[str] = []
-        first_code: str | None = None
-        aborted = False
-        position = 0
-        while position < len(group):
-            step = group[position]
-            interrupt_next = (position + 1 < len(group)
-                              and group[position + 1].kind == "interrupt")
-            if aborted:
-                statuses.append(f"{step.kind}={SKIPPED}")
-                position += 1
-                continue
-            results = self._tba_step(step, interrupt_next)
-            consumed_interrupt = False
-            for name, status, code in results:
-                statuses.append(f"{name}={status if code is None else code}")
-                if code is not None:
-                    aborted = True
-                    if first_code is None:
-                        first_code = code
-                if name == "interrupt":
-                    consumed_interrupt = True
-            position += 2 if consumed_interrupt else 1
-        committed = sum(1 for s in statuses if s.endswith(f"={COMMITTED}"))
-        outcome.tx_count = sum(1 for s in statuses if not s.endswith(f"={SKIPPED}"))
-        outcome.detail = "seq=" + ",".join(statuses) if statuses else ""
-        if first_code is None:
-            outcome.status = COMMITTED
-        elif committed == 0 and len(statuses) == 1 \
-                and first_code == ErrorCode.NOT_COMPARABLE.value:
-            outcome.status = NOT_COMPARABLE
-            outcome.code = first_code
-            outcome.tx_count = 0
-        elif committed == 0:
-            outcome.status = ROLLED_BACK
-            outcome.code = first_code
-        else:
-            outcome.status = PARTIAL
-            outcome.code = first_code
-
-    def _tba_step(self, step: Step, interrupt_next: bool) -> list[tuple[str, str, str | None]]:
-        """One script step as a list of (name, status, error-code) transactions."""
-        kind, args = step.kind, step.args
-        ledger = self.ledger
-        state = ledger.state
-        if kind == "mintnftaa":
-            creator = self.address_of(args[0])
-            token_id = state.collection.next_id
-            mint = ledger.submit(MintToken(creator, state.collection.address,
-                                           creator, args[2].encode()))
-            if not mint.committed:
-                return [("mint", ROLLED_BACK, mint.error.code.value)]
-            results = [("mint", COMMITTED, None)]
-            if interrupt_next:
-                # The failure lands in the seam between the two transactions
-                # that an atomic creation would have fused into one.
-                results.append(("interrupt", ROLLED_BACK,
-                                ErrorCode.INJECTED_FAILURE.value))
-                results.append(("account", SKIPPED, None))
-                return results
-            salt = salt_from_int(0)
-            address = ledger.compute_tba_address(token_id, salt)
-            create = ledger.submit(CreateTba(creator, state.registry.address,
-                                             state.collection.address, token_id, salt))
-            if not create.committed:
-                return results + [("account", ROLLED_BACK, create.error.code.value)]
-            self.bind_account(args[1], address, token_id)
-            return results + [("account", COMMITTED, None)]
-        if kind == "upgrade":
-            return [("upgrade", NOT_COMPARABLE, ErrorCode.NOT_COMPARABLE.value)]
-        provisional: list[str] = []
-        try:
-            operation = self._build_op(step, 0, 0, provisional)
-        except LedgerError as failure:
-            return [(kind, ROLLED_BACK, failure.code.value)]
-        caller = getattr(operation, "caller", None) or self._any_caller()
-        receipt = ledger.submit(operation, caller=caller)
-        if receipt.committed:
-            return [(kind, COMMITTED, None)]
-        for label in provisional:
-            self.unbind(label)
-        return [(kind, ROLLED_BACK, receipt.error.code.value)]
 
     # ------------------------------------------------------------------
     # Probes, asserts, queue report
@@ -608,6 +535,13 @@ class ScenarioRunner:
         if mode == "closed":
             return estimate_drain_time(pending, self.config).summary_line()
         return simulate_drain(pending, self.config).summary_line()
+
+
+def _failed(outcome: StepOutcome, failure: LedgerError) -> None:
+    """A step that raised: not comparable if it has no analog in the lane, else rolled back."""
+    comparable = failure.code is not ErrorCode.NOT_COMPARABLE
+    outcome.status = ROLLED_BACK if comparable else NOT_COMPARABLE
+    outcome.code = failure.code.value
 
 
 def _creation_detail(receipt: TxReceipt) -> str:

@@ -38,8 +38,12 @@ class TbaRegistry:
     # can flag tokens sent to a derived address that was never deployed.
     seen: dict[TbaKey, Address] = field(default_factory=dict)
 
+    def address_for(self, collection: Address, token_id: int, salt: bytes) -> Address:
+        """The account address of this key, without recording it in `seen`."""
+        return deterministic_address(self.address, _mix(collection, token_id, salt), "TbaAccount")
+
     def compute_address(self, collection: Address, token_id: int, salt: bytes) -> Address:
-        address = deterministic_address(self.address, _mix(collection, token_id, salt), "TbaAccount")
+        address = self.address_for(collection, token_id, salt)
         self.seen[(collection, token_id, salt)] = address
         return address
 

@@ -126,6 +126,12 @@ def test_rolled_back_events_never_reach_the_log(ledger):
     assert len(ledger.events) == log_before
 
 
+def test_transaction_without_a_caller_is_paid_by_the_system(ledger):
+    receipt = ledger.submit(Fail())
+    assert not receipt.committed
+    assert receipt.error.code is ErrorCode.INJECTED_FAILURE
+
+
 def test_contract_caller_rejected(ledger):
     alice = ledger.create_eoa("alice")
     ledger.must(MintNftaa(alice, ledger.state.factory.address, b"n"))

@@ -187,7 +187,7 @@ def test_fraud_guard_both_orders(world):
          WithdrawAssets(bob, account, bob, ETH)],
     ]
     for ops in orderings:
-        receipt = ledger.submit(*ops, caller=alice)
+        receipt = ledger.submit(*ops)
         assert receipt.error.code is ErrorCode.FRAUD_GUARD
         assert ledger.state_digest() == digest
     # separated into two transactions the same intent is legitimate

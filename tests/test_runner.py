@@ -1,6 +1,6 @@
 """Scenario runner: lanes, groups, expectations, reports, differentials."""
 
-from nftaa_sim import EventKind, parse_scenario, run_differential, run_scenario
+from nftaa_sim import EventKind, ScenarioRunner, parse_scenario, run_differential, run_scenario
 
 
 def run_text(text, lane="native", seed=None):
@@ -68,6 +68,23 @@ def test_group_rollback_unbinds_labels():
         'expect_error UnknownAccount\n'
     )
     assert report.exit_code == 0
+
+
+def test_not_comparable_group_unbinds_labels():
+    # `x` was bound ahead of a group that never ran; the next mint creates
+    # the account `x` would have named, so a leaked `x` reads its balance
+    report = run_text(
+        'actor alice\n'
+        'begin\n'
+        'mintnftaa alice x "a"\n'
+        'tbacall alice x noop\n'
+        'commit\n'
+        'expect_error NotComparable\n'
+        'mintnftaa alice z "b"\n'
+        'faucet z 5eth\n'
+        'assert_balance x 0\n',
+        lane="nftaa")
+    assert report.verdicts[-1].description == "assert_balance raised UnknownAccount"
 
 
 def test_labels_usable_within_their_creating_group():
@@ -158,6 +175,13 @@ def test_interrupt_lands_in_the_creation_seam():
     assert "tba_accounts=0" in tba.outcomes[-1].detail  # and no account
     commit = next(o for o in tba.outcomes if o.kind == "commit")
     assert "account=skipped" in commit.detail
+
+
+def test_seam_interrupt_records_no_counterfactual_address():
+    script = parse_scenario('actor alice\nbegin\nmintnftaa alice n1 "x"\ninterrupt\ncommit\n')
+    runner = ScenarioRunner(script, lane="tba")
+    runner.run()
+    assert runner.ledger.state.registry.seen == {}
 
 
 def test_differential_fraud_scenario():
