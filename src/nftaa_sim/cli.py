@@ -110,9 +110,7 @@ def _cmd_diff(args) -> int:
     return worst
 
 
-def _cmd_queue(args) -> int:
-    config = QueueConfig(missed_slot_probability=args.missed_prob,
-                         rng_seed=args.seed)
+def _cmd_queue(args, config: QueueConfig) -> int:
     header = (f"mode={'simulate' if args.simulate else 'closed'} "
               f"pending={args.pending} per_block_cap={config.per_block_cap} "
               f"blocks_per_day={config.blocks_per_day} "
@@ -129,12 +127,17 @@ def _cmd_queue(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "diff":
         return _cmd_diff(args)
-    return _cmd_queue(args)
+    try:
+        config = QueueConfig(missed_slot_probability=args.missed_prob, rng_seed=args.seed)
+    except ValueError as bad:
+        parser.error(f"argument --missed-prob: {bad}")  # exits 2
+    return _cmd_queue(args, config)
 
 
 if __name__ == "__main__":

@@ -308,7 +308,7 @@ class Ledger:
         self._eoa_caller(op.caller)
         collection = self._collection(op.collection)
         self._account(op.to)
-        record = collection.mint(op.to, op.note, op.bound_account)
+        record = collection.mint(op.to, op.note)
         ctx.events.append(self._event(EventKind.TRANSFER, op.collection, ctx,
                                       {"from": to_hex(ZERO_ADDRESS),
                                        "to": to_hex(op.to),

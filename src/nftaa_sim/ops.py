@@ -46,7 +46,6 @@ class MintToken:
     collection: Address
     to: Address
     note: bytes
-    bound_account: Address | None = None
 
 
 @dataclass(frozen=True)

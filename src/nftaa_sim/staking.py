@@ -35,6 +35,8 @@ class QueueConfig:
     def __post_init__(self):
         if self.per_block_cap < 1:
             raise ValueError("per_block_cap must be >= 1")
+        if self.blocks_per_day < 1:
+            raise ValueError("blocks_per_day must be >= 1")
         if not 0.0 <= self.missed_slot_probability < 1.0:
             raise ValueError("missed_slot_probability must be in [0, 1)")
 

@@ -128,6 +128,15 @@ def test_queue_closed_form(capsys):
     assert "drained_in_blocks=50000 days=6.944" in out
 
 
+def test_queue_exit_two_on_bad_missed_prob(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["queue", "--pending", "10", "--missed-prob", "1.0"])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert "missed_slot_probability must be in [0, 1)" in err
+    assert "Traceback" not in err
+
+
 def test_queue_simulate_prints_trace_and_summary(capsys):
     assert main(["queue", "--pending", "40", "--simulate"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -23,9 +23,8 @@ def world():
     return ledger, alice, bob
 
 
-def _mint(ledger, caller, to, note=b"n", bound=None):
-    receipt = ledger.must(MintToken(caller, ledger.state.collection.address,
-                                    to, note, bound))
+def _mint(ledger, caller, to, note=b"n"):
+    receipt = ledger.must(MintToken(caller, ledger.state.collection.address, to, note))
     event = receipt.events[0]
     assert event.kind is EventKind.TRANSFER
     assert event.payload["from"] == ZERO_ADDRESS.hex()
@@ -117,14 +116,22 @@ def test_bound_account_survives_every_transfer_order(world):
     ledger, alice, bob = world
     carol = ledger.create_eoa("carol")
     actors = [alice, bob, carol]
-    target = ledger.create_eoa("bound-target")
-    token = _mint(ledger, alice, alice, bound=target)
+    token, target = ledger.mint_nftaa(alice, b"n")
     collection = ledger.state.collection.address
     for recipients in itertools.product(actors, repeat=3):
         for to in recipients:
             owner = ledger.owner_of(token)
             ledger.must(TransferToken(owner, collection, token, to))
             assert ledger.account_of(token) == target
+
+
+def test_plain_mint_cannot_bind_an_account(world):
+    # only MintNftaa binds; a binding argument here could name another
+    # token's account and break the account-token bijection
+    ledger, alice, _ = world
+    account = ledger.mint_nftaa(alice, b"n")[1]
+    with pytest.raises(TypeError):
+        MintToken(alice, ledger.state.collection.address, alice, b"f", bound_account=account)
 
 
 def test_mint_to_unknown_account(world):
