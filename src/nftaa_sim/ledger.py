@@ -402,20 +402,17 @@ class Ledger:
             raise err(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(op.registry))
         collection = self._collection(op.collection)
         collection.get(op.token_id)  # token must exist; its record stays untouched
-        key = (op.collection, op.token_id, op.salt)
-        existing = registry.records.get(key)
-        if existing is not None and existing.deployed:
-            raise err(ErrorCode.ALREADY_DEPLOYED, account=to_hex(existing.address))
         address = registry.compute_address(op.collection, op.token_id, op.salt)
-        account = self._create_account(address, CodeId.TBA_ACCOUNT)
-        registry.records[key] = TbaRecord(op.collection, op.token_id, op.salt,
-                                          account.address, deployed=True,
-                                          has_execute=op.has_execute)
+        if address in registry.records:
+            raise err(ErrorCode.ALREADY_DEPLOYED, account=to_hex(address))
+        self._create_account(address, CodeId.TBA_ACCOUNT)
+        registry.records[address] = TbaRecord(op.collection, op.token_id, op.salt,
+                                              address, has_execute=op.has_execute)
         ctx.events.append(self._event(EventKind.TBA_CREATED, registry.address, ctx,
                                       {"collection": to_hex(op.collection),
                                        "token_id": op.token_id,
                                        "salt": op.salt.hex(),
-                                       "account": to_hex(account.address)}))
+                                       "account": to_hex(address)}))
 
     def _op_tba_execute(self, op: TbaExecute, ctx: _TxContext) -> None:
         self._eoa_caller(op.caller)
@@ -572,11 +569,9 @@ class Ledger:
                     _uint(binding.bound_token_id), _uint(binding.upgrade_version))
         _section(out, b"tbas")
         if state.registry is not None:
-            for key in sorted(state.registry.records):
-                record = state.registry.records[key]
+            for record in state.registry.sorted_records():
                 _fields(out, record.collection, _uint(record.token_id), record.salt,
-                        record.address, _uint(int(record.deployed)),
-                        _uint(int(record.has_execute)))
+                        record.address, _uint(int(record.has_execute)))
         _section(out, b"factory")
         if state.factory is not None:
             _fields(out, state.factory.address, state.factory.collection,

@@ -25,14 +25,13 @@ class TbaRecord:
     token_id: int
     salt: bytes
     address: Address
-    deployed: bool = False
     has_execute: bool = True  # badly developed account variant when False
 
 
 @dataclass
 class TbaRegistry:
     address: Address
-    records: dict[TbaKey, TbaRecord] = field(default_factory=dict)
+    records: dict[Address, TbaRecord] = field(default_factory=dict)  # deployed, by address
     # Counterfactual addresses handed out by compute_address. Not part of the
     # world state (a pure computation), but remembered so the lock diagnostic
     # can flag tokens sent to a derived address that was never deployed.
@@ -48,16 +47,20 @@ class TbaRegistry:
         return address
 
     def get_deployed(self, address: Address) -> TbaRecord:
-        for record in self.records.values():
-            if record.address == address and record.deployed:
-                return record
-        raise err(ErrorCode.NOT_DEPLOYED, address=address.hex())
+        record = self.records.get(address)
+        if record is None:
+            raise err(ErrorCode.NOT_DEPLOYED, address=address.hex())
+        return record
+
+    def sorted_records(self) -> list[TbaRecord]:
+        """Deployed records in (collection, token_id, salt) order."""
+        return sorted(self.records.values(), key=lambda r: (r.collection, r.token_id, r.salt))
 
     def addresses_for_token(self, collection: Address, token_id: int) -> set[Address]:
         """Every account address derived from this token that the registry has seen."""
         found = set()
-        for (coll, tid, _salt), record in self.records.items():
-            if coll == collection and tid == token_id:
+        for record in self.records.values():
+            if record.collection == collection and record.token_id == token_id:
                 found.add(record.address)
         for (coll, tid, _salt), address in self.seen.items():
             if coll == collection and tid == token_id:
@@ -99,9 +102,8 @@ def detect_stranded_tbas(state) -> list[tuple[Address, int]]:
     stranded = []
     if state.registry is None:
         return stranded
-    for key in sorted(state.registry.records):
-        record = state.registry.records[key]
-        if record.deployed and not record.has_execute:
+    for record in state.registry.sorted_records():
+        if not record.has_execute:
             account = state.accounts.get(record.address)
             if account is not None and account.balance > 0:
                 stranded.append((record.address, account.balance))
