@@ -383,17 +383,17 @@ class ScenarioRunner:
         collection = state.collection.address
         if kind in ("mintnftaa", "minttoken"):
             actor, note = self.address_of(args[0]), args[2].encode()
-            nftaas = sum(isinstance(op, MintNftaa) for op in ahead)
-            token_id = state.collection.next_id + nftaas \
-                + sum(isinstance(op, MintToken) for op in ahead)
+            minted = sum(isinstance(op, (MintNftaa, MintToken)) for op in ahead)
+            token_id = state.collection.next_id + minted
             labels.append(args[1])
             if kind == "minttoken":
                 self.bind_token(args[1], token_id)
                 return [(kind, MintToken(actor, collection, actor, note))]
             if self.lane != "tba":
-                self.bind_account(args[1], contract_address(
-                    state.factory.address, state.factory.creation_nonce + nftaas), token_id)
-                return [(kind, MintNftaa(actor, state.factory.address, note))]
+                factory = state.factory
+                nonce = factory.creation_nonce + sum(isinstance(op, MintNftaa) for op in ahead)
+                self.bind_account(args[1], contract_address(factory.address, nonce), token_id)
+                return [(kind, MintNftaa(actor, factory.address, note))]
             # registry style: a plain mint, then the account as a second transaction
             salt = salt_from_int(0)
             self.bind_account(args[1], state.registry.address_for(collection, token_id, salt),
@@ -411,9 +411,11 @@ class ScenarioRunner:
         elif kind == "withdraw":
             actor, account = self.address_of(args[0]), self.address_of(args[1])
             to, amount = self.address_of(args[2]), parse_amount(args[3])
-            op = TbaExecute(actor, account, ProxyPayload("transfer_value", amount=amount, to=to)) \
-                if self.lane == "tba" or self._is_tba(account) \
-                else WithdrawAssets(actor, account, to, amount)
+            if self.lane == "tba" or self._is_tba(account):
+                payload = ProxyPayload("transfer_value", amount=amount, to=to)
+                op = TbaExecute(actor, account, payload)
+            else:
+                op = WithdrawAssets(actor, account, to, amount)
         elif kind == "upgrade":
             op = UpgradeAccount(self.address_of(args[0]), self.address_of(args[1]), int(args[2]))
         elif kind == "createtba":
