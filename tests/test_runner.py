@@ -156,6 +156,24 @@ def test_tba_lane_group_aborts_after_first_failure():
     assert "transfernftaa=skipped" in commit.detail
 
 
+def test_tba_lane_group_led_by_a_step_without_analog_rolls_back():
+    # alone, upgrade is NotComparable; leading a group, it is the failure
+    # that skips the rest
+    report = run_text(
+        'actor alice\n'
+        'mintnftaa alice n1 "x"\n'
+        'begin\n'
+        'upgrade alice n1 2\n'
+        'proxy alice n1 noop\n'
+        'commit\n'
+        'expect_tba NotComparable\n',
+        lane="tba")
+    assert report.exit_code == 0
+    commit = next(o for o in report.outcomes if o.kind == "commit")
+    assert (commit.status, commit.tx_count, commit.detail) == \
+        ("rolled_back", 1, "seq=upgrade=NotComparable,proxy=skipped")
+
+
 def test_interrupt_lands_in_the_creation_seam():
     text = (
         'actor alice\n'
