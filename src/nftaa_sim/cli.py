@@ -1,9 +1,10 @@
 """Command-line driver.
 
-    nftaa-sim run FILE... [--seed N] [--digest] [--events OUT] [--jobs N]
+    nftaa-sim run FILE... [--seed N] [--digest] [--events OUT]
     nftaa-sim diff FILE... [--seed N] [--verbose]
-    nftaa-sim queue --pending N [--missed-prob P] [--simulate] [--seed N] [--trace]
+    nftaa-sim queue --pending N [--missed-prob P] [--simulate] [--seed N] [--no-trace]
 
+`run` and `diff` replay their files one after another in this process.
 Exit codes: 0 all verdicts passed, 1 any verdict failed, 2 parse error.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .runner import run_differential, run_scenario
@@ -33,8 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--events", type=Path, default=None,
                          help="write the event log here (a directory when "
                               "multiple files are given)")
-    run_cmd.add_argument("--jobs", type=int, default=1,
-                         help="run scenario files in parallel")
 
     diff_cmd = commands.add_parser("diff", help="run a scenario under both account styles")
     diff_cmd.add_argument("files", nargs="+", type=Path)
@@ -53,45 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(path: Path, seed: int | None, want_digest: bool,
-             events_target: Path | None, multiple: bool) -> tuple[str, int]:
-    try:
-        script = parse_scenario(path.read_text())
-    except ScenarioParseError as failure:
-        return (f"parse_error file={path} line={failure.line} "
-                f"col={failure.column} {failure.message}\n", 2)
-    report = run_scenario(script, name=path.stem, seed=seed)
-    if events_target is not None:
-        out = events_target / f"{path.stem}.events" if multiple else events_target
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text("".join(e.render() + "\n" for e in report.events))
-    text = f"{path.stem} {report.final_digest}\n" if want_digest else report.to_text()
-    return text, report.exit_code
-
-
-def _cmd_run(args) -> int:
-    multiple = len(args.files) > 1
-    if args.events is not None and multiple:
-        args.events.mkdir(parents=True, exist_ok=True)
-    jobs = [(path, args.seed, args.digest, args.events, multiple)
-            for path in args.files]
-    if args.jobs > 1 and multiple:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one_star, jobs))
-    else:
-        results = [_run_one(*job) for job in jobs]
-    worst = 0
-    for text, code in results:
-        sys.stdout.write(text)
-        worst = max(worst, code)
-    return worst
-
-
-def _run_one_star(job):
-    return _run_one(*job)
-
-
-def _cmd_diff(args) -> int:
+def _replay(args) -> int:
+    """Parse each file, then run or diff it and print the text; the worst exit code wins."""
     worst = 0
     for path in args.files:
         try:
@@ -101,21 +62,28 @@ def _cmd_diff(args) -> int:
                              f"col={failure.column} {failure.message}\n")
             worst = max(worst, 2)
             continue
-        result = run_differential(script, name=path.stem, seed=args.seed)
-        sys.stdout.write(result.to_text())
-        if args.verbose:
-            sys.stdout.write(result.nftaa.to_text())
-            sys.stdout.write(result.tba.to_text())
+        if args.command == "diff":
+            result = run_differential(script, name=path.stem, seed=args.seed)
+            text = result.to_text()
+            if args.verbose:
+                text += result.nftaa.to_text() + result.tba.to_text()
+        else:
+            result = run_scenario(script, name=path.stem, seed=args.seed)
+            if args.events is not None:
+                out = args.events / f"{path.stem}.events" if len(args.files) > 1 else args.events
+                out.parent.mkdir(parents=True, exist_ok=True)
+                out.write_text("".join(e.render() + "\n" for e in result.events))
+            text = f"{path.stem} {result.final_digest}\n" if args.digest else result.to_text()
+        sys.stdout.write(text)
         worst = max(worst, result.exit_code)
     return worst
 
 
 def _cmd_queue(args, config: QueueConfig) -> int:
-    header = (f"mode={'simulate' if args.simulate else 'closed'} "
-              f"pending={args.pending} per_block_cap={config.per_block_cap} "
-              f"blocks_per_day={config.blocks_per_day} "
-              f"missed_prob={config.missed_slot_probability:.3f}")
-    print(header)
+    print(f"mode={'simulate' if args.simulate else 'closed'} "
+          f"pending={args.pending} per_block_cap={config.per_block_cap} "
+          f"blocks_per_day={config.blocks_per_day} "
+          f"missed_prob={config.missed_slot_probability:.3f}")
     if args.simulate:
         trace = simulate_drain(args.pending, config)
         if not args.no_trace:
@@ -129,10 +97,8 @@ def _cmd_queue(args, config: QueueConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "diff":
-        return _cmd_diff(args)
+    if args.command != "queue":
+        return _replay(args)
     try:
         config = QueueConfig(missed_slot_probability=args.missed_prob, rng_seed=args.seed)
     except ValueError as bad:

@@ -1,6 +1,13 @@
-"""Command-line surface: exit codes, output shapes, parallel runs."""
+"""Command-line surface: exit codes, output shapes, multi-file runs, import cost."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import nftaa_sim
 
 from nftaa_sim.cli import main
 
@@ -72,10 +79,22 @@ def test_run_multiple_files_parallel(tmp_path, capsys):
         path.write_text(GOOD.replace("alice", f"alice{i}"))
         paths.append(str(path))
     events_dir = tmp_path / "events"
-    code = main(["run", *paths, "--jobs", "2", "--events", str(events_dir)])
+    code = main(["run", *paths, "--events", str(events_dir)])
     assert code == 0
     assert sorted(p.name for p in events_dir.iterdir()) == \
         ["s0.events", "s1.events", "s2.events"]
+
+
+def test_cli_import_stays_single_process():
+    """The CLI replays in one process: importing it loads no process or thread pool."""
+    source = str(Path(nftaa_sim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": source}
+    probe = ("import sys, nftaa_sim.cli\n"
+             "print(sorted({m.split('.')[0] for m in sys.modules} & "
+             "{'multiprocessing', 'concurrent'}))")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    assert loaded == "[]"
 
 
 def test_run_output_is_deterministic(scenario_file, capsys):
