@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from .addresses import Address, contract_address, salt_from_int, to_hex
 from .errors import ErrorCode, LedgerError
 from .events import Event, EventKind
-from .ledger import CodeId, Ledger, TxReceipt
+from .ledger import Ledger, TxReceipt
 from .ops import (
     CreateTba,
     Fail,
@@ -162,8 +162,8 @@ class ScenarioRunner:
         self.config = build_config(script, seed)
         self.ledger = Ledger(self.config)
         self.report = RunReport(name, lane, self.config.rng_seed)
-        # label -> ("actor"|"account", address) or ("token", token_id);
-        # account labels additionally map to their token in `account_tokens`.
+        # label -> ("actor"|"account"|"tba", address) or ("token", token_id), "tba"
+        # for a registry-style account; account labels also map to their token.
         self.values: dict[str, tuple[str, object]] = {}
         self.account_tokens: dict[str, int] = {}
 
@@ -196,8 +196,9 @@ class ScenarioRunner:
     def bind_actor(self, label: str, address: Address) -> None:
         self.values[label] = ("actor", address)
 
-    def bind_account(self, label: str, address: Address, token_id: int) -> None:
-        self.values[label] = ("account", address)
+    def bind_account(self, label: str, address: Address, token_id: int,
+                     registry: bool = False) -> None:
+        self.values[label] = ("tba" if registry else "account", address)
         self.account_tokens[label] = token_id
 
     def bind_token(self, label: str, token_id: int) -> None:
@@ -397,7 +398,7 @@ class ScenarioRunner:
             # registry style: a plain mint, then the account as a second transaction
             salt = salt_from_int(0)
             self.bind_account(args[1], state.registry.address_for(collection, token_id, salt),
-                              token_id)
+                              token_id, registry=True)
             return [("mint", MintToken(actor, collection, actor, note)),
                     ("account", CreateTba(actor, state.registry.address, collection,
                                           token_id, salt))]
@@ -411,9 +412,8 @@ class ScenarioRunner:
         elif kind == "withdraw":
             actor, account = self.address_of(args[0]), self.address_of(args[1])
             to, amount = self.address_of(args[2]), parse_amount(args[3])
-            if self.lane == "tba" or self._is_tba(account):
-                payload = ProxyPayload("transfer_value", amount=amount, to=to)
-                op = TbaExecute(actor, account, payload)
+            if self._is_tba(args[1]):
+                op = TbaExecute(actor, account, ProxyPayload("transfer_value", amount=amount, to=to))
             else:
                 op = WithdrawAssets(actor, account, to, amount)
         elif kind == "upgrade":
@@ -421,7 +421,8 @@ class ScenarioRunner:
         elif kind == "createtba":
             actor, token_id = self.address_of(args[0]), self.token_of(args[1])
             salt = salt_from_int(int(args[2]))
-            self.bind_account(args[3], self.ledger.compute_tba_address(token_id, salt), token_id)
+            self.bind_account(args[3], self.ledger.compute_tba_address(token_id, salt), token_id,
+                              registry=True)
             labels.append(args[3])
             op = CreateTba(actor, state.registry.address, collection, token_id, salt,
                            has_execute="noexec" not in args[4:])
@@ -432,7 +433,7 @@ class ScenarioRunner:
         return [(kind, op)]
 
     def _execute_call(self, actor: str, account: str, method: str, *rest: str):
-        """proxy/tbacall and the staking sugar, dispatched on the account type.
+        """proxy/tbacall and the staking sugar, dispatched on the account's style.
 
         The method's roles give the payload: an amount, or a recipient label.
         """
@@ -443,12 +444,12 @@ class ScenarioRunner:
                 fields["amount"] = parse_amount(value)
             else:
                 fields["to"] = self.address_of(value)
-        execute = TbaExecute if self.lane == "tba" or self._is_tba(target) else ProxyExecute
+        execute = TbaExecute if self._is_tba(account) else ProxyExecute
         return execute(caller, target, ProxyPayload(method, **fields))
 
-    def _is_tba(self, address: Address) -> bool:
-        account = self.ledger.state.accounts.get(address)
-        return account is not None and account.code_id is CodeId.TBA_ACCOUNT
+    def _is_tba(self, label: str) -> bool:
+        """Whether the step that bound `label` made a registry-style account."""
+        return self._value(label)[0] == "tba"
 
     # ------------------------------------------------------------------
     # Probes, asserts, queue report

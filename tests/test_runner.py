@@ -274,6 +274,22 @@ def test_native_lane_runs_tba_steps_directly():
     assert report.exit_code == 0
 
 
+def test_native_lane_group_calls_the_registry_account_it_creates():
+    # the account does not exist until the group commits; the label's
+    # creating step, not the ledger, says it is a registry-style account
+    report = run_text(
+        'actor alice\n'
+        'minttoken alice t1 "p"\n'
+        'begin\n'
+        'createtba alice t1 0 b1\n'
+        'tbacall alice b1 noop\n'
+        'commit\n'
+    )
+    commit = next(o for o in report.outcomes if o.kind == "commit")
+    assert (commit.status, commit.code) == ("committed", None)
+    assert report.exit_code == 0
+
+
 def test_staking_sugar_routes_by_account_type():
     report = run_text(
         'set unlock_delay 2\n'
