@@ -346,6 +346,7 @@ class ScenarioRunner:
             try:
                 parts = self._translate(step, [], pending)
                 for name, op in parts:
+                    outcome.tx_count += 1  # submitted, or interrupted in the seam
                     if done and rest and rest[0].kind == "interrupt":
                         name = rest.pop(0).kind
                         raise LedgerError(ErrorCode.INJECTED_FAILURE, "interrupted")
@@ -366,8 +367,6 @@ class ScenarioRunner:
             outcome.code = failure.code.value
         else:
             _failed(outcome, failure)
-        if outcome.status != NOT_COMPARABLE:
-            outcome.tx_count = committed + (failure is not None)
 
     def _translate(self, step: Step, ahead: list, labels: list[str]) -> list[tuple[str, object]]:
         """The named ledger operations of one step in this lane.
