@@ -99,6 +99,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command != "queue":
         return _replay(args)
+    if args.pending < 0:
+        parser.error(f"argument --pending: must be >= 0, got {args.pending}")  # exits 2
     try:
         config = QueueConfig(missed_slot_probability=args.missed_prob, rng_seed=args.seed)
     except ValueError as bad:

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import nftaa_sim
-
 from nftaa_sim.cli import main
 
 GOOD = (
@@ -147,12 +146,16 @@ def test_queue_closed_form(capsys):
     assert "drained_in_blocks=50000 days=6.944" in out
 
 
-def test_queue_exit_two_on_bad_missed_prob(capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["--pending", "10", "--missed-prob", "1.0"], "missed_slot_probability must be in [0, 1)"),
+    (["--pending", "-5"], "argument --pending: must be >= 0"),
+], ids=["missed-prob 1.0", "pending -5"])
+def test_queue_exit_two_on_bad_missed_prob(argv, message, capsys):
     with pytest.raises(SystemExit) as caught:
-        main(["queue", "--pending", "10", "--missed-prob", "1.0"])
+        main(["queue", *argv])
     assert caught.value.code == 2
     err = capsys.readouterr().err
-    assert "missed_slot_probability must be in [0, 1)" in err
+    assert message in err
     assert "Traceback" not in err
 
 
