@@ -12,6 +12,7 @@ class ErrorCode(str, Enum):
     INSUFFICIENT_BALANCE = "InsufficientBalance"
     CALLER_NOT_EOA = "CallerNotEoa"
     INJECTED_FAILURE = "InjectedFailure"
+    NEGATIVE_AMOUNT = "NegativeAmount"
     # token standard
     UNKNOWN_COLLECTION = "UnknownCollection"
     UNKNOWN_TOKEN = "UnknownToken"

@@ -3,16 +3,18 @@
 A Ledger is a self-contained, single-threaded world: accounts, one NFT
 collection, one proxy-account factory, one token-bound-account registry, the
 stake book, the withdrawal queue, an append-only event log, and a block
-counter. Transactions apply to a shadow copy of the state and commit only if
-every operation succeeds, so a failed transaction leaves the world
-bit-identical to before it ran.
+counter. Every write a transaction makes first records how to undo itself in
+the transaction's journal, in the manner of go-ethereum's state journal. If
+any operation fails, the journal is replayed in reverse, so a failed
+transaction leaves the world as it was before it ran, at a cost in
+proportion to what it wrote rather than to the size of the world.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -43,7 +45,7 @@ from .ops import (
 )
 from .staking import QueueConfig, StakePosition, WithdrawalQueue
 from .tba import TbaRecord, TbaRegistry
-from .tokens import NftCollection, validate_note
+from .tokens import NftCollection, NftRecord, validate_note
 
 SYSTEM_LABEL = "__system__"
 SYSTEM_ADDRESS = eoa_address(SYSTEM_LABEL)
@@ -110,6 +112,17 @@ class _TxContext:
     events: list[Event] = field(default_factory=list)
     moved_tokens: set[tuple[Address, int]] = field(default_factory=set)
     value_out: set[Address] = field(default_factory=set)
+    # one (undo function, *arguments) entry per write, replayed in reverse on rollback
+    journal: list[tuple] = field(default_factory=list)
+
+    def write(self, obj, name: str, value) -> None:
+        """Write one attribute, recording its old value first."""
+        self.journal.append((setattr, obj, name, getattr(obj, name)))
+        setattr(obj, name, value)
+
+    def rollback(self) -> None:
+        for fn, *args in reversed(self.journal):
+            fn(*args)
 
 
 class Ledger:
@@ -176,8 +189,10 @@ class Ledger:
 
     def faucet(self, to: Address, amount: int) -> None:
         """Test funding; the only operation exempt from conservation."""
+        if amount < 0:
+            raise ValueError("amounts are unsigned")
         account = self._account(to)
-        account.balance += _checked_amount(amount)
+        account.balance += amount
         self.events.append(Event(EventKind.TRANSFER, ZERO_ADDRESS,
                                  {"from": to_hex(ZERO_ADDRESS), "to": to_hex(to),
                                   "amount": amount},
@@ -208,15 +223,14 @@ class Ledger:
         tx_id = self.next_tx_id
         self.next_tx_id += 1
         ctx = _TxContext(tx_id, tx.caller)
-        backup = copy.deepcopy(self.state)
         try:
             for op in tx.operations:
                 self._execute(op, ctx)
         except LedgerError as failure:
-            self.state = backup
+            ctx.rollback()
             return TxReceipt(tx_id, TxStatus.ROLLED_BACK, failure, ())
         except BaseException:
-            self.state = backup  # a defect, not a protocol failure: undo, then surface it
+            ctx.rollback()  # a defect, not a protocol failure: undo, then surface it
             raise
         self.state.accounts[tx.caller].nonce += 1
         self.events.extend(ctx.events)
@@ -282,7 +296,7 @@ class Ledger:
                 raise TypeError(f"unknown operation {op!r}")
 
     def _move_value(self, frm: Address, to: Address, amount: int, ctx: _TxContext) -> None:
-        amount = _checked_amount(amount)
+        amount = _unsigned(amount)
         source = self._account(frm)
         dest = self._account(to)
         binding = self.state.nftaas.get(frm)
@@ -292,8 +306,8 @@ class Ledger:
         if source.balance < amount:
             raise err(ErrorCode.INSUFFICIENT_BALANCE,
                       have=source.balance, need=amount)
-        source.balance -= amount
-        dest.balance += amount
+        ctx.write(source, "balance", source.balance - amount)
+        ctx.write(dest, "balance", dest.balance + amount)
         ctx.value_out.add(frm)
         ctx.events.append(self._event(EventKind.TRANSFER, frm, ctx,
                                       {"from": to_hex(frm), "to": to_hex(to),
@@ -308,7 +322,7 @@ class Ledger:
         self._eoa_caller(op.caller)
         collection = self._collection(op.collection)
         self._account(op.to)
-        record = collection.mint(op.to, op.note)
+        record = self._mint(collection, op.to, op.note, None, ctx)
         ctx.events.append(self._event(EventKind.TRANSFER, op.collection, ctx,
                                       {"from": to_hex(ZERO_ADDRESS),
                                        "to": to_hex(op.to),
@@ -330,7 +344,7 @@ class Ledger:
                 raise err(ErrorCode.FRAUD_GUARD,
                           "account was drained in this transaction")
         previous = record.owner
-        record.owner = op.to
+        ctx.write(record, "owner", op.to)
         ctx.moved_tokens.add((op.collection, op.token_id))
         ctx.events.append(self._event(EventKind.TRANSFER, op.collection, ctx,
                                       {"from": to_hex(previous), "to": to_hex(op.to),
@@ -343,14 +357,13 @@ class Ledger:
             raise err(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(op.factory))
         validate_note(op.note)
         # Account first, then its token, inside the same atomic transaction.
-        account = self._create_account(contract_address(factory.address,
-                                                        factory.creation_nonce),
-                                       CodeId.NFTAA_ACCOUNT)
-        factory.creation_nonce += 1
+        account = self._new_account(contract_address(factory.address, factory.creation_nonce),
+                                    CodeId.NFTAA_ACCOUNT, ctx)
+        ctx.write(factory, "creation_nonce", factory.creation_nonce + 1)
         collection = self._collection(factory.collection)
-        record = collection.mint(op.caller, op.note, account.address)
-        self.state.nftaas[account.address] = NftaaAccount(
-            account.address, collection.address, record.token_id)
+        record = self._mint(collection, op.caller, op.note, account.address, ctx)
+        self._insert(self.state.nftaas, account.address,
+                     NftaaAccount(account.address, collection.address, record.token_id), ctx)
         ctx.events.append(self._event(EventKind.TRANSFER, collection.address, ctx,
                                       {"from": to_hex(ZERO_ADDRESS),
                                        "to": to_hex(op.caller),
@@ -393,7 +406,7 @@ class Ledger:
         if op.new_version != binding.upgrade_version + 1:
             raise err(ErrorCode.VERSION_SKEW,
                       current=binding.upgrade_version, requested=op.new_version)
-        binding.upgrade_version = op.new_version
+        ctx.write(binding, "upgrade_version", op.new_version)
 
     def _op_create_tba(self, op: CreateTba, ctx: _TxContext) -> None:
         self._eoa_caller(op.caller)
@@ -402,12 +415,16 @@ class Ledger:
             raise err(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(op.registry))
         collection = self._collection(op.collection)
         collection.get(op.token_id)  # token must exist; its record stays untouched
-        address = registry.compute_address(op.collection, op.token_id, op.salt)
+        key = (op.collection, op.token_id, op.salt)
+        seen = registry.seen
+        ctx.journal.append((dict.__setitem__, seen, key, seen[key]) if key in seen
+                           else (dict.pop, seen, key))
+        address = registry.compute_address(*key)
         if address in registry.records:
             raise err(ErrorCode.ALREADY_DEPLOYED, account=to_hex(address))
-        self._create_account(address, CodeId.TBA_ACCOUNT)
-        registry.records[address] = TbaRecord(op.collection, op.token_id, op.salt,
-                                              address, has_execute=op.has_execute)
+        self._new_account(address, CodeId.TBA_ACCOUNT, ctx)
+        self._insert(registry.records, address,
+                     TbaRecord(*key, address, has_execute=op.has_execute), ctx)
         ctx.events.append(self._event(EventKind.TBA_CREATED, registry.address, ctx,
                                       {"collection": to_hex(op.collection),
                                        "token_id": op.token_id,
@@ -449,9 +466,9 @@ class Ledger:
             raise err(ErrorCode.BELOW_MIN_STAKE, amount=amount, minimum=self.config.min_stake)
         if acting in self.state.stakes:
             raise err(ErrorCode.ALREADY_STAKING)
-        account.balance -= amount
+        ctx.write(account, "balance", account.balance - amount)
         unlock = self.height + self.config.unlock_delay
-        self.state.stakes[acting] = StakePosition(acting, amount, unlock)
+        self._insert(self.state.stakes, acting, StakePosition(acting, amount, unlock), ctx)
         ctx.events.append(self._event(EventKind.STAKED, acting, ctx,
                                       {"amount": amount, "unlock_block": unlock}))
 
@@ -464,8 +481,8 @@ class Ledger:
             raise err(ErrorCode.INSUFFICIENT_BALANCE, have=account.balance, need=amount)
         if amount == 0:
             raise err(ErrorCode.ZERO_AMOUNT)
-        account.balance -= _checked_amount(amount)
-        position.amount += amount
+        ctx.write(account, "balance", account.balance - _unsigned(amount))
+        ctx.write(position, "amount", position.amount + amount)
         ctx.events.append(self._event(EventKind.STAKE_INCREASED, acting, ctx,
                                       {"amount": amount, "total": position.amount}))
 
@@ -478,11 +495,31 @@ class Ledger:
                       remaining_blocks=position.unlock_block - self.height)
         # The full amount goes to the queue, credited later to the contract
         # account itself, never to the human owner's address.
-        self.state.queue.enqueue(acting, position.amount, self.height)
+        queue = self.state.queue
+        queue.enqueue(acting, position.amount, self.height)
+        ctx.journal.append((deque.pop, queue.pending))
         del self.state.stakes[acting]
+        ctx.journal.append((dict.__setitem__, self.state.stakes, acting, position))
         ctx.events.append(self._event(EventKind.UNSTAKE_REQUESTED, acting, ctx,
                                       {"amount": position.amount,
                                        "enqueued_at": self.height}))
+
+    # Journaled writes shared by several operations; each runs inside a transaction.
+
+    def _insert(self, table: dict, key, value, ctx: _TxContext) -> None:
+        table[key] = value
+        ctx.journal.append((dict.pop, table, key))
+
+    def _new_account(self, address: Address, code_id: CodeId, ctx: _TxContext) -> Account:
+        account = self._create_account(address, code_id)
+        ctx.journal.append((dict.pop, self.state.accounts, address))
+        return account
+
+    def _mint(self, collection: NftCollection, to: Address, note: bytes,
+              bound_account: Address | None, ctx: _TxContext) -> NftRecord:
+        ctx.journal.append((setattr, collection, "next_id", collection.next_id))
+        ctx.journal.append((dict.pop, collection.tokens, collection.next_id))
+        return collection.mint(to, note, bound_account)
 
     def _event(self, kind: EventKind, emitter: Address, ctx: _TxContext,
                payload: dict) -> Event:
@@ -581,9 +618,9 @@ class Ledger:
         return bytes(out)
 
 
-def _checked_amount(amount: int) -> int:
+def _unsigned(amount: int) -> int:
     if amount < 0:
-        raise ValueError("amounts are unsigned")
+        raise err(ErrorCode.NEGATIVE_AMOUNT, amount=amount)
     return amount
 
 

@@ -5,7 +5,9 @@ transfers, proxy calls, withdrawals, grouped transactions, token-bound
 accounts, block advancement) with deliberately invalid calls mixed in, and
 verifies after each transaction that:
 
-* a rolled-back transaction left the state digest untouched,
+* a rolled-back transaction left the state digest untouched, and the whole
+  state equal to a copy taken before it ran (nonces, counterfactual
+  addresses, id counters and labels included, which the digest omits),
 * conservation holds (balances + stakes + queue == faucet total),
 * the account<->token binding maps are mutual inverses,
 * no committed transaction both moved a bound NFT and drained its account.
@@ -16,6 +18,7 @@ sequence from the recorded receipts alone.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
 
@@ -272,6 +275,7 @@ class FuzzDriver:
             return
         caller = next((op.caller for op in ops if hasattr(op, "caller")), self.actors[0])
         before = self.ledger.state_digest()
+        snapshot = copy.deepcopy(self.ledger.state)
         receipt = self.ledger.apply_transaction(Transaction(caller, tuple(ops)))
         self.trace.receipts.append((caller, tuple(ops), receipt))
         if receipt.committed:
@@ -280,6 +284,8 @@ class FuzzDriver:
             self.trace.rolled_back += 1
             assert self.ledger.state_digest() == before, \
                 f"rollback of tx {receipt.tx_id} ({receipt.error_code}) mutated state"
+            assert self.ledger.state == snapshot, \
+                f"rollback of tx {receipt.tx_id} ({receipt.error_code}) left state the digest omits"
         assert self.ledger.total_conserved() == self.trace.faucet_total, \
             f"conservation broken after tx {receipt.tx_id}"
         check_binding_bijection(self.ledger)

@@ -1,5 +1,6 @@
 """Ledger core: account creation, transfers, atomic transactions, blocks."""
 
+import copy
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from nftaa_sim import (
     QueueConfig,
     Transaction,
     TransferValue,
+    UpgradeAccount,
     eoa_address,
 )
 
@@ -216,12 +218,66 @@ def test_negative_amount_rejected(ledger):
         ledger.faucet(alice, -1)
 
 
-def test_unexpected_exception_rolls_back_then_propagates(ledger):
+def test_negative_amount_in_a_transaction_rolls_back(ledger):
+    alice, bob = ledger.create_eoa("alice"), ledger.create_eoa("bob")
+    ledger.faucet(alice, 10)
+    digest = ledger.state_digest()
+    receipt = ledger.submit(TransferValue(alice, bob, 5), TransferValue(alice, bob, -1))
+    assert receipt.error.code is ErrorCode.NEGATIVE_AMOUNT
+    assert ledger.state_digest() == digest
+
+
+def test_unexpected_exception_rolls_back_then_propagates(ledger, monkeypatch):
     alice = ledger.create_eoa("alice")
     bob = ledger.create_eoa("bob")
     ledger.faucet(alice, 10)
     digest = ledger.state_digest()
-    with pytest.raises(ValueError):
-        ledger.submit(TransferValue(alice, bob, 5), TransferValue(alice, bob, -1))
+    execute, calls = Ledger._execute, []
+
+    def second_operation_is_a_defect(self, op, ctx):
+        calls.append(op)
+        if len(calls) == 2:
+            raise RuntimeError("defect")
+        execute(self, op, ctx)
+
+    monkeypatch.setattr(Ledger, "_execute", second_operation_is_a_defect)
+    with pytest.raises(RuntimeError):
+        ledger.submit(TransferValue(alice, bob, 5), TransferValue(alice, bob, 1))
     assert ledger.state_digest() == digest
     assert ledger.balance_of(bob) == 0
+
+
+def test_rolled_back_grouped_mint_restores_the_id_counters(ledger):
+    def counters():
+        return ledger.state.collection.next_id, ledger.state.factory.creation_nonce
+
+    alice = ledger.create_eoa("alice")
+    factory = ledger.state.factory.address
+    ledger.must(MintNftaa(alice, factory, b"kept"))
+    next_id, nonce = counters()
+    receipt = ledger.submit(MintNftaa(alice, factory, b"doomed"), Fail())
+    assert not receipt.committed
+    assert counters() == (next_id, nonce)
+    assert ledger.mint_nftaa(alice, b"next")[0] == next_id
+
+
+def test_rolled_back_upgrade_restores_the_version(ledger):
+    alice = ledger.create_eoa("alice")
+    _, account = ledger.mint_nftaa(alice, b"n")
+    receipt = ledger.submit(UpgradeAccount(alice, account, 2), Fail())
+    assert not receipt.committed
+    assert ledger.upgrade_version_of(account) == 1
+
+
+def test_transactions_never_copy_the_world(ledger, monkeypatch):
+    def no_copies(*_args, **_kwargs):
+        raise AssertionError("a transaction copied the world")
+
+    alice, bob = ledger.create_eoa("alice"), ledger.create_eoa("bob")
+    ledger.faucet(alice, 10)
+    state = ledger.state
+    monkeypatch.setattr(copy, "deepcopy", no_copies)
+    assert ledger.submit(TransferValue(alice, bob, 4)).committed
+    assert not ledger.submit(TransferValue(alice, bob, 1), Fail()).committed
+    assert ledger.state is state
+    assert (ledger.balance_of(alice), ledger.balance_of(bob)) == (6, 4)

@@ -12,10 +12,12 @@ from nftaa_sim import (
     PER_BLOCK_CAP,
     ErrorCode,
     EventKind,
+    Fail,
     Ledger,
     ProxyExecute,
     ProxyPayload,
     QueueConfig,
+    StakePosition,
     WithdrawalQueue,
     estimate_drain_time,
     simulate_drain,
@@ -112,6 +114,45 @@ def test_unstake_boundary_inclusive(staked_world):
     assert receipt.committed
     assert ledger.stake_balance_of(account) == 0
     assert ledger.state.queue.total_amount() == 32 * ETH
+
+
+def test_rolled_back_stake_and_add_restore_balance_and_position(staked_world):
+    ledger, alice, account = staked_world
+    digest = ledger.state_digest()
+
+    def call(method, amount):
+        return ProxyExecute(alice, account, ProxyPayload(method, amount=amount))
+
+    receipt = ledger.submit(call("stake", 32 * ETH), call("add_to_stake", ETH), Fail())
+    assert not receipt.committed
+    assert ledger.state_digest() == digest
+    assert ledger.balance_of(account) == 100 * ETH
+    assert ledger.state.stakes == {}
+    ledger.must(call("stake", 32 * ETH))
+    assert not ledger.submit(call("add_to_stake", ETH), Fail()).committed
+    assert ledger.stake_balance_of(account) == 32 * ETH
+    assert ledger.balance_of(account) == 68 * ETH
+
+
+def test_rolled_back_unstake_restores_position_and_queue(staked_world):
+    ledger, alice, account = staked_world
+    _proxy(ledger, alice, account, "stake", amount=32 * ETH)
+    _proxy(ledger, alice, account, "add_to_stake", amount=ETH)
+    ledger.advance_blocks(10)
+    position = StakePosition(account, 33 * ETH, ledger.state.stakes[account].unlock_block)
+    receipt = ledger.submit(ProxyExecute(alice, account, ProxyPayload("request_unstake")),
+                            Fail())
+    assert not receipt.committed
+    assert ledger.state.stakes == {account: position}
+    assert len(ledger.state.queue.pending) == 0
+
+
+def test_negative_add_to_stake_rolls_back(staked_world):
+    ledger, alice, account = staked_world
+    _proxy(ledger, alice, account, "stake", amount=32 * ETH)
+    receipt = _proxy(ledger, alice, account, "add_to_stake", amount=-1)
+    assert receipt.error.code is ErrorCode.NEGATIVE_AMOUNT
+    assert ledger.stake_balance_of(account) == 32 * ETH
 
 
 def test_drained_funds_credit_the_contract_account(staked_world):

@@ -10,6 +10,7 @@ from nftaa_sim import (
     ETH,
     ErrorCode,
     EventKind,
+    Fail,
     Ledger,
     MintToken,
     ProxyPayload,
@@ -82,6 +83,19 @@ def test_create_twice_same_salt(world):
                                       ledger.state.collection.address,
                                       token_id, salt_from_int(0)))
     assert receipt.error.code is ErrorCode.ALREADY_DEPLOYED
+
+
+def test_rolled_back_create_leaves_seen_untouched(world):
+    ledger, alice, _, token_id = world
+    ledger.compute_tba_address(token_id, salt_from_int(0))
+    seen = dict(ledger.state.registry.seen)
+    for salt in (salt_from_int(0), salt_from_int(5)):  # a key seen before, and a new one
+        receipt = ledger.submit(CreateTba(alice, ledger.state.registry.address,
+                                          ledger.state.collection.address, token_id, salt),
+                                Fail())
+        assert not receipt.committed
+        assert ledger.state.registry.seen == seen
+    assert ledger.state.registry.records == {}
 
 
 def test_create_for_unminted_token(world):
