@@ -5,7 +5,7 @@
     nftaa-sim queue --pending N [--missed-prob P] [--simulate] [--seed N] [--no-trace]
 
 `run` and `diff` replay their files one after another in this process.
-Exit codes: 0 all verdicts passed, 1 any verdict failed, 2 parse error.
+Exit codes: 0 all verdicts passed, 1 any verdict failed, 2 parse or read error.
 """
 
 from __future__ import annotations
@@ -56,7 +56,13 @@ def _replay(args) -> int:
     worst = 0
     for path in args.files:
         try:
-            script = parse_scenario(path.read_text())
+            source = path.read_text()
+        except OSError as failure:
+            sys.stdout.write(f"read_error file={path} {failure.strerror}\n")
+            worst = max(worst, 2)
+            continue
+        try:
+            script = parse_scenario(source)
         except ScenarioParseError as failure:
             sys.stdout.write(f"parse_error file={path} line={failure.line} "
                              f"col={failure.column} {failure.message}\n")

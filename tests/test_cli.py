@@ -56,6 +56,15 @@ def test_run_exit_two_on_bad_config_value(tmp_path, capsys):
     assert out.startswith("parse_error") and "line=1 col=19" in out
 
 
+@pytest.mark.parametrize("command", ["run", "diff"])
+def test_missing_file_exits_two_and_goes_on(command, scenario_file, tmp_path, capsys):
+    missing = tmp_path / "nosuch.scn"
+    assert main([command, str(missing), str(scenario_file)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"read_error file={missing} No such file or directory\n")
+    assert "good" in out  # the next file still ran
+
+
 def test_run_digest_mode(scenario_file, capsys):
     assert main(["run", str(scenario_file), "--digest"]) == 0
     out = capsys.readouterr().out.strip()
