@@ -120,6 +120,11 @@ class _TxContext:
         self.journal.append((setattr, obj, name, getattr(obj, name)))
         setattr(obj, name, value)
 
+    def insert(self, table: dict, key, value) -> None:
+        """Add a key that `table` does not hold yet, recording its removal."""
+        self.journal.append((dict.pop, table, key))
+        table[key] = value
+
     def rollback(self) -> None:
         for fn, *args in reversed(self.journal):
             fn(*args)
@@ -189,9 +194,9 @@ class Ledger:
 
     def faucet(self, to: Address, amount: int) -> None:
         """Test funding; the only operation exempt from conservation."""
+        account = self._account(to)
         if amount < 0:
             raise ValueError("amounts are unsigned")
-        account = self._account(to)
         account.balance += amount
         self.events.append(Event(EventKind.TRANSFER, ZERO_ADDRESS,
                                  {"from": to_hex(ZERO_ADDRESS), "to": to_hex(to),
@@ -362,8 +367,8 @@ class Ledger:
         ctx.write(factory, "creation_nonce", factory.creation_nonce + 1)
         collection = self._collection(factory.collection)
         record = self._mint(collection, op.caller, op.note, account.address, ctx)
-        self._insert(self.state.nftaas, account.address,
-                     NftaaAccount(account.address, collection.address, record.token_id), ctx)
+        ctx.insert(self.state.nftaas, account.address,
+                   NftaaAccount(account.address, collection.address, record.token_id))
         ctx.events.append(self._event(EventKind.TRANSFER, collection.address, ctx,
                                       {"from": to_hex(ZERO_ADDRESS),
                                        "to": to_hex(op.caller),
@@ -423,8 +428,8 @@ class Ledger:
         if address in registry.records:
             raise err(ErrorCode.ALREADY_DEPLOYED, account=to_hex(address))
         self._new_account(address, CodeId.TBA_ACCOUNT, ctx)
-        self._insert(registry.records, address,
-                     TbaRecord(*key, address, has_execute=op.has_execute), ctx)
+        ctx.insert(registry.records, address,
+                   TbaRecord(*key, address, has_execute=op.has_execute))
         ctx.events.append(self._event(EventKind.TBA_CREATED, registry.address, ctx,
                                       {"collection": to_hex(op.collection),
                                        "token_id": op.token_id,
@@ -468,7 +473,7 @@ class Ledger:
             raise err(ErrorCode.ALREADY_STAKING)
         ctx.write(account, "balance", account.balance - amount)
         unlock = self.height + self.config.unlock_delay
-        self._insert(self.state.stakes, acting, StakePosition(acting, amount, unlock), ctx)
+        ctx.insert(self.state.stakes, acting, StakePosition(acting, amount, unlock))
         ctx.events.append(self._event(EventKind.STAKED, acting, ctx,
                                       {"amount": amount, "unlock_block": unlock}))
 
@@ -504,11 +509,8 @@ class Ledger:
                                       {"amount": position.amount,
                                        "enqueued_at": self.height}))
 
-    # Journaled writes shared by several operations; each runs inside a transaction.
-
-    def _insert(self, table: dict, key, value, ctx: _TxContext) -> None:
-        table[key] = value
-        ctx.journal.append((dict.pop, table, key))
+    # Journaled wrappers around writes that record nothing themselves; each runs
+    # inside a transaction.
 
     def _new_account(self, address: Address, code_id: CodeId, ctx: _TxContext) -> Account:
         account = self._create_account(address, code_id)
