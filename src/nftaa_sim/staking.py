@@ -5,7 +5,10 @@ cap of 16 and 7,200 blocks per simulated day that is a ceiling of 115,200
 withdrawals per day; a backlog of 800,000 takes 50,000 blocks, just under
 seven days. A slot can also be "missed" (Bernoulli draw from the ledger's
 seeded generator), in which case the block processes nothing and the backlog
-slips proportionally.
+slips proportionally. `block_take` is that rule, in one place: the ledger's
+queue and the standalone drain both ask it how many entries a block takes.
+The standalone drain needs only the count, so it never builds an entry, and
+its cost is one step per block with work left.
 """
 
 from __future__ import annotations
@@ -66,23 +69,24 @@ class WithdrawalQueue:
         return sum(entry.amount for entry in self.pending)
 
     def process_block(self, config: QueueConfig, rng: random.Random) -> list[QueueEntry]:
-        """Dequeue up to the per-block cap in FIFO order.
-
-        The missed-slot draw happens only when there is work to do, so empty
-        blocks neither consume randomness nor count as missed.
-        """
-        if not self.pending:
-            return []
-        if slot_missed(rng, config.missed_slot_probability):
-            return []
-        processed = []
-        for _ in range(min(config.per_block_cap, len(self.pending))):
-            processed.append(self.pending.popleft())
-        return processed
+        """Dequeue what `block_take` allows for this block, in FIFO order."""
+        pending = self.pending
+        return [pending.popleft() for _ in range(block_take(len(pending), config, rng))]
 
 
 def slot_missed(rng: random.Random, probability: float) -> bool:
     return probability > 0.0 and rng.random() < probability
+
+
+def block_take(pending: int, config: QueueConfig, rng: random.Random) -> int:
+    """How many of `pending` queued entries one block processes.
+
+    The missed-slot draw happens only when there is work to do, so empty
+    blocks neither consume randomness nor count as missed.
+    """
+    if not pending or slot_missed(rng, config.missed_slot_probability):
+        return 0
+    return min(config.per_block_cap, pending)
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +137,19 @@ class DrainTrace:
 
 def simulate_drain(pending_count: int, config: QueueConfig,
                    rng: random.Random | None = None) -> DrainTrace:
-    """Run the real queue to exhaustion with synthetic entries and record the trace."""
+    """Drain a backlog of `pending_count` entries and record how many each block took.
+
+    Only the count is kept: each block asks `block_take`, as the ledger's
+    queue does, so the trace and the draws match a queue of real entries.
+    """
     if rng is None:
         rng = random.Random(config.rng_seed)
-    queue = WithdrawalQueue()
-    queue.pending.extend(QueueEntry(b"\x00" * 20, 1, 0) for _ in range(pending_count))
     per_block = []
-    while queue.pending:
-        per_block.append(len(queue.process_block(config, rng)))
+    remaining = pending_count
+    while remaining > 0:
+        taken = block_take(remaining, config, rng)
+        per_block.append(taken)
+        remaining -= taken
     return DrainTrace(per_block, config)
 
 
@@ -148,19 +157,46 @@ def simulate_saturated_days(days: int, config: QueueConfig,
                             rng: random.Random | None = None) -> list[int]:
     """Daily throughput with the queue never running dry (capacity statistics).
 
-    Uses the same missed-slot rule as `process_block`; with probability p the
-    long-run mean is cap * blocks_per_day * (1 - p).
+    Each slot of a day is missed with probability p, independently, as in
+    `block_take`, so a day's missed count is Binomial(blocks_per_day, p). It is
+    drawn as one variate per day, not slot by slot. The long-run mean is
+    cap * blocks_per_day * (1 - p).
     """
     if rng is None:
         rng = random.Random(config.rng_seed)
-    cap = config.per_block_cap
-    p = config.missed_slot_probability
-    totals = []
-    for _ in range(days):
-        if p > 0.0:
-            processed = sum(cap for _ in range(config.blocks_per_day)
-                            if not slot_missed(rng, p))
+    n, p = config.blocks_per_day, config.missed_slot_probability
+    return [config.per_block_cap * (n - binomial_variate(n, p, rng)) for _ in range(days)]
+
+
+def binomial_variate(n: int, p: float, rng: random.Random) -> int:
+    """One Binomial(n, p) variate from one uniform draw, by exact inversion.
+
+    The support is visited in order of decreasing probability: from the mode
+    outward, always to the neighbour with the larger term, each term got from
+    the last by the ratio of neighbouring pmf terms. The first value whose
+    cumulative probability reaches the draw is returned, after a number of
+    terms in proportion to sqrt(n p (1 - p)). Needs 0 <= p < 1; p = 0 draws
+    nothing.
+    """
+    if p <= 0.0:
+        return 0
+    odds = p / (1.0 - p)
+    mode = min(int((n + 1) * p), n)
+    term = math.exp(math.lgamma(n + 1) - math.lgamma(mode + 1) - math.lgamma(n - mode + 1)
+                    + mode * math.log(p) + (n - mode) * math.log1p(-p))
+    k = low = high = mode
+    down = term * low / ((n - low + 1) * odds)   # pmf(low - 1); 0 past the support
+    up = term * (n - high) * odds / (high + 1)   # pmf(high + 1); 0 past the support
+    left = rng.random() - term
+    while left > 0.0:
+        if up >= down:
+            if up == 0.0:
+                break  # rounding left the draw just above the total
+            high = k = high + 1
+            left -= up
+            up *= (n - high) * odds / (high + 1)
         else:
-            processed = cap * config.blocks_per_day
-        totals.append(processed)
-    return totals
+            low = k = low - 1
+            left -= down
+            down *= low / ((n - low + 1) * odds)
+    return k

@@ -1,7 +1,9 @@
 """Stake lifecycle and the capped, missable withdrawal queue."""
 
+import math
 import random
 import statistics
+from collections import Counter
 
 import pytest
 
@@ -23,6 +25,7 @@ from nftaa_sim import (
     simulate_drain,
     simulate_saturated_days,
 )
+from nftaa_sim.staking import binomial_variate
 
 
 @pytest.fixture
@@ -295,3 +298,71 @@ def test_empty_queue_draws_no_randomness():
     state_before = rng.getstate()
     assert queue.process_block(QueueConfig(missed_slot_probability=0.9), rng) == []
     assert rng.getstate() == state_before
+
+
+def _queued_world(probability: float) -> Ledger:
+    ledger = Ledger(QueueConfig(missed_slot_probability=probability, rng_seed=3))
+    owners = [ledger.create_eoa(f"owner{i}") for i in range(5)]
+    for i in range(100):  # 7 busy blocks at p = 0, then idle
+        ledger.state.queue.enqueue(owners[i % 5], i + 1, 0)
+    return ledger
+
+
+@pytest.mark.parametrize("probability", [0.0, 0.1, 0.25])
+@pytest.mark.parametrize("count", [0, 3, 7, 50])
+def test_advance_blocks_matches_one_block_at_a_time(probability, count):
+    jumped, stepped = _queued_world(probability), _queued_world(probability)
+    assert jumped.advance_blocks(count) == count
+    for _ in range(count):
+        stepped.advance_block()
+    assert jumped.height == stepped.height
+    assert jumped.events == stepped.events
+    assert jumped.rng.getstate() == stepped.rng.getstate()
+    assert jumped.state_digest() == stepped.state_digest()
+
+
+def _entry_queue_drain(pending_count: int, config: QueueConfig) -> list[int]:
+    """Reference drain: a queue of real entries, one process_block per block."""
+    rng = random.Random(config.rng_seed)
+    queue = WithdrawalQueue()
+    for _ in range(pending_count):
+        queue.enqueue(b"\x00" * 20, 1, 0)
+    per_block = []
+    while queue.pending:
+        per_block.append(len(queue.process_block(config, rng)))
+    return per_block
+
+
+@pytest.mark.parametrize("probability", [0.0, 0.1, 0.25])
+@pytest.mark.parametrize("pending", [0, 1, 17, 10_007])
+def test_count_drain_matches_the_entry_queue(probability, pending):
+    config = QueueConfig(missed_slot_probability=probability, rng_seed=19)
+    assert simulate_drain(pending, config).per_block == _entry_queue_drain(pending, config)
+
+
+def test_saturated_day_spread_is_binomial():
+    config = QueueConfig(missed_slot_probability=0.1, rng_seed=5)
+    days = simulate_saturated_days(10_000, config)
+    expected = PER_BLOCK_CAP * math.sqrt(BLOCKS_PER_DAY * 0.1 * 0.9)  # ≈ 407.3
+    assert abs(statistics.pstdev(days) - expected) / expected < 0.05
+    assert all(total % PER_BLOCK_CAP == 0 for total in days)
+
+
+def test_binomial_variate_matches_the_exact_pmf():
+    n, p, draws = 20, 0.3, 100_000
+    rng = random.Random(8)
+    seen = Counter(binomial_variate(n, p, rng) for _ in range(draws))
+    assert set(seen) <= set(range(n + 1))
+    for k in range(n + 1):
+        expected = draws * math.comb(n, k) * p**k * (1 - p) ** (n - k)
+        # five standard deviations of a count, plus one for the rarest values
+        assert abs(seen[k] - expected) <= 5 * math.sqrt(expected) + 1, (k, seen[k], expected)
+
+
+def test_binomial_variate_edges():
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert binomial_variate(50, 0.0, rng) == 0
+    assert rng.getstate() == state  # p = 0 draws nothing
+    assert {binomial_variate(0, 0.5, rng) for _ in range(10)} == {0}
+    assert {binomial_variate(3, 0.999999, rng) for _ in range(10)} <= {2, 3}
