@@ -56,9 +56,10 @@ def _replay(args) -> int:
     worst = 0
     for path in args.files:
         try:
-            source = path.read_text()
-        except OSError as failure:
-            sys.stdout.write(f"read_error file={path} {failure.strerror}\n")
+            source = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as failure:
+            reason = failure.strerror if isinstance(failure, OSError) else failure
+            sys.stdout.write(f"read_error file={path} {reason}\n")
             worst = max(worst, 2)
             continue
         try:

@@ -42,10 +42,21 @@ CONFIG = {"seed": ("rng_seed", int), "unlock_delay": ("unlock_delay", int),
           "per_block_cap": ("per_block_cap", int), "blocks_per_day": ("blocks_per_day", int),
           "min_stake": ("min_stake", parse_amount)}
 
+
+def _converts(convert, value: str) -> bool:
+    """Whether the runner's converter for a role accepts `value`."""
+    try:
+        convert(value)
+    except ValueError:
+        return False
+    return True
+
+
 # role -> (test on a token and the role's words, message when the test fails)
 _CHECKS = {
-    "amount": (lambda t, _: _AMOUNT.match(t.value), "bad amount {!r}"),
-    "int": (lambda t, _: t.value.isdigit(), "expected integer, got {!r}"),
+    "amount": (lambda t, _: _converts(parse_amount, t.value), "bad amount {!r}"),
+    "int": (lambda t, _: t.value.isdigit() and _converts(int, t.value),
+            "expected integer, got {!r}"),
     "note": (lambda t, _: t.quoted, "note must be quoted"),
     "hex64": (lambda t, _: re.fullmatch("[0-9a-f]{64}", t.value), "expected 64 lowercase hex"),
     "key=value": (lambda t, _: "=" in t.value, "expected key=value"),

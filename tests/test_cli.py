@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,42 @@ def test_missing_file_exits_two_and_goes_on(command, scenario_file, tmp_path, ca
     out = capsys.readouterr().out
     assert out.startswith(f"read_error file={missing} No such file or directory\n")
     assert "good" in out  # the next file still ran
+
+
+@pytest.mark.parametrize("command", ["run", "diff"])
+def test_non_utf8_file_exits_two_and_goes_on(command, scenario_file, tmp_path, capsys):
+    undecodable = tmp_path / "latin.scn"
+    undecodable.write_bytes(b"\xffactor alice\n")
+    assert main([command, str(undecodable), str(scenario_file)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"read_error file={undecodable} 'utf-8' codec can't decode "
+                          "byte 0xff in position 0: invalid start byte\n")
+    assert "good" in out
+
+
+@pytest.mark.parametrize("line, column", [
+    ("advance \u00b2", 9),
+    ("queue_report \u00b2 closed", 14),
+    ("advance " + "9" * 5000, 9),
+    ("faucet alice " + "9" * 5000, 14),
+], ids=["advance superscript", "queue_report superscript",
+        "advance 5000 digits", "faucet 5000 digits"])
+def test_unconvertible_number_exits_two_at_parse_time(line, column, tmp_path, capsys):
+    path = tmp_path / "number.scn"
+    path.write_text(f"actor alice\n{line}\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"parse_error file={path} line=2 col={column} ")
+    assert out.count("\n") == 1
+
+
+def test_idle_advance_of_a_trillion_blocks_is_instant(tmp_path, capsys):
+    path = tmp_path / "idle.scn"
+    path.write_text("actor alice\nadvance 1000000000000\n")
+    started = time.monotonic()
+    assert main(["run", str(path)]) == 0
+    assert time.monotonic() - started < 1.0
+    assert "height=1000000000000" in capsys.readouterr().out
 
 
 def test_run_digest_mode(scenario_file, capsys):
