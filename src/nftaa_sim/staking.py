@@ -74,17 +74,14 @@ class WithdrawalQueue:
         return [pending.popleft() for _ in range(block_take(len(pending), config, rng))]
 
 
-def slot_missed(rng: random.Random, probability: float) -> bool:
-    return probability > 0.0 and rng.random() < probability
-
-
 def block_take(pending: int, config: QueueConfig, rng: random.Random) -> int:
     """How many of `pending` queued entries one block processes.
 
     The missed-slot draw happens only when there is work to do, so empty
     blocks neither consume randomness nor count as missed.
     """
-    if not pending or slot_missed(rng, config.missed_slot_probability):
+    missed = config.missed_slot_probability
+    if not pending or (missed > 0.0 and rng.random() < missed):
         return 0
     return min(config.per_block_cap, pending)
 
