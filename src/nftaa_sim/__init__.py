@@ -20,7 +20,7 @@ from .addresses import (
 )
 from .errors import ErrorCode, LedgerError
 from .events import Event, EventKind
-from .ledger import Account, CodeId, Ledger, TxReceipt, TxStatus, WorldState
+from .ledger import Account, CodeId, Ledger, TxReceipt, WorldState
 from .ops import (
     CreateTba,
     Fail,
@@ -106,7 +106,6 @@ __all__ = [
     "TransferToken",
     "TransferValue",
     "TxReceipt",
-    "TxStatus",
     "UpgradeAccount",
     "WithdrawAssets",
     "WithdrawalQueue",

@@ -47,8 +47,7 @@ from .staking import QueueConfig, StakePosition, WithdrawalQueue
 from .tba import TbaRecord, TbaRegistry
 from .tokens import NftCollection, NftRecord, validate_note
 
-SYSTEM_LABEL = "__system__"
-SYSTEM_ADDRESS = eoa_address(SYSTEM_LABEL)
+SYSTEM_ADDRESS = eoa_address("__system__")  # an actor of that label is a DuplicateLabel
 
 
 class CodeId(str, Enum):
@@ -72,21 +71,15 @@ class Account:
         return self.code_id is None
 
 
-class TxStatus(Enum):
-    COMMITTED = "committed"
-    ROLLED_BACK = "rolled_back"
-
-
 @dataclass(frozen=True)
 class TxReceipt:
     tx_id: int
-    status: TxStatus
-    error: LedgerError | None
+    error: LedgerError | None  # None when the transaction committed
     events: tuple[Event, ...]
 
     @property
     def committed(self) -> bool:
-        return self.status is TxStatus.COMMITTED
+        return self.error is None
 
     @property
     def error_code(self) -> str | None:
@@ -102,13 +95,11 @@ class WorldState:
     stakes: dict[Address, StakePosition] = field(default_factory=dict)
     queue: WithdrawalQueue = field(default_factory=WithdrawalQueue)
     registry: TbaRegistry | None = None
-    labels: set[str] = field(default_factory=set)
 
 
 @dataclass
 class _TxContext:
     tx_id: int
-    caller: Address
     events: list[Event] = field(default_factory=list)
     moved_tokens: set[tuple[Address, int]] = field(default_factory=set)
     value_out: set[Address] = field(default_factory=set)
@@ -144,7 +135,6 @@ class Ledger:
 
     def _bootstrap(self) -> None:
         deployer = self._create_account(SYSTEM_ADDRESS, None)
-        self.state.labels.add(SYSTEM_LABEL)
         collection = self._create_account(contract_address(deployer.address, 0),
                                           CodeId.NFT_COLLECTION)
         factory = self._create_account(contract_address(deployer.address, 1),
@@ -186,11 +176,10 @@ class Ledger:
     def create_eoa(self, label: str) -> Address:
         if not label:
             raise ValueError("label must be non-empty")
-        if label in self.state.labels:
+        address = eoa_address(label)
+        if address in self.state.accounts:  # only this label derives this address
             raise err(ErrorCode.DUPLICATE_LABEL, label=label)
-        account = self._create_account(eoa_address(label), None)
-        self.state.labels.add(label)
-        return account.address
+        return self._create_account(address, None).address
 
     def faucet(self, to: Address, amount: int) -> None:
         """Test funding; the only operation exempt from conservation."""
@@ -236,19 +225,19 @@ class Ledger:
         self._account(tx.caller)  # unknown caller fails the call itself, not the receipt
         tx_id = self.next_tx_id
         self.next_tx_id += 1
-        ctx = _TxContext(tx_id, tx.caller)
+        ctx = _TxContext(tx_id)
         try:
             for op in tx.operations:
                 self._execute(op, ctx)
         except LedgerError as failure:
             ctx.rollback()
-            return TxReceipt(tx_id, TxStatus.ROLLED_BACK, failure, ())
+            return TxReceipt(tx_id, failure, ())
         except BaseException:
             ctx.rollback()  # a defect, not a protocol failure: undo, then surface it
             raise
         self.state.accounts[tx.caller].nonce += 1
         self.events.extend(ctx.events)
-        return TxReceipt(tx_id, TxStatus.COMMITTED, None, tuple(ctx.events))
+        return TxReceipt(tx_id, None, tuple(ctx.events))
 
     def submit(self, *operations) -> TxReceipt:
         """Apply one transaction, paid by the first operation's caller, else by the system."""
@@ -430,9 +419,6 @@ class Ledger:
         collection = self._collection(op.collection)
         collection.get(op.token_id)  # token must exist; its record stays untouched
         key = (op.collection, op.token_id, op.salt)
-        seen = registry.seen
-        ctx.journal.append((dict.__setitem__, seen, key, seen[key]) if key in seen
-                           else (dict.pop, seen, key))
         address = registry.compute_address(*key)
         if address in registry.records:
             raise err(ErrorCode.ALREADY_DEPLOYED, account=to_hex(address))

@@ -162,51 +162,32 @@ class ScenarioRunner:
         self.config = build_config(script, seed)
         self.ledger = Ledger(self.config)
         self.report = RunReport(name, lane, self.config.rng_seed)
-        # label -> ("actor"|"account"|"tba", address) or ("token", token_id), "tba"
-        # for a registry-style account; account labels also map to their token.
-        self.values: dict[str, tuple[str, object]] = {}
-        self.account_tokens: dict[str, int] = {}
+        # label -> (style, address, token_id); style is "actor", "token", "account" or
+        # "tba" (a registry-style account); a token has no address, an actor no token
+        self.labels: dict[str, tuple[str, Address | None, int | None]] = {}
 
     # ------------------------------------------------------------------
     # Label resolution
     # ------------------------------------------------------------------
 
     def address_of(self, label: str) -> Address:
-        tag, value = self._value(label)
-        if tag == "token":
+        address = self._bound(label)[1]
+        if address is None:
             raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, f"label {label!r} names a token")
-        return value
+        return address
 
     def token_of(self, label: str) -> int:
-        tag, value = self._value(label)
-        if tag == "token":
-            return value
-        token_id = self.account_tokens.get(label)
+        token_id = self._bound(label)[2]
         if token_id is None:
             raise LedgerError(ErrorCode.UNKNOWN_TOKEN, f"label {label!r} has no token")
         return token_id
 
-    def _value(self, label: str) -> tuple[str, object]:
-        bound = self.values.get(label)
+    def _bound(self, label: str) -> tuple[str, Address | None, int | None]:
+        bound = self.labels.get(label)
         if bound is None:
             # declared at parse time but its creating step never committed
             raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, f"label {label!r} is unbound")
         return bound
-
-    def bind_actor(self, label: str, address: Address) -> None:
-        self.values[label] = ("actor", address)
-
-    def bind_account(self, label: str, address: Address, token_id: int,
-                     registry: bool = False) -> None:
-        self.values[label] = ("tba" if registry else "account", address)
-        self.account_tokens[label] = token_id
-
-    def bind_token(self, label: str, token_id: int) -> None:
-        self.values[label] = ("token", token_id)
-
-    def unbind(self, label: str) -> None:
-        self.values.pop(label, None)
-        self.account_tokens.pop(label, None)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -276,7 +257,7 @@ class ScenarioRunner:
         try:
             if kind == "actor":
                 address = self.ledger.create_eoa(args[0])
-                self.bind_actor(args[0], address)
+                self.labels[args[0]] = ("actor", address, None)
                 outcome.detail = f"address={to_hex(address)}"
             elif kind == "faucet":
                 self.ledger.faucet(self.address_of(args[0]), parse_amount(args[1]))
@@ -323,7 +304,7 @@ class ScenarioRunner:
             outcome.detail = _creation_detail(receipt)
         finally:
             for label in pending:
-                self.unbind(label)
+                self.labels.pop(label, None)
 
     def _run_sequence(self, group: tuple[Step, ...], outcome: StepOutcome,
                       pending: list[str]) -> None:
@@ -368,13 +349,13 @@ class ScenarioRunner:
         else:
             _failed(outcome, failure)
 
-    def _translate(self, step: Step, ahead: list, labels: list[str]) -> list[tuple[str, object]]:
+    def _translate(self, step: Step, ahead: list, pending: list[str]) -> list[tuple[str, object]]:
         """The named ledger operations of one step in this lane.
 
         `ahead` holds the operations translated before this step for the same
         transaction. Labels the step creates are bound before it is submitted,
         from the deterministic address and id sequences, so that later steps
-        in the transaction can name them; they are appended to `labels`.
+        in the transaction can name them; they are appended to `pending`.
         """
         kind, args = step.kind, step.args
         if kind in _NO_ANALOG[self.lane]:
@@ -385,19 +366,20 @@ class ScenarioRunner:
             actor, note = self.address_of(args[0]), args[2].encode()
             minted = sum(isinstance(op, (MintNftaa, MintToken)) for op in ahead)
             token_id = state.collection.next_id + minted
-            labels.append(args[1])
+            pending.append(args[1])
             if kind == "minttoken":
-                self.bind_token(args[1], token_id)
+                self.labels[args[1]] = ("token", None, token_id)
                 return [(kind, MintToken(actor, collection, actor, note))]
             if self.lane != "tba":
                 factory = state.factory
                 nonce = factory.creation_nonce + sum(isinstance(op, MintNftaa) for op in ahead)
-                self.bind_account(args[1], contract_address(factory.address, nonce), token_id)
+                self.labels[args[1]] = ("account", contract_address(factory.address, nonce),
+                                        token_id)
                 return [(kind, MintNftaa(actor, factory.address, note))]
             # registry style: a plain mint, then the account as a second transaction
             salt = salt_from_int(0)
-            self.bind_account(args[1], state.registry.address_for(collection, token_id, salt),
-                              token_id, registry=True)
+            self.labels[args[1]] = ("tba", self.ledger.compute_tba_address(token_id, salt),
+                                    token_id)
             return [("mint", MintToken(actor, collection, actor, note)),
                     ("account", CreateTba(actor, state.registry.address, collection,
                                           token_id, salt))]
@@ -420,9 +402,9 @@ class ScenarioRunner:
         elif kind == "createtba":
             actor, token_id = self.address_of(args[0]), self.token_of(args[1])
             salt = salt_from_int(int(args[2]))
-            self.bind_account(args[3], self.ledger.compute_tba_address(token_id, salt), token_id,
-                              registry=True)
-            labels.append(args[3])
+            self.labels[args[3]] = ("tba", self.ledger.compute_tba_address(token_id, salt),
+                                    token_id)
+            pending.append(args[3])
             op = CreateTba(actor, state.registry.address, collection, token_id, salt,
                            has_execute="noexec" not in args[4:])
         elif kind in ("fail", "interrupt"):
@@ -448,7 +430,7 @@ class ScenarioRunner:
 
     def _is_tba(self, label: str) -> bool:
         """Whether the step that bound `label` made a registry-style account."""
-        return self._value(label)[0] == "tba"
+        return self._bound(label)[0] == "tba"
 
     # ------------------------------------------------------------------
     # Probes, asserts, queue report
@@ -593,11 +575,11 @@ class DiffResult:
 
     @property
     def claims(self) -> list[str]:
-        seen: list[str] = []
+        claims: list[str] = []
         for entry in self.entries:
-            if entry.claim not in seen:
-                seen.append(entry.claim)
-        return seen
+            if entry.claim not in claims:
+                claims.append(entry.claim)
+        return claims
 
     def to_text(self) -> str:
         lines = [f"diff scenario={self.name} seed={self.nftaa.seed}"]

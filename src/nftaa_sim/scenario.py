@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .addresses import SALT_LEN
 from .errors import ErrorCode
 from .staking import ETH, QueueConfig
 
@@ -27,6 +28,7 @@ _TOKEN = re.compile(r'"([^"]*)"|(\S+)')
 _AMOUNT = re.compile(r"^(\d+)(eth)?$")
 _LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 _CODES = frozenset(code.value for code in ErrorCode) | {"ok", "partial"}
+_WORD = 1 << 8 * SALT_LEN  # int and amount values fit one 256-bit word, as a salt does
 
 
 def parse_amount(token: str) -> int:
@@ -44,19 +46,19 @@ CONFIG = {"seed": ("rng_seed", int), "unlock_delay": ("unlock_delay", int),
 
 
 def _converts(convert, value: str) -> bool:
-    """Whether the runner's converter for a role accepts `value`."""
+    """Whether the runner's converter for a role accepts `value` and gives a word."""
     try:
-        convert(value)
+        return convert(value) < _WORD
     except ValueError:
         return False
-    return True
 
 
 # role -> (test on a token and the role's words, message when the test fails)
 _CHECKS = {
-    "amount": (lambda t, _: _converts(parse_amount, t.value), "bad amount {!r}"),
+    "amount": (lambda t, _: _converts(parse_amount, t.value),
+               "bad amount {!r} (at most 2**256 - 1)"),
     "int": (lambda t, _: t.value.isdigit() and _converts(int, t.value),
-            "expected integer, got {!r}"),
+            "expected integer below 2**256, got {!r}"),
     "note": (lambda t, _: t.quoted, "note must be quoted"),
     "hex64": (lambda t, _: re.fullmatch("[0-9a-f]{64}", t.value), "expected 64 lowercase hex"),
     "key=value": (lambda t, _: "=" in t.value, "expected key=value"),

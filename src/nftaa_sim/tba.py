@@ -6,6 +6,10 @@ computable before deployment, one NFT may have any number of accounts, the
 creation is a separate transaction from the mint, and the token itself
 records nothing about any of it. Each of those properties is a documented
 hazard surface this module preserves on purpose.
+
+Computing an address is pure: the registry holds only the deployed records.
+Mints and transfers reach existing accounts only, so every account at a
+registry address is one of those records.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from dataclasses import dataclass, field
 
 from .addresses import Address, deterministic_address
 from .errors import ErrorCode, err
-
-TbaKey = tuple[Address, int, bytes]  # (collection, token_id, salt)
 
 
 @dataclass
@@ -32,19 +34,10 @@ class TbaRecord:
 class TbaRegistry:
     address: Address
     records: dict[Address, TbaRecord] = field(default_factory=dict)  # deployed, by address
-    # Counterfactual addresses handed out by compute_address. Not part of the
-    # world state (a pure computation), but remembered so the lock diagnostic
-    # can flag tokens sent to a derived address that was never deployed.
-    seen: dict[TbaKey, Address] = field(default_factory=dict)
-
-    def address_for(self, collection: Address, token_id: int, salt: bytes) -> Address:
-        """The account address of this key, without recording it in `seen`."""
-        return deterministic_address(self.address, _mix(collection, token_id, salt), "TbaAccount")
 
     def compute_address(self, collection: Address, token_id: int, salt: bytes) -> Address:
-        address = self.address_for(collection, token_id, salt)
-        self.seen[(collection, token_id, salt)] = address
-        return address
+        """The account address of this key, deployed or not."""
+        return deterministic_address(self.address, _mix(collection, token_id, salt), "TbaAccount")
 
     def get_deployed(self, address: Address) -> TbaRecord:
         record = self.records.get(address)
@@ -55,17 +48,6 @@ class TbaRegistry:
     def sorted_records(self) -> list[TbaRecord]:
         """Deployed records in (collection, token_id, salt) order."""
         return sorted(self.records.values(), key=lambda r: (r.collection, r.token_id, r.salt))
-
-    def addresses_for_token(self, collection: Address, token_id: int) -> set[Address]:
-        """Every account address derived from this token that the registry has seen."""
-        found = set()
-        for record in self.records.values():
-            if record.collection == collection and record.token_id == token_id:
-                found.add(record.address)
-        for (coll, tid, _salt), address in self.seen.items():
-            if coll == collection and tid == token_id:
-                found.add(address)
-        return found
 
 
 def _mix(collection: Address, token_id: int, salt: bytes) -> bytes:
@@ -82,17 +64,17 @@ def detect_locked_nfts(state) -> list[tuple[Address, int]]:
 
     Such a token can never satisfy its own owner gate again: the only party
     that could act is the account, and accounts do not originate calls.
-    Covers deployed accounts and counterfactual addresses the registry has
-    handed out.
+    A token can only be sent to an existing account, so its owner is one of
+    its own accounts exactly when the owner is a deployed record of it.
     """
     locked = []
     collection = state.collection
     if collection is None or state.registry is None:
         return locked
     for token_id in sorted(collection.tokens):
-        record = collection.tokens[token_id]
-        derived = state.registry.addresses_for_token(collection.address, token_id)
-        if record.owner in derived:
+        owner = state.registry.records.get(collection.tokens[token_id].owner)
+        if owner is not None and owner.collection == collection.address \
+                and owner.token_id == token_id:
             locked.append((collection.address, token_id))
     return locked
 

@@ -6,11 +6,15 @@ accounts, block advancement) with deliberately invalid calls mixed in, and
 verifies after each transaction that:
 
 * a rolled-back transaction left the state digest untouched, and the whole
-  state equal to a copy taken before it ran (nonces, counterfactual
-  addresses, id counters and labels included, which the digest omits),
+  state equal to a copy taken before it ran (nonces and id counters
+  included, which the digest omits),
 * conservation holds (balances + stakes + queue == faucet total),
 * the account<->token binding maps are mutual inverses,
 * no committed transaction both moved a bound NFT and drained its account.
+
+After every step, the lock diagnostic is also compared with a brute-force
+search over the registry salts the generator uses. Tokens are sent to their
+own derived addresses, deployed or not, so some sequences lock a token.
 
 The event-log replay checks (owner-gate soundness) run at the end of each
 sequence from the recorded receipts alone.
@@ -39,10 +43,12 @@ from nftaa_sim import (
     UpgradeAccount,
     WithdrawAssets,
     ETH,
+    detect_locked_nfts,
     salt_from_int,
 )
 
 NOTE_CHOICES = [b"n", b"note", b"x" * 256, b"", b"y" * 257]
+SALTS = [salt_from_int(i) for i in range(3)]  # every registry salt the generator uses
 
 
 @dataclass
@@ -51,6 +57,7 @@ class FuzzTrace:
     faucet_total: int = 0
     committed: int = 0
     rolled_back: int = 0
+    locked_steps: int = 0  # steps after which at least one token was locked
 
 
 def check_binding_bijection(ledger: Ledger) -> None:
@@ -65,6 +72,19 @@ def check_binding_bijection(ledger: Ledger) -> None:
     bound_tokens = [r.token_id for r in ledger.state.collection.tokens.values()
                     if r.bound_account is not None]
     assert len(bound_tokens) == len(forward), "account and token counts diverge"
+
+
+def check_lock_diagnostic(ledger: Ledger) -> list:
+    """`detect_locked_nfts` equals the tokens owned by one of their own addresses."""
+    collection = ledger.state.collection
+    expected = []
+    for token_id in sorted(collection.tokens):
+        derived = {ledger.compute_tba_address(token_id, salt) for salt in SALTS}
+        if collection.tokens[token_id].owner in derived:
+            expected.append((collection.address, token_id))
+    locked = detect_locked_nfts(ledger.state)
+    assert locked == expected, f"lock diagnostic {locked} != brute force {expected}"
+    return locked
 
 
 def check_fraud_exclusion(receipt: TxReceipt, ledger: Ledger) -> None:
@@ -199,8 +219,22 @@ class FuzzDriver:
             return None
         return [CreateTba(self.actor(), self.ledger.state.registry.address,
                           self.ledger.state.collection.address,
-                          self.rng.choice(tokens), salt_from_int(self.rng.randint(0, 2)),
+                          self.rng.choice(tokens), self.rng.choice(SALTS),
                           has_execute=self.rng.random() > 0.2)]
+
+    def _gen_self_lock(self):
+        """The token's owner sends it to one of its own derived addresses, deployed or
+        not (a self-lock), or now and then to any deployed account (mostly no lock)."""
+        tokens = self.tokens()
+        if not tokens:
+            return None
+        token = self.rng.choice(tokens)
+        owner = self.ledger.owner_of(token)
+        caller = owner if owner in self.actors else self.actor()
+        to = self.ledger.compute_tba_address(token, self.rng.choice(SALTS))
+        if self.tbas() and self.rng.random() < 0.25:
+            to = self.rng.choice(self.tbas())
+        return [TransferToken(caller, self.ledger.state.collection.address, token, to)]
 
     def _gen_tba_execute(self):
         tbas = self.tbas()
@@ -257,6 +291,11 @@ class FuzzDriver:
     # -- main loop -------------------------------------------------------
 
     def step(self) -> None:
+        self._step()
+        if check_lock_diagnostic(self.ledger):
+            self.trace.locked_steps += 1
+
+    def _step(self) -> None:
         roll = self.rng.random()
         if roll < 0.08:
             self._faucet(self.rng.choice(self.actors + self.nftaas() or self.actors),
@@ -269,7 +308,7 @@ class FuzzDriver:
                       self._gen_proxy, self._gen_proxy, self._gen_withdraw,
                       self._gen_upgrade, self._gen_create_tba, self._gen_tba_execute,
                       self._gen_drain_and_sell, self._gen_grouped_mint_failure,
-                      self._gen_stake_flow, self._gen_stake_flow]
+                      self._gen_stake_flow, self._gen_stake_flow, self._gen_self_lock]
         ops = self.rng.choice(generators)()
         if ops is None:
             return

@@ -208,24 +208,27 @@ def test_c5e_counterfactual_addresses():
 
 def test_c6_thousand_random_sequences():
     started = time.monotonic()
-    committed = rolled_back = proxy_checks = fraud_rollbacks = 0
+    committed = rolled_back = proxy_checks = fraud_rollbacks = locked_steps = 0
     for seed in range(1_000):
         trace = run_sequence(seed, steps=18)
         committed += trace.committed
         rolled_back += trace.rolled_back
+        locked_steps += trace.locked_steps
         proxy_checks += replay_owner_gate(trace)
         fraud_rollbacks += sum(
             1 for _, _, receipt in trace.receipts
             if not receipt.committed and receipt.error_code == "FraudGuard")
     elapsed = time.monotonic() - started
     # the invariants themselves (rollback purity, conservation, bijection,
-    # fraud exclusion, owner-gate replay) are asserted inside the driver
+    # fraud exclusion, owner-gate replay, lock diagnostic) are asserted inside the driver
     assert committed > 2_000 and rolled_back > 2_000
     assert proxy_checks > 200, "owner gate barely exercised"
     assert fraud_rollbacks > 100, "fraud guard barely exercised"
+    assert locked_steps > 100, "self-locks barely exercised"
     assert elapsed < 60.0, f"fuzz took {elapsed:.2f}s"
     _report(f"C6 1000 sequences ({committed} committed, {rolled_back} rolled back, "
             f"{proxy_checks} gate replays, {fraud_rollbacks} fraud rollbacks, "
+            f"{locked_steps} steps with a locked token, "
             f"{elapsed:.1f}s)")
 
 

@@ -82,15 +82,33 @@ def test_non_utf8_file_exits_two_and_goes_on(command, scenario_file, tmp_path, c
     ("queue_report \u00b2 closed", 14),
     ("advance " + "9" * 5000, 9),
     ("faucet alice " + "9" * 5000, 14),
+    (f"createtba alice t1 {2**300} b1", 20),
+    (f"queue_report {10**400} closed", 14),
+    ("faucet alice " + "9" * 4290 + "eth", 14),
+    (f"advance {2**256}", 9),
+    (f"faucet alice {2**256}", 14),
 ], ids=["advance superscript", "queue_report superscript",
-        "advance 5000 digits", "faucet 5000 digits"])
+        "advance 5000 digits", "faucet 5000 digits", "createtba salt 2**300",
+        "queue_report 10**400", "faucet 4290 nines eth", "advance 2**256",
+        "faucet 2**256"])
 def test_unconvertible_number_exits_two_at_parse_time(line, column, tmp_path, capsys):
     path = tmp_path / "number.scn"
-    path.write_text(f"actor alice\n{line}\n", encoding="utf-8")
+    path.write_text(f'actor alice\nminttoken alice t1 "x"\n{line}\n', encoding="utf-8")
     assert main(["run", str(path)]) == 2
     out = capsys.readouterr().out
-    assert out.startswith(f"parse_error file={path} line=2 col={column} ")
+    assert out.startswith(f"parse_error file={path} line=3 col={column} ")
     assert out.count("\n") == 1
+
+
+def test_largest_word_runs_in_every_number_role(tmp_path, capsys):
+    word = 2**256 - 1
+    path = tmp_path / "word.scn"
+    path.write_text(f'actor alice\nminttoken alice t1 "x"\ncreatetba alice t1 {word} b1\n'
+                    f"probe tba_address t1 {word}\nqueue_report {word} closed\n"
+                    f"faucet alice {word}\nadvance {word}\n")
+    assert main(["run", str(path)]) == 0
+    assert f"height={word}" in capsys.readouterr().out
+    assert main(["diff", str(path)]) == 1  # createtba has no nftaa analog
 
 
 def test_idle_advance_of_a_trillion_blocks_is_instant(tmp_path, capsys):

@@ -33,6 +33,12 @@ def test_create_eoa_duplicate_label(ledger):
     assert caught.value.code is ErrorCode.DUPLICATE_LABEL
 
 
+def test_create_eoa_rejects_the_system_label(ledger):
+    with pytest.raises(LedgerError) as caught:
+        ledger.create_eoa("__system__")
+    assert caught.value.code is ErrorCode.DUPLICATE_LABEL
+
+
 def test_create_eoa_distinct_labels(ledger):
     assert ledger.create_eoa("alice") != ledger.create_eoa("bob")
 

@@ -1,6 +1,6 @@
 """Scenario runner: lanes, groups, expectations, reports, differentials."""
 
-from nftaa_sim import EventKind, ScenarioRunner, parse_scenario, run_differential, run_scenario
+from nftaa_sim import EventKind, parse_scenario, run_differential, run_scenario
 
 
 def run_text(text, lane="native", seed=None):
@@ -193,13 +193,6 @@ def test_interrupt_lands_in_the_creation_seam():
     assert "tba_accounts=0" in tba.outcomes[-1].detail  # and no account
     commit = next(o for o in tba.outcomes if o.kind == "commit")
     assert "account=skipped" in commit.detail
-
-
-def test_seam_interrupt_records_no_counterfactual_address():
-    script = parse_scenario('actor alice\nbegin\nmintnftaa alice n1 "x"\ninterrupt\ncommit\n')
-    runner = ScenarioRunner(script, lane="tba")
-    runner.run()
-    assert runner.ledger.state.registry.seen == {}
 
 
 def test_differential_fraud_scenario():

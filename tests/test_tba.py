@@ -1,6 +1,7 @@
 """Token-bound accounts: counterfactual addresses, many accounts per token,
 silent tokens, missing guards, and the lock diagnostics."""
 
+import copy
 import random
 
 import pytest
@@ -85,16 +86,16 @@ def test_create_twice_same_salt(world):
     assert receipt.error.code is ErrorCode.ALREADY_DEPLOYED
 
 
-def test_rolled_back_create_leaves_seen_untouched(world):
+def test_rolled_back_create_leaves_no_record(world):
     ledger, alice, _, token_id = world
     ledger.compute_tba_address(token_id, salt_from_int(0))
-    seen = dict(ledger.state.registry.seen)
-    for salt in (salt_from_int(0), salt_from_int(5)):  # a key seen before, and a new one
+    before = copy.deepcopy(ledger.state)
+    for salt in (salt_from_int(0), salt_from_int(5)):  # a key probed before, and a new one
         receipt = ledger.submit(CreateTba(alice, ledger.state.registry.address,
                                           ledger.state.collection.address, token_id, salt),
                                 Fail())
         assert not receipt.committed
-        assert ledger.state.registry.seen == seen
+        assert ledger.state == before
     assert ledger.state.registry.records == {}
 
 
@@ -157,16 +158,20 @@ def test_transfer_to_another_tokens_tba_is_not_a_self_lock(world):
     # which gates other_tba, which owns token_id
 
 
-def test_counterfactual_probe_is_remembered_for_diagnostics(world):
-    # computing an address is enough for the registry to watch it, deployed
-    # or not; transfers can only reach existing accounts, so the deployed
-    # case is the one reachable end to end
-    ledger, _, _, token_id = world
-    probed = ledger.compute_tba_address(token_id, salt_from_int(9))
-    derived = ledger.state.registry.addresses_for_token(
-        ledger.state.collection.address, token_id)
-    assert probed in derived
-    assert detect_locked_nfts(ledger.state) == []  # watched, but nothing owned by it
+def test_computing_an_address_writes_nothing(world):
+    # an address is a pure function of its key; transfers can only reach
+    # existing accounts, so an undeployed address is never a token's owner
+    ledger, alice, _, token_id = world
+    ledger.create_tba(alice, token_id, salt_from_int(0))
+    before, digest = copy.deepcopy(ledger.state), ledger.state_digest()
+    for salt in (salt_from_int(9), salt_from_int(9), salt_from_int(0)):  # new, repeated, deployed
+        ledger.compute_tba_address(token_id, salt)
+    assert ledger.state == before
+    assert ledger.state_digest() == digest
+    receipt = ledger.submit(TransferToken(alice, ledger.state.collection.address, token_id,
+                                          ledger.compute_tba_address(token_id, salt_from_int(9))))
+    assert receipt.error.code is ErrorCode.UNKNOWN_ACCOUNT
+    assert detect_locked_nfts(ledger.state) == []
 
 
 def test_stranded_funds_in_no_execute_account(world):
