@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .runner import run_differential, run_scenario
 from .scenario import ScenarioParseError, parse_scenario
-from .staking import QueueConfig, estimate_drain_time, simulate_drain
+from .staking import QueueConfig, check_drain_size, estimate_drain_time, simulate_drain
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,7 +94,7 @@ def _cmd_queue(args, config: QueueConfig) -> int:
     if args.simulate:
         trace = simulate_drain(args.pending, config)
         if not args.no_trace:
-            sys.stdout.write("".join(f"{line}\n" for line in trace.trace_lines()))
+            sys.stdout.writelines(trace.trace_lines())
         print(trace.summary_line())
     else:
         print(estimate_drain_time(args.pending, config).summary_line())
@@ -112,6 +112,11 @@ def main(argv: list[str] | None = None) -> int:
         config = QueueConfig(missed_slot_probability=args.missed_prob, rng_seed=args.seed)
     except ValueError as bad:
         parser.error(f"argument --missed-prob: {bad}")  # exits 2
+    if args.simulate:
+        try:
+            check_drain_size(args.pending, config)
+        except ValueError as bad:
+            parser.error(f"argument --pending: {bad}")  # exits 2
     return _cmd_queue(args, config)
 
 

@@ -49,8 +49,8 @@ from .ops import (
     UpgradeAccount,
     WithdrawAssets,
 )
-from .scenario import CONFIG, EXECUTABLE, PROXY_FORMS, ScenarioScript, Step, parse_amount
-from .staking import QueueConfig, estimate_drain_time, simulate_drain
+from .scenario import EXECUTABLE, PROXY_FORMS, ScenarioScript, Step, parse_amount, queue_config
+from .staking import estimate_drain_time, simulate_drain
 from .tba import diagnostic_lines
 
 # outcome statuses
@@ -147,19 +147,12 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def build_config(script: ScenarioScript, seed: int | None = None) -> QueueConfig:
-    kwargs = {CONFIG[key][0]: CONFIG[key][1](value) for key, value in script.config}
-    if seed is not None:
-        kwargs["rng_seed"] = seed
-    return QueueConfig(**kwargs)
-
-
 class ScenarioRunner:
     def __init__(self, script: ScenarioScript, name: str = "scenario",
                  lane: str = "native", seed: int | None = None):
         self.script = script
         self.lane = lane
-        self.config = build_config(script, seed)
+        self.config = queue_config(script.config, seed)
         self.ledger = Ledger(self.config)
         self.report = RunReport(name, lane, self.config.rng_seed)
         # label -> (style, address, token_id); style is "actor", "token", "account" or

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .addresses import SALT_LEN
 from .errors import ErrorCode
-from .staking import ETH, QueueConfig
+from .staking import ETH, QueueConfig, check_drain_size
 
 _TOKEN = re.compile(r'"([^"]*)"|(\S+)')
 _AMOUNT = re.compile(r"^(\d+)(eth)?$")
@@ -43,6 +43,14 @@ CONFIG = {"seed": ("rng_seed", int), "unlock_delay": ("unlock_delay", int),
           "missed_prob": ("missed_slot_probability", float),
           "per_block_cap": ("per_block_cap", int), "blocks_per_day": ("blocks_per_day", int),
           "min_stake": ("min_stake", parse_amount)}
+
+
+def queue_config(pairs, seed: int | None = None) -> QueueConfig:
+    """The QueueConfig that a script's `set` lines give, with `seed` overriding its own."""
+    kwargs = {CONFIG[key][0]: CONFIG[key][1](value) for key, value in pairs}
+    if seed is not None:
+        kwargs["rng_seed"] = seed
+    return QueueConfig(**kwargs)
 
 
 def _converts(convert, value: str) -> bool:
@@ -162,9 +170,6 @@ class ScenarioScript:
     config: tuple[tuple[str, str], ...] = ()
     steps: tuple[Step, ...] = ()
 
-    def config_dict(self) -> dict[str, str]:
-        return dict(self.config)
-
 
 class _Token(NamedTuple):
     value: str
@@ -224,6 +229,11 @@ class _Parser:
         values = self.match(head, form, tokens)
         if kind == "set":
             return self.configure(*tokens)
+        if kind == "queue_report" and values[1] == "simulate":
+            try:  # every `set` line has been seen: they lead the file
+                check_drain_size(int(values[0]), queue_config(self.config))
+            except ValueError as bad:
+                self.fail(tokens[0], f"queue_report simulate: {bad}")
         self.in_group = kind == "begin" or (self.in_group and kind != "commit")
         self.steps.append(Step(kind, tuple(values), self.line_no))
 

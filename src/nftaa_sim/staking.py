@@ -5,10 +5,12 @@ cap of 16 and 7,200 blocks per simulated day that is a ceiling of 115,200
 withdrawals per day; a backlog of 800,000 takes 50,000 blocks, just under
 seven days. A slot can also be "missed" (Bernoulli draw from the ledger's
 seeded generator), in which case the block processes nothing and the backlog
-slips proportionally. `block_take` is that rule, in one place: the ledger's
-queue and the standalone drain both ask it how many entries a block takes.
-The standalone drain needs only the count, so it never builds an entry, and
-its cost is one step per block with work left.
+slips proportionally. `block_take` is that rule for the ledger's queue, one
+block at a time. The standalone drain applies the same rule one batch at a
+time: it needs only the count, so it never builds an entry, and it draws the
+missed slots of many blocks in one pass, consuming the generator exactly as
+the block-at-a-time rule would. A simulated drain is capped at
+`MAX_DRAIN_BLOCKS` expected blocks, since it keeps one list slot per block.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, islice
+from operator import sub
 
 from .addresses import Address
 
@@ -24,6 +28,9 @@ ETH = 10**18
 MIN_STAKE = 32 * ETH  # validator entry threshold
 PER_BLOCK_CAP = 16
 BLOCKS_PER_DAY = 7_200  # 115,200 withdrawals/day at 16 per block
+MAX_DRAIN_BLOCKS = 10**7  # longest simulated drain: about 1,389 days at 7,200 blocks a day
+TRACE_CHUNK_LINES = 4_096
+_TRACE_LINE = "block=%s processed=%s remaining=%s\n"  # %s renders an int as str() does
 
 
 @dataclass
@@ -126,27 +133,56 @@ class DrainTrace:
         return f"drained_in_blocks={self.blocks} days={self.days:.3f}"
 
     def trace_lines(self):
-        remaining = sum(self.per_block)
-        for block, processed in enumerate(self.per_block, start=1):
-            remaining -= processed
-            yield f"block={block} processed={processed} remaining={remaining}"
+        """The trace as text, one `block=<h> processed=<n> remaining=<m>` line per block.
+
+        Yields newline-terminated chunks of up to TRACE_CHUNK_LINES lines, each
+        built by one %-format over a flat tuple of the chunk's values. An empty
+        drain yields nothing.
+        """
+        per_block = self.per_block
+        remaining = accumulate(per_block, sub, initial=sum(per_block))
+        next(remaining)  # the backlog before the first block
+        rows = zip(range(1, len(per_block) + 1), per_block, remaining)
+        while chunk := tuple(chain.from_iterable(islice(rows, TRACE_CHUNK_LINES))):
+            yield (_TRACE_LINE * (len(chunk) // 3)) % chunk
+
+
+def check_drain_size(pending_count: int, config: QueueConfig) -> None:
+    """Raise ValueError when draining `pending_count` entries is expected to
+    take more than MAX_DRAIN_BLOCKS blocks, too many to simulate one by one."""
+    blocks = estimate_drain_time(pending_count, config).blocks
+    if blocks > MAX_DRAIN_BLOCKS:
+        raise ValueError(f"a simulated drain of {pending_count} entries takes about "
+                         f"{blocks} blocks, more than {MAX_DRAIN_BLOCKS}")
 
 
 def simulate_drain(pending_count: int, config: QueueConfig,
                    rng: random.Random | None = None) -> DrainTrace:
     """Drain a backlog of `pending_count` entries and record how many each block took.
 
-    Only the count is kept: each block asks `block_take`, as the ledger's
-    queue does, so the trace and the draws match a queue of real entries.
+    Only the count is kept, and the draws are those of `block_take`, as the
+    ledger's queue makes them, so the trace and the generator's final state
+    match a queue of real entries. A drain needs exactly `ceil(pending / cap)`
+    blocks that are not missed. While `need` of them are owed, the next `need`
+    blocks are drawn as one batch: the drain lasts at least that long, so a
+    batch never draws past its last block. At p = 0 nothing is drawn. Raises
+    ValueError, before drawing, when `check_drain_size` rejects the backlog.
     """
+    check_drain_size(pending_count, config)
     if rng is None:
         rng = random.Random(config.rng_seed)
-    per_block = []
-    remaining = pending_count
-    while remaining > 0:
-        taken = block_take(remaining, config, rng)
-        per_block.append(taken)
-        remaining -= taken
+    cap, missed = config.per_block_cap, config.missed_slot_probability
+    busy = max(-(-pending_count // cap), 0)  # ceil division; a negative backlog is empty
+    if missed > 0.0:
+        per_block, need = [], busy
+        while need:
+            batch = [cap if rng.random() >= missed else 0 for _ in range(need)]
+            per_block += batch
+            need -= batch.count(cap)
+    else:
+        per_block = [cap] * busy
+    if busy:
+        per_block[-1] = pending_count - (busy - 1) * cap
     return DrainTrace(per_block, config)
 
 

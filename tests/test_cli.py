@@ -10,6 +10,8 @@ import pytest
 
 import nftaa_sim
 from nftaa_sim.cli import main
+from nftaa_sim.scenario import ScenarioParseError, parse_scenario
+from nftaa_sim.staking import MAX_DRAIN_BLOCKS
 
 GOOD = (
     'actor alice\n'
@@ -237,6 +239,59 @@ def test_queue_simulate_no_trace(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[-1] == "drained_in_blocks=7200 days=1.000"
     assert len(lines) == 2  # header + summary
+
+
+def test_queue_simulate_empty_prints_header_and_summary(capsys):
+    assert main(["queue", "--pending", "0", "--simulate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["mode=simulate pending=0 per_block_cap=16 blocks_per_day=7200 "
+                     "missed_prob=0.000", "drained_in_blocks=0 days=0.000"]
+
+
+def test_queue_simulate_beyond_the_drain_cap_exits_two(capsys):
+    started = time.monotonic()
+    with pytest.raises(SystemExit) as caught:
+        main(["queue", "--pending", str(16 * MAX_DRAIN_BLOCKS + 1), "--simulate"])
+    assert caught.value.code == 2
+    assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --pending: a simulated drain of 160000001 entries takes about " \
+        "10000001 blocks, more than 10000000" in captured.err
+
+
+def test_queue_simulate_at_the_drain_cap_runs(capsys):
+    assert main(["queue", "--pending", str(16 * MAX_DRAIN_BLOCKS), "--simulate",
+                 "--no-trace"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "drained_in_blocks=10000000 days=1388.889"
+    assert main(["queue", "--pending", str(10**12)]) == 0  # the closed form has no cap
+    assert capsys.readouterr().out.endswith("drained_in_blocks=62500000000 days=8680555.556\n")
+
+
+@pytest.mark.parametrize("settings", ["", "set missed_prob 0.999\n"],
+                         ids=["p=0", "p=0.999"])
+def test_queue_report_beyond_the_drain_cap_exits_two_at_parse_time(settings, tmp_path, capsys):
+    path = tmp_path / "huge.scn"
+    path.write_text(f"{settings}actor alice\nqueue_report 1000000000000 simulate\n")
+    started = time.monotonic()
+    assert main(["run", str(path)]) == 2
+    assert time.monotonic() - started < 1.0
+    out = capsys.readouterr().out
+    line = settings.count("\n") + 2
+    assert out.startswith(f"parse_error file={path} line={line} col=14 queue_report simulate: "
+                          "a simulated drain of 1000000000000 entries takes about ")
+    assert out.count("\n") == 1
+
+
+def test_queue_report_at_the_drain_cap_parses(tmp_path, capsys):
+    """The parse-time check reads the script's own `set` lines; closed reports stay unbounded."""
+    at_cap = 1_000_000 * MAX_DRAIN_BLOCKS
+    script = (f"set per_block_cap 1000000\nqueue_report {at_cap} simulate\n"
+              f"queue_report {at_cap + 1} closed\n")
+    assert [step.kind for step in parse_scenario(script).steps] == ["queue_report"] * 2
+    with pytest.raises(ScenarioParseError, match="more than 10000000"):
+        parse_scenario(f"set per_block_cap 1000000\nqueue_report {at_cap + 1} simulate\n")
 
 
 def test_queue_seeded_simulation_is_reproducible(capsys):

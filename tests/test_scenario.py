@@ -109,7 +109,7 @@ def test_set_must_lead_the_file():
     with pytest.raises(ScenarioParseError):
         parse_scenario("actor a\nset seed 4\n")
     script = parse_scenario("set seed 4\nset unlock_delay 9\nactor a\n")
-    assert script.config_dict() == {"seed": "4", "unlock_delay": "9"}
+    assert dict(script.config) == {"seed": "4", "unlock_delay": "9"}
 
 
 def test_unknown_config_key():

@@ -25,7 +25,7 @@ from nftaa_sim import (
     simulate_drain,
     simulate_saturated_days,
 )
-from nftaa_sim.staking import binomial_variate
+from nftaa_sim.staking import MAX_DRAIN_BLOCKS, TRACE_CHUNK_LINES, binomial_variate
 
 
 @pytest.fixture
@@ -321,8 +321,10 @@ def test_advance_blocks_matches_one_block_at_a_time(probability, count):
     assert jumped.state_digest() == stepped.state_digest()
 
 
-def _entry_queue_drain(pending_count: int, config: QueueConfig) -> list[int]:
-    """Reference drain: a queue of real entries, one process_block per block."""
+def _entry_queue_drain(pending_count: int, config: QueueConfig) -> tuple[list[int], tuple]:
+    """Reference drain: a queue of real entries, one process_block per block.
+
+    Returns the per-block counts and the generator's state after the drain."""
     rng = random.Random(config.rng_seed)
     queue = WithdrawalQueue()
     for _ in range(pending_count):
@@ -330,14 +332,58 @@ def _entry_queue_drain(pending_count: int, config: QueueConfig) -> list[int]:
     per_block = []
     while queue.pending:
         per_block.append(len(queue.process_block(config, rng)))
-    return per_block
+    return per_block, rng.getstate()
 
 
-@pytest.mark.parametrize("probability", [0.0, 0.1, 0.25])
+@pytest.mark.parametrize("probability", [0.0, 0.1, 0.25, 0.9])
 @pytest.mark.parametrize("pending", [0, 1, 17, 10_007])
 def test_count_drain_matches_the_entry_queue(probability, pending):
-    config = QueueConfig(missed_slot_probability=probability, rng_seed=19)
-    assert simulate_drain(pending, config).per_block == _entry_queue_drain(pending, config)
+    """Same counts and same final generator state, so a batch that draws past
+    the drain's last block fails here."""
+    for cap in (1, 7, 16):
+        config = QueueConfig(per_block_cap=cap, missed_slot_probability=probability, rng_seed=19)
+        rng = random.Random(config.rng_seed)
+        per_block, state = _entry_queue_drain(pending, config)
+        assert simulate_drain(pending, config, rng).per_block == per_block
+        assert rng.getstate() == state
+
+
+def test_drain_without_misses_draws_no_randomness():
+    rng = random.Random(5)
+    state_before = rng.getstate()
+    assert simulate_drain(10_007, QueueConfig(), rng).per_block == [16] * 625 + [7]
+    assert rng.getstate() == state_before
+
+
+def _reference_trace(per_block: list[int]) -> str:
+    """The trace rendered one line at a time."""
+    lines, remaining = [], sum(per_block)
+    for block, processed in enumerate(per_block, start=1):
+        remaining -= processed
+        lines.append(f"block={block} processed={processed} remaining={remaining}\n")
+    return "".join(lines)
+
+
+def test_trace_renders_in_chunks_like_one_line_at_a_time():
+    """A drain with misses over more than two chunks, and an empty drain."""
+    trace = simulate_drain(200_000, QueueConfig(missed_slot_probability=0.1, rng_seed=3))
+    assert trace.blocks > 2 * TRACE_CHUNK_LINES and 0 in trace.per_block
+    chunks = list(trace.trace_lines())
+    assert len(chunks) == -(-trace.blocks // TRACE_CHUNK_LINES)
+    assert all(chunk.count("\n") == TRACE_CHUNK_LINES for chunk in chunks[:-1])
+    assert "".join(chunks) == _reference_trace(trace.per_block)
+    assert list(simulate_drain(0, QueueConfig()).trace_lines()) == []
+
+
+def test_drain_longer_than_the_cap_is_refused_before_any_draw():
+    rng = random.Random(5)
+    state_before = rng.getstate()
+    for pending, probability in ((10**12, 0.0), (10**12, 0.999), (16 * MAX_DRAIN_BLOCKS + 1, 0.0)):
+        with pytest.raises(ValueError, match="more than 10000000"):
+            simulate_drain(pending, QueueConfig(missed_slot_probability=probability), rng)
+    assert rng.getstate() == state_before
+    # the closed form stays unbounded
+    assert estimate_drain_time(10**12, QueueConfig()).blocks == 62_500_000_000
 
 
 def test_saturated_day_spread_is_binomial():
