@@ -382,8 +382,6 @@ def test_drain_longer_than_the_cap_is_refused_before_any_draw():
         with pytest.raises(ValueError, match="more than 10000000"):
             simulate_drain(pending, QueueConfig(missed_slot_probability=probability), rng)
     assert rng.getstate() == state_before
-    # the closed form stays unbounded
-    assert estimate_drain_time(10**12, QueueConfig()).blocks == 62_500_000_000
 
 
 def test_saturated_day_spread_is_binomial():
