@@ -6,12 +6,12 @@ integers in the smallest denomination; `<n>eth` is sugar for n * 10^18.
 `expect_error CODE` qualifies the step it immediately follows.
 
 STEP_KINDS is the vocabulary: a row gives one or more step kinds their group
-and the roles of their arguments, and one matcher checks every line against it.
-Roles: `@type` references a label declared earlier (`@` any type; type
-`none` also takes that bare word), `+type` declares one, `amount`, `int`, a
-quoted `note`, `hex64`, `key=value` (an `@label` value must be declared),
-`code` (an ErrorCode value, ok or partial), any `word`, a literal set `a|b`,
-the `method`/`form` sub-tables, and `?`/`*` for optional/repeated roles.
+and the roles of their arguments, each decoded once into the check that the
+matcher calls per argument. Roles: `@type` references a label declared earlier
+(`@` any type; type `none` also takes that bare word), `+type` declares one,
+`amount`, `int`, a quoted `note`, `hex64`, `key=value` (an `@label` value must
+be declared), `code` (an ErrorCode value, ok or partial), any `word`, a literal
+set `a|b`, the `method`/`form` sub-tables, and `?`/`*` for optional/repeated roles.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .addresses import SALT_LEN
 from .errors import ErrorCode
 from .staking import ETH, QueueConfig, check_drain_size
 
-_TOKEN = re.compile(r'"([^"]*)"|(\S+)')
+_SCAN = re.compile(r'"([^"]*)"|(#.*)|(\S+)')  # quoted value, comment to line end, word
 _AMOUNT = re.compile(r"^(\d+)(eth)?$")
 _LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 _CODES = frozenset(code.value for code in ErrorCode) | {"ok", "partial"}
@@ -61,54 +61,86 @@ def _converts(convert, value: str) -> bool:
         return False
 
 
-# role -> (test on a token and the role's words, message when the test fails)
+def _use(types: tuple[str, ...]):
+    """The check of a label reference: declared earlier and, given `types`, of one of them."""
+    def check(parser, value, position):
+        if value == "none" and "none" in types:
+            return
+        declared = parser.labels.get(value)
+        if declared is None:
+            parser.fail(position, f"label {value!r} not declared", "UnknownLabel")
+        if types and declared not in types:
+            parser.fail(position, f"label {value!r} is {declared}, expected {' or '.join(types)}")
+    return check
+
+
+def _declare(types: tuple[str, ...]):
+    """The check of a label declaration, which records the label as `types[0]`."""
+    def check(parser, value, position):
+        if value in parser.labels:
+            parser.fail(position, f"label {value!r} already declared")
+        if not _LABEL.fullmatch(value):
+            parser.fail(position, f"bad label {value!r}")
+        parser.labels[value] = types[0]
+    return check
+
+
+def _key_value(parser, value: str, position: int):
+    _, equals, target = value.partition("=")
+    equals or parser.fail(position, "expected key=value")
+    if target.startswith("@"):
+        _use(())(parser, target[1:], position)
+
+
+# role -> check(parser, value, position): returns if `value`, at `position` of
+# its line, fills the role, and raises through parser.fail if it does not
 _CHECKS = {
-    "amount": (lambda t, _: _converts(parse_amount, t.value),
-               "bad amount {!r} (at most 2**256 - 1)"),
-    "int": (lambda t, _: t.value.isdigit() and _converts(int, t.value),
-            "expected integer below 2**256, got {!r}"),
-    "note": (lambda t, _: t.quoted, "note must be quoted"),
-    "hex64": (lambda t, _: re.fullmatch("[0-9a-f]{64}", t.value), "expected 64 lowercase hex"),
-    "key=value": (lambda t, _: "=" in t.value, "expected key=value"),
-    "code": (lambda t, _: t.value in _CODES, "unknown error code {!r}"),
-    "word": (lambda t, _: True, ""),
-    "literal": (lambda t, words: t.value in words, "expected {1}, got {0!r}"),
+    "amount": lambda p, v, i: _converts(parse_amount, v)
+    or p.fail(i, f"bad amount {v!r} (at most 2**256 - 1)"),
+    "int": lambda p, v, i: v.isdigit() and _converts(int, v)
+    or p.fail(i, f"expected integer below 2**256, got {v!r}"),
+    "note": lambda p, v, i: i in p.quoted or p.fail(i, "note must be quoted"),
+    "hex64": lambda p, v, i: re.fullmatch("[0-9a-f]{64}", v)
+    or p.fail(i, "expected 64 lowercase hex"),
+    "key=value": _key_value,
+    "code": lambda p, v, i: v in _CODES or p.fail(i, f"unknown error code {v!r}"),
+    "word": lambda p, v, i: None,
 }
+_BUILT = {"@": _use, "+": _declare, "literal": lambda words: lambda p, v, i: v in words
+          or p.fail(i, f"expected {' or '.join(words)}, got {v!r}")}  # role -> words -> check
 
 
 class _Role(NamedTuple):
-    test: str                    # "@", "+", a key of _CHECKS or a sub-table name
-    words: tuple[str, ...] = ()  # label types of @ and +, the accepted words of a literal
-    count: str = ""              # "", "?" (optional) or "*" (optional, repeats)
-    forms: dict | None = None    # sub-table: the next token picks the remaining roles
+    test: str                    # "@", "+", "literal", a key of _CHECKS or a sub-table name
+    check: object                # check(parser, value, position), as in _CHECKS
 
 
 class _Form(NamedTuple):
     group: str
     roles: tuple[_Role, ...]
-    low: int                     # fewest arguments
-    high: int | None             # most arguments; None after a `*` role or a sub-table
+    low: int                     # fewest arguments: roles not marked `?` (optional) or `*`
+    high: int | None             # most arguments; None after a repeating `*` role or a sub-table
+    table: dict | None           # a last sub-table role's: the next value picks the rest
 
 
 def _table(rows: dict[str, str], grouped: bool = False, **subtables: dict) -> dict[str, _Form]:
-    """Decode each row once: `names -> [group] role role ...`."""
+    """Decode each row once: `names -> [group] role role ...`, each role with its check."""
     table = {}
     for names, row in rows.items():
         group, _, spec = row.partition(" ") if grouped else ("", "", row)
-        roles = []
+        roles, low = [], 0
         for word in spec.split():
             bare = word.rstrip("?*")
-            if bare[0] in "@+":
-                test, words = bare[0], bare[1:]
-            else:
-                test, words = (bare, "") if bare in _CHECKS or bare in subtables \
-                    else ("literal", bare)
-            roles.append(_Role(test, tuple(filter(None, words.split("|"))), word[len(bare):],
-                               subtables.get(bare)))
-        last = roles[-1] if roles else _Role("")
-        high = None if last.count == "*" or last.forms else len(roles)
-        for name in names.split():
-            table[name] = _Form(group, tuple(roles), sum(not role.count for role in roles), high)
+            low += bare == word
+            test, words = (bare[0], bare[1:]) if bare[0] in "@+" else (bare, "") \
+                if bare in _CHECKS or bare in subtables else ("literal", bare)
+            words = tuple(filter(None, words.split("|")))
+            check = _BUILT[test](words) if test in _BUILT else _CHECKS.get(test, _CHECKS["word"])
+            roles.append(_Role(test, check))
+        sub = subtables.get(roles[-1].test) if roles else None
+        high = None if sub or spec.endswith("*") else len(roles)
+        form = _Form(group, tuple(roles), low, high, sub)
+        table.update(dict.fromkeys(names.split(), form))
     return table
 
 
@@ -171,133 +203,101 @@ class ScenarioScript:
     steps: tuple[Step, ...] = ()
 
 
-class _Token(NamedTuple):
-    value: str
-    column: int
-    quoted: bool
-
-
-def _tokenize(line: str) -> list[_Token]:
-    tokens = []
-    for match in _TOKEN.finditer(line):
-        quoted, bare = match.groups()
-        if bare is not None and bare.startswith("#"):
-            break
-        tokens.append(_Token(bare or quoted, match.start() + 1, quoted is not None))
-    return tokens
+def _scan(line: str) -> tuple[list[str], tuple | set[int]]:
+    """A line's values, and the positions of those that were quoted."""
+    if '"' not in line and "#" not in line:
+        return line.split(), ()  # the same words as _SCAN would find
+    found = _SCAN.findall(line)
+    if found and found[-1][1]:  # a comment, which runs to the end of the line
+        found.pop()
+    return [bare or inner for inner, _, bare in found], \
+        {position for position, (_, _, bare) in enumerate(found) if not bare}
 
 
 class _Parser:
     """Single pass over the lines, tracking label declarations as it goes."""
 
-    def __init__(self):
-        self.labels: dict[str, str] = {}  # name -> actor | account | token
-        self.config: list[tuple[str, str]] = []
-        self.steps: list[Step] = []
-        self.in_group = False
-
-    def fail(self, token: _Token, message: str, code: str = "ParseError"):
-        raise ScenarioParseError(self.line_no, token.column, message, code)
+    def fail(self, position: int, message: str, code: str = "ParseError"):
+        """Raise at the value at `position` of the current line, only now finding its column."""
+        columns = [match.start() + 1 for match in _SCAN.finditer(self.lines[self.line_no - 1])]
+        raise ScenarioParseError(self.line_no, columns[position], message, code)
 
     def parse(self, text: str) -> ScenarioScript:
-        for self.line_no, raw in enumerate(text.splitlines(), start=1):
-            tokens = _tokenize(raw)
-            if tokens:
-                self.step(tokens[0], tokens[1:])
+        self.labels: dict[str, str] = {}  # name -> actor | account | token
+        self.config, self.steps, self.in_group, self.lines = [], [], False, text.splitlines()
+        for self.line_no, line in enumerate(self.lines, start=1):
+            values, self.quoted = _scan(line)
+            if values:
+                self.step(values)
         if self.in_group:
             opened = next(s.line for s in reversed(self.steps) if s.kind == "begin")
             raise ScenarioParseError(opened, 1, "begin without matching commit")
         return ScenarioScript(tuple(self.config), tuple(self.steps))
 
-    def step(self, head: _Token, tokens: list[_Token]):
-        kind = head.value
+    def step(self, values: list[str]):
+        kind = values[0]
         form = STEP_KINDS.get(kind)
         if form is None:
-            self.fail(head, f"unknown step {kind!r}", code="UnknownStepKind")
+            self.fail(0, f"unknown step {kind!r}", code="UnknownStepKind")
         if self.in_group and form.group != "tx" and kind != "commit":
-            self.fail(head, f"{kind} cannot appear inside a transaction group")
+            self.fail(0, f"{kind} cannot appear inside a transaction group")
         if kind == "set" and self.steps:
-            self.fail(head, "set must appear before any step")
+            self.fail(0, "set must appear before any step")
         if kind == "commit" and not self.in_group:
-            self.fail(head, "commit without begin")
+            self.fail(0, "commit without begin")
         if kind in ("expect_error", "expect_tba"):
             # the step it qualifies, looking past an expectation for the other lane
             other = "expect_tba" if kind == "expect_error" else "expect_error"
             recent = [step.kind for step in self.steps[-2:] if step.kind != other]
             if not recent or recent[-1] not in EXECUTABLE:
-                self.fail(head, f"{kind} must immediately follow an executable step")
-        values = self.match(head, form, tokens)
+                self.fail(0, f"{kind} must immediately follow an executable step")
+        self.match(values, 1, form)
         if kind == "set":
-            return self.configure(*tokens)
-        if kind == "queue_report" and values[1] == "simulate":
-            try:  # every `set` line has been seen: they lead the file
-                check_drain_size(int(values[0]), queue_config(self.config))
+            try:
+                queue_config([values[1:]])
             except ValueError as bad:
-                self.fail(tokens[0], f"queue_report simulate: {bad}")
+                self.fail(2, f"bad {values[1]} {values[2]!r}: {bad}")
+            return self.config.append(tuple(values[1:]))
+        if kind == "queue_report" and values[2] == "simulate":
+            try:  # every `set` line has been seen: they lead the file
+                check_drain_size(int(values[1]), queue_config(self.config))
+            except ValueError as bad:
+                self.fail(1, f"queue_report simulate: {bad}")
         self.in_group = kind == "begin" or (self.in_group and kind != "commit")
-        self.steps.append(Step(kind, tuple(values), self.line_no))
+        self.steps.append(Step(kind, tuple(values[1:]), self.line_no))
 
-    def match(self, head: _Token, form: _Form, tokens: list[_Token]) -> list[str]:
-        """Check the tokens after `head` against the roles of its form; returns their values."""
-        given = len(tokens)
+    def match(self, values: list[str], start: int, form: _Form):
+        """Check values[start:] against the roles of `form`, which values[start - 1] names."""
+        given, roles = len(values) - start, form.roles
         if not form.low <= given <= (given if form.high is None else form.high):
             expected = str(form.low) if form.low == form.high else f"{form.low}..{form.high or ''}"
-            self.fail(head, f"{head.value} takes {expected} argument(s), got {given}")
-        values, roles = [], form.roles
-        for position, token in enumerate(tokens):
-            role = roles[position] if position < len(roles) else roles[-1]
-            if role.forms is not None:
-                sub = role.forms.get(token.value)
-                if sub is None:
-                    self.fail(token, f"unknown {head.value} {role.test} {token.value!r}")
-                return values + [token.value] + self.match(token, sub, tokens[position + 1:])
-            values.append(self.check(role, token))
-        return values
-
-    def check(self, role: _Role, token: _Token) -> str:
-        value = token.value
-        if role.test == "@":
-            if value == "none" and "none" in role.words:
-                return value
-            declared = self.labels.get(value)
-            if declared is None:
-                self.fail(token, f"label {value!r} not declared", code="UnknownLabel")
-            if role.words and declared not in role.words:
-                self.fail(token, f"label {value!r} is {declared}, "
-                                 f"expected {' or '.join(role.words)}")
-        elif role.test == "+":
-            if value in self.labels:
-                self.fail(token, f"label {value!r} already declared")
-            if not _LABEL.fullmatch(value):
-                self.fail(token, f"bad label {value!r}")
-            self.labels[value] = role.words[0]
-        else:
-            satisfied, message = _CHECKS[role.test]
-            if not satisfied(token, role.words):
-                self.fail(token, message.format(value, " or ".join(role.words)))
-            target = value.partition("=")[2]
-            if role.test == "key=value" and target.startswith("@"):
-                self.check(_Role("@"), token._replace(value=target[1:]))
-        return value
-
-    def configure(self, key: _Token, value: _Token):
-        name, convert = CONFIG[key.value]
-        try:
-            QueueConfig(**{name: convert(value.value)})
-        except ValueError as bad:
-            self.fail(value, f"bad {key.value} {value.value!r}: {bad}")
-        self.config.append((key.value, value.value))
+            self.fail(start - 1, f"{values[start - 1]} takes {expected} argument(s), got {given}")
+        if given > len(roles) and form.table is None:  # a last `*` role repeats
+            roles += roles[-1:] * (given - len(roles))
+        for position, role in zip(range(start, len(values)), roles):
+            role.check(self, values[position], position)
+        if form.table is not None:
+            position = start + len(roles) - 1
+            sub = values[position]
+            if sub not in form.table:
+                self.fail(position, f"unknown {values[start - 1]} {roles[-1].test} {sub!r}")
+            self.match(values, position + 1, form.table[sub])
 
 
 def parse_scenario(text: str) -> ScenarioScript:
     return _Parser().parse(text)
 
 
+def _quote(arg: str, note: bool = False) -> str:
+    """`arg` as a script writes it: quoted if a note, empty, spaced or led by `#`."""
+    return f'"{arg}"' if note or arg.split() != [arg] or arg[:1] == "#" else arg
+
+
 def serialize_scenario(script: ScenarioScript) -> str:
-    lines = [f"set {key} {value}" for key, value in script.config]
+    lines = [f"set {key} {_quote(value)}" for key, value in script.config]
     for step in script.steps:
         roles = STEP_KINDS[step.kind].roles
         lines.append(" ".join([step.kind] + [
-            f'"{arg}"' if position < len(roles) and roles[position].test == "note" else arg
+            _quote(arg, position < len(roles) and roles[position].test == "note")
             for position, arg in enumerate(step.args)]))
     return "\n".join(lines) + ("\n" if lines else "")
