@@ -414,7 +414,7 @@ class ScenarioRunner:
         caller, target = self.address_of(actor), self.address_of(account)
         fields: dict[str, object] = {}
         for role, value in zip(PROXY_FORMS[method].roles, rest):
-            if role.test == "amount":
+            if role == "amount":
                 fields["amount"] = parse_amount(value)
             else:
                 fields["to"] = self.address_of(value)

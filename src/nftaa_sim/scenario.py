@@ -29,6 +29,7 @@ _AMOUNT = re.compile(r"^(\d+)(eth)?$")
 _LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 _CODES = frozenset(code.value for code in ErrorCode) | {"ok", "partial"}
 _WORD = 1 << 8 * SALT_LEN  # int and amount values fit one 256-bit word, as a salt does
+_SHORT = len(str(_WORD)) - 1  # a number of at most this many digits is below _WORD
 
 
 def parse_amount(token: str) -> int:
@@ -95,7 +96,7 @@ def _key_value(parser, value: str, position: int):
 # role -> check(parser, value, position): returns if `value`, at `position` of
 # its line, fills the role, and raises through parser.fail if it does not
 _CHECKS = {
-    "amount": lambda p, v, i: _converts(parse_amount, v)
+    "amount": lambda p, v, i: len(v) <= _SHORT and v.isdecimal() or _converts(parse_amount, v)
     or p.fail(i, f"bad amount {v!r} (at most 2**256 - 1)"),
     "int": lambda p, v, i: v.isdigit() and _converts(int, v)
     or p.fail(i, f"expected integer below 2**256, got {v!r}"),
@@ -110,14 +111,10 @@ _BUILT = {"@": _use, "+": _declare, "literal": lambda words: lambda p, v, i: v i
           or p.fail(i, f"expected {' or '.join(words)}, got {v!r}")}  # role -> words -> check
 
 
-class _Role(NamedTuple):
-    test: str                    # "@", "+", "literal", a key of _CHECKS or a sub-table name
-    check: object                # check(parser, value, position), as in _CHECKS
-
-
 class _Form(NamedTuple):
     group: str
-    roles: tuple[_Role, ...]
+    roles: tuple[str, ...]       # "@", "+", "literal", a key of _CHECKS or a sub-table name
+    checks: tuple                # each role's check(parser, value, position), as in _CHECKS
     low: int                     # fewest arguments: roles not marked `?` (optional) or `*`
     high: int | None             # most arguments; None after a repeating `*` role or a sub-table
     table: dict | None           # a last sub-table role's: the next value picks the rest
@@ -128,18 +125,19 @@ def _table(rows: dict[str, str], grouped: bool = False, **subtables: dict) -> di
     table = {}
     for names, row in rows.items():
         group, _, spec = row.partition(" ") if grouped else ("", "", row)
-        roles, low = [], 0
+        roles, checks, low = [], [], 0
         for word in spec.split():
             bare = word.rstrip("?*")
             low += bare == word
             test, words = (bare[0], bare[1:]) if bare[0] in "@+" else (bare, "") \
                 if bare in _CHECKS or bare in subtables else ("literal", bare)
             words = tuple(filter(None, words.split("|")))
-            check = _BUILT[test](words) if test in _BUILT else _CHECKS.get(test, _CHECKS["word"])
-            roles.append(_Role(test, check))
-        sub = subtables.get(roles[-1].test) if roles else None
+            roles.append(test)  # a sub-table role checks nothing: `match` looks its value up
+            checks.append(_BUILT[test](words) if test in _BUILT
+                          else _CHECKS.get(test, _CHECKS["word"]))
+        sub = subtables.get(roles[-1]) if roles else None
         high = None if sub or spec.endswith("*") else len(roles)
-        form = _Form(group, tuple(roles), low, high, sub)
+        form = _Form(group, tuple(roles), tuple(checks), low, high, sub)
         table.update(dict.fromkeys(names.split(), form))
     return table
 
@@ -227,61 +225,63 @@ class _Parser:
         self.config, self.steps, self.in_group, self.lines = [], [], False, text.splitlines()
         for self.line_no, line in enumerate(self.lines, start=1):
             values, self.quoted = _scan(line)
-            if values:
-                self.step(values)
+            if not values:
+                continue
+            kind = values[0]
+            form = STEP_KINDS.get(kind)
+            if form is None:
+                self.fail(0, f"unknown step {kind!r}", code="UnknownStepKind")
+            if self.in_group and form.group != "tx" and kind != "commit":
+                self.fail(0, f"{kind} cannot appear inside a transaction group")
+            if kind == "set" and self.steps:
+                self.fail(0, "set must appear before any step")
+            if kind == "commit" and not self.in_group:
+                self.fail(0, "commit without begin")
+            if kind in ("expect_error", "expect_tba"):
+                # the step it qualifies, looking past an expectation for the other lane
+                other = "expect_tba" if kind == "expect_error" else "expect_error"
+                recent = [step.kind for step in self.steps[-2:] if step.kind != other]
+                if not recent or recent[-1] not in EXECUTABLE:
+                    self.fail(0, f"{kind} must immediately follow an executable step")
+            self.match(values, 1, form)
+            if kind == "set":
+                try:
+                    queue_config([values[1:]])
+                except ValueError as bad:
+                    self.fail(2, f"bad {values[1]} {values[2]!r}: {bad}")
+                self.config.append(tuple(values[1:]))
+                continue
+            if kind == "queue_report" and values[2] == "simulate":
+                try:  # every `set` line has been seen: they lead the file
+                    check_drain_size(int(values[1]), queue_config(self.config))
+                except ValueError as bad:
+                    self.fail(1, f"queue_report simulate: {bad}")
+            self.in_group = kind == "begin" or (self.in_group and kind != "commit")
+            self.steps.append(Step(kind, tuple(values[1:]), self.line_no))
         if self.in_group:
             opened = next(s.line for s in reversed(self.steps) if s.kind == "begin")
             raise ScenarioParseError(opened, 1, "begin without matching commit")
         return ScenarioScript(tuple(self.config), tuple(self.steps))
 
-    def step(self, values: list[str]):
-        kind = values[0]
-        form = STEP_KINDS.get(kind)
-        if form is None:
-            self.fail(0, f"unknown step {kind!r}", code="UnknownStepKind")
-        if self.in_group and form.group != "tx" and kind != "commit":
-            self.fail(0, f"{kind} cannot appear inside a transaction group")
-        if kind == "set" and self.steps:
-            self.fail(0, "set must appear before any step")
-        if kind == "commit" and not self.in_group:
-            self.fail(0, "commit without begin")
-        if kind in ("expect_error", "expect_tba"):
-            # the step it qualifies, looking past an expectation for the other lane
-            other = "expect_tba" if kind == "expect_error" else "expect_error"
-            recent = [step.kind for step in self.steps[-2:] if step.kind != other]
-            if not recent or recent[-1] not in EXECUTABLE:
-                self.fail(0, f"{kind} must immediately follow an executable step")
-        self.match(values, 1, form)
-        if kind == "set":
-            try:
-                queue_config([values[1:]])
-            except ValueError as bad:
-                self.fail(2, f"bad {values[1]} {values[2]!r}: {bad}")
-            return self.config.append(tuple(values[1:]))
-        if kind == "queue_report" and values[2] == "simulate":
-            try:  # every `set` line has been seen: they lead the file
-                check_drain_size(int(values[1]), queue_config(self.config))
-            except ValueError as bad:
-                self.fail(1, f"queue_report simulate: {bad}")
-        self.in_group = kind == "begin" or (self.in_group and kind != "commit")
-        self.steps.append(Step(kind, tuple(values[1:]), self.line_no))
-
     def match(self, values: list[str], start: int, form: _Form):
         """Check values[start:] against the roles of `form`, which values[start - 1] names."""
-        given, roles = len(values) - start, form.roles
-        if not form.low <= given <= (given if form.high is None else form.high):
-            expected = str(form.low) if form.low == form.high else f"{form.low}..{form.high or ''}"
+        _, roles, checks, low, high, table = form
+        given = len(values) - start
+        if not low <= given <= (given if high is None else high):
+            expected = str(low) if low == high else f"{low}..{high or ''}"
             self.fail(start - 1, f"{values[start - 1]} takes {expected} argument(s), got {given}")
-        if given > len(roles) and form.table is None:  # a last `*` role repeats
-            roles += roles[-1:] * (given - len(roles))
-        for position, role in zip(range(start, len(values)), roles):
-            role.check(self, values[position], position)
-        if form.table is not None:
-            position = start + len(roles) - 1
+        if given < len(checks):  # optional roles left out
+            checks = checks[:given]
+        elif given > len(checks) and table is None:  # a last `*` role repeats
+            checks += checks[-1:] * (given - len(checks))
+        for position, check in enumerate(checks, start):
+            check(self, values[position], position)
+        if table is not None:
+            position = start + len(checks) - 1
             sub = values[position]
-            if sub not in form.table:
-                self.fail(position, f"unknown {values[start - 1]} {roles[-1].test} {sub!r}")
-            self.match(values, position + 1, form.table[sub])
+            if sub not in table:
+                self.fail(position, f"unknown {values[start - 1]} {roles[-1]} {sub!r}")
+            self.match(values, position + 1, table[sub])
 
 
 def parse_scenario(text: str) -> ScenarioScript:
@@ -298,6 +298,6 @@ def serialize_scenario(script: ScenarioScript) -> str:
     for step in script.steps:
         roles = STEP_KINDS[step.kind].roles
         lines.append(" ".join([step.kind] + [
-            _quote(arg, position < len(roles) and roles[position].test == "note")
+            _quote(arg, position < len(roles) and roles[position] == "note")
             for position, arg in enumerate(step.args)]))
     return "\n".join(lines) + ("\n" if lines else "")
