@@ -37,7 +37,7 @@ def _all_pass(report, expected: int):
     assert len(report.verdicts) == expected
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(SEEDS)
 def test_generated_world_passes_under_run(seed):
     generated = gen.nftaa_world(seed, actors=10, ops=30)
@@ -45,7 +45,7 @@ def test_generated_world_passes_under_run(seed):
     _all_pass(report, generated.verdicts["nftaa"])
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(SEEDS)
 def test_generated_fraud_diff_passes_in_both_lanes(seed):
     generated = gen.fraud_diff(seed, actors=6, nftaas=6, tokens=6, transactions=80)
@@ -54,7 +54,7 @@ def test_generated_fraud_diff_passes_in_both_lanes(seed):
     _all_pass(result.tba, generated.verdicts["tba"])
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(SEEDS)
 def test_generated_spot_passes_in_both_lanes(seed):
     generated = gen.spot(seed)

@@ -150,6 +150,21 @@ def test_bad_amount_in_script():
         parse_scenario("actor a\nfaucet a 1.5eth\n")
 
 
+@pytest.mark.parametrize("amount", ["0", "7" * 77, str(2**256 - 1), str(2**256), "1" * 5000,
+                                    "\u0663\u0664", "\u00b2", "3eth", "1.5"])
+def test_amount_accepted_exactly_when_it_converts_below_2_256(amount):
+    try:
+        fits = parse_amount(amount) < 2**256
+    except ValueError:
+        fits = False
+    text = f"actor a\nfaucet a {amount}\n"
+    if fits:
+        parse_scenario(text)
+    else:
+        with pytest.raises(ScenarioParseError):
+            parse_scenario(text)
+
+
 def test_digest_format_checked():
     with pytest.raises(ScenarioParseError):
         parse_scenario("assert_digest abc\n")
