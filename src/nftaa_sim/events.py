@@ -40,7 +40,5 @@ class Event:
         parts = [f"block={self.block}", f"tx={self.tx_id}", self.kind.value,
                  f"emitter={to_hex(self.emitter)}"]
         for key, value in self.payload.items():
-            if isinstance(value, bytes):
-                value = value.hex()
             parts.append(f"{key}={value}")
         return " ".join(parts)

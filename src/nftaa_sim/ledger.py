@@ -8,6 +8,10 @@ the transaction's journal, in the manner of go-ethereum's state journal. If
 any operation fails, the journal is replayed in reverse, so a failed
 transaction leaves the world as it was before it ran, at a cost in
 proportion to what it wrote rather than to the size of the world.
+
+The two authorization rules each live in one place: `_execute` refuses any
+operation whose caller is a contract account, and `_owned_nftaa` is the
+owner gate every proxy-account operation passes.
 """
 
 from __future__ import annotations
@@ -88,13 +92,13 @@ class TxReceipt:
 
 @dataclass
 class WorldState:
+    collection: NftCollection
+    factory: FactoryState
+    registry: TbaRegistry
     accounts: dict[Address, Account] = field(default_factory=dict)
-    collection: NftCollection | None = None
     nftaas: dict[Address, NftaaAccount] = field(default_factory=dict)
-    factory: FactoryState | None = None
     stakes: dict[Address, StakePosition] = field(default_factory=dict)
     queue: WithdrawalQueue = field(default_factory=WithdrawalQueue)
-    registry: TbaRegistry | None = None
 
 
 @dataclass
@@ -130,20 +134,13 @@ class Ledger:
         self.height = 0
         self.events: list[Event] = []
         self.next_tx_id = 1
-        self.state = WorldState()
-        self._bootstrap()
-
-    def _bootstrap(self) -> None:
-        deployer = self._create_account(SYSTEM_ADDRESS, None)
-        collection = self._create_account(contract_address(deployer.address, 0),
-                                          CodeId.NFT_COLLECTION)
-        factory = self._create_account(contract_address(deployer.address, 1),
-                                       CodeId.NFTAA_FACTORY)
-        registry = self._create_account(contract_address(deployer.address, 2),
-                                        CodeId.TBA_REGISTRY)
-        self.state.collection = NftCollection(collection.address)
-        self.state.factory = FactoryState(factory.address, collection.address)
-        self.state.registry = TbaRegistry(registry.address)
+        collection, factory, registry = (contract_address(SYSTEM_ADDRESS, n) for n in range(3))
+        self.state = WorldState(NftCollection(collection),
+                                FactoryState(factory, collection), TbaRegistry(registry))
+        self._create_account(SYSTEM_ADDRESS, None)
+        self._create_account(collection, CodeId.NFT_COLLECTION)
+        self._create_account(factory, CodeId.NFTAA_FACTORY)
+        self._create_account(registry, CodeId.TBA_REGISTRY)
 
     # ------------------------------------------------------------------
     # Accounts and direct (non-transactional) plumbing
@@ -162,15 +159,6 @@ class Ledger:
         account = self.state.accounts.get(address)
         if account is None:
             raise err(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(address))
-        return account
-
-    def _eoa_caller(self, address: Address) -> Account:
-        # Contract accounts never originate operations themselves; they act
-        # only through their execute paths. This is what makes a token locked
-        # inside its own account permanently unreachable.
-        account = self._account(address)
-        if not account.is_eoa:
-            raise err(ErrorCode.CALLER_NOT_EOA, address=to_hex(address))
         return account
 
     def create_eoa(self, label: str) -> Address:
@@ -273,9 +261,14 @@ class Ledger:
     # ------------------------------------------------------------------
 
     def _execute(self, op, ctx: _TxContext) -> None:
+        # Contract accounts never originate operations themselves; they act
+        # only through their execute paths. This is what makes a token locked
+        # inside its own account permanently unreachable. Fail is the only
+        # operation without a caller.
+        if hasattr(op, "caller") and not self._account(op.caller).is_eoa:
+            raise err(ErrorCode.CALLER_NOT_EOA, address=to_hex(op.caller))
         match op:
             case TransferValue():
-                self._eoa_caller(op.caller)
                 self._move_value(op.caller, op.to, op.amount, ctx)
             case MintToken():
                 self._op_mint_token(op, ctx)
@@ -317,12 +310,11 @@ class Ledger:
                                        "amount": amount}))
 
     def _collection(self, address: Address) -> NftCollection:
-        if self.state.collection is None or self.state.collection.address != address:
+        if self.state.collection.address != address:
             raise err(ErrorCode.UNKNOWN_COLLECTION, address=to_hex(address))
         return self.state.collection
 
     def _op_mint_token(self, op: MintToken, ctx: _TxContext) -> None:
-        self._eoa_caller(op.caller)
         collection = self._collection(op.collection)
         self._account(op.to)
         record = self._mint(collection, op.to, op.note, None, ctx)
@@ -332,7 +324,6 @@ class Ledger:
                                        "token_id": record.token_id}))
 
     def _op_transfer_token(self, op: TransferToken, ctx: _TxContext) -> None:
-        self._eoa_caller(op.caller)
         collection = self._collection(op.collection)
         record = collection.get(op.token_id)
         if record.owner != op.caller:
@@ -354,16 +345,15 @@ class Ledger:
                                        "token_id": op.token_id}))
 
     def _op_mint_nftaa(self, op: MintNftaa, ctx: _TxContext) -> None:
-        self._eoa_caller(op.caller)
         factory = self.state.factory
-        if factory is None or factory.address != op.factory:
+        if factory.address != op.factory:
             raise err(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(op.factory))
         validate_note(op.note)
         # Account first, then its token, inside the same atomic transaction.
         account = self._new_account(contract_address(factory.address, factory.creation_nonce),
                                     CodeId.NFTAA_ACCOUNT, ctx)
         ctx.write(factory, "creation_nonce", factory.creation_nonce + 1)
-        collection = self._collection(factory.collection)
+        collection = self.state.collection
         record = self._mint(collection, op.caller, op.note, account.address, ctx)
         ctx.insert(self.state.nftaas, account.address,
                    NftaaAccount(account.address, collection.address, record.token_id))
@@ -386,10 +376,14 @@ class Ledger:
         if self._collection(collection).owner_of(token_id) != caller:
             raise err(ErrorCode.NOT_NFT_OWNER, "caller is not the owner of the NFT")
 
+    def _owned_nftaa(self, caller: Address, address: Address) -> NftaaAccount:
+        """The binding of proxy account `address`, once `caller` owns its bound NFT."""
+        binding = self._nftaa(address)
+        self._require_nft_owner(caller, *binding.bound_nft)
+        return binding
+
     def _op_proxy_execute(self, op: ProxyExecute, ctx: _TxContext) -> None:
-        self._eoa_caller(op.caller)
-        binding = self._nftaa(op.nftaa)
-        self._require_nft_owner(op.caller, *binding.bound_nft)
+        self._owned_nftaa(op.caller, op.nftaa)
         self._run_payload(op.nftaa, op.payload, ctx)
         ctx.events.append(self._event(EventKind.PROXY_RESPONSE, op.nftaa, ctx,
                                       {"nftaa": to_hex(op.nftaa),
@@ -397,24 +391,19 @@ class Ledger:
                                        "success": True}))
 
     def _op_withdraw_assets(self, op: WithdrawAssets, ctx: _TxContext) -> None:
-        self._eoa_caller(op.caller)
-        binding = self._nftaa(op.nftaa)
-        self._require_nft_owner(op.caller, *binding.bound_nft)
+        self._owned_nftaa(op.caller, op.nftaa)
         self._move_value(op.nftaa, op.to, op.amount, ctx)
 
     def _op_upgrade_account(self, op: UpgradeAccount, ctx: _TxContext) -> None:
-        self._eoa_caller(op.caller)
-        binding = self._nftaa(op.nftaa)
-        self._require_nft_owner(op.caller, *binding.bound_nft)
+        binding = self._owned_nftaa(op.caller, op.nftaa)
         if op.new_version != binding.upgrade_version + 1:
             raise err(ErrorCode.VERSION_SKEW,
                       current=binding.upgrade_version, requested=op.new_version)
         ctx.write(binding, "upgrade_version", op.new_version)
 
     def _op_create_tba(self, op: CreateTba, ctx: _TxContext) -> None:
-        self._eoa_caller(op.caller)
         registry = self.state.registry
-        if registry is None or registry.address != op.registry:
+        if registry.address != op.registry:
             raise err(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(op.registry))
         collection = self._collection(op.collection)
         collection.get(op.token_id)  # token must exist; its record stays untouched
@@ -432,7 +421,6 @@ class Ledger:
                                        "account": to_hex(address)}))
 
     def _op_tba_execute(self, op: TbaExecute, ctx: _TxContext) -> None:
-        self._eoa_caller(op.caller)
         record = self.state.registry.get_deployed(op.tba)
         if not record.has_execute:
             raise err(ErrorCode.NO_EXECUTE, account=to_hex(op.tba))
@@ -504,8 +492,8 @@ class Ledger:
                                       {"amount": position.amount,
                                        "enqueued_at": self.height}))
 
-    # Journaled wrappers around writes that record nothing themselves; each runs
-    # inside a transaction.
+    # Journaled writes shared by several operations; each runs inside a
+    # transaction.
 
     def _new_account(self, address: Address, code_id: CodeId, ctx: _TxContext) -> Account:
         account = self._create_account(address, code_id)
@@ -514,9 +502,10 @@ class Ledger:
 
     def _mint(self, collection: NftCollection, to: Address, note: bytes,
               bound_account: Address | None, ctx: _TxContext) -> NftRecord:
-        ctx.journal.append((setattr, collection, "next_id", collection.next_id))
-        ctx.journal.append((dict.pop, collection.tokens, collection.next_id))
-        return collection.mint(to, note, bound_account)
+        record = NftRecord(collection.next_id, to, note, bound_account)
+        ctx.insert(collection.tokens, record.token_id, record)
+        ctx.write(collection, "next_id", record.token_id + 1)
+        return record
 
     def _event(self, kind: EventKind, emitter: Address, ctx: _TxContext,
                payload: dict) -> Event:
@@ -583,12 +572,11 @@ class Ledger:
             _fields(out, address, code, _uint(account.balance))
         _section(out, b"nfts")
         collection = state.collection
-        if collection is not None:
-            for token_id in sorted(collection.tokens):
-                record = collection.tokens[token_id]
-                bound = record.bound_account or b""
-                _fields(out, collection.address, _uint(token_id), record.owner,
-                        record.note, bound)
+        for token_id in sorted(collection.tokens):
+            record = collection.tokens[token_id]
+            bound = record.bound_account or b""
+            _fields(out, collection.address, _uint(token_id), record.owner,
+                    record.note, bound)
         _section(out, b"stakes")
         for owner in sorted(state.stakes):
             position = state.stakes[owner]
@@ -602,14 +590,12 @@ class Ledger:
             _fields(out, address, binding.bound_collection,
                     _uint(binding.bound_token_id), _uint(binding.upgrade_version))
         _section(out, b"tbas")
-        if state.registry is not None:
-            for record in state.registry.sorted_records():
-                _fields(out, record.collection, _uint(record.token_id), record.salt,
-                        record.address, _uint(int(record.has_execute)))
+        for record in state.registry.sorted_records():
+            _fields(out, record.collection, _uint(record.token_id), record.salt,
+                    record.address, _uint(int(record.has_execute)))
         _section(out, b"factory")
-        if state.factory is not None:
-            _fields(out, state.factory.address, state.factory.collection,
-                    _uint(state.factory.creation_nonce))
+        _fields(out, state.factory.address, state.factory.collection,
+                _uint(state.factory.creation_nonce))
         _section(out, b"height")
         _fields(out, _uint(self.height))
         return bytes(out)

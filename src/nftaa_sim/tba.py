@@ -69,8 +69,6 @@ def detect_locked_nfts(state) -> list[tuple[Address, int]]:
     """
     locked = []
     collection = state.collection
-    if collection is None or state.registry is None:
-        return locked
     for token_id in sorted(collection.tokens):
         owner = state.registry.records.get(collection.tokens[token_id].owner)
         if owner is not None and owner.collection == collection.address \
@@ -82,8 +80,6 @@ def detect_locked_nfts(state) -> list[tuple[Address, int]]:
 def detect_stranded_tbas(state) -> list[tuple[Address, int]]:
     """Deployed accounts without an execute function that are holding funds."""
     stranded = []
-    if state.registry is None:
-        return stranded
     for record in state.registry.sorted_records():
         if not record.has_execute:
             account = state.accounts.get(record.address)

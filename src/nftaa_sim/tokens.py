@@ -30,12 +30,6 @@ class NftCollection:
     tokens: dict[int, NftRecord] = field(default_factory=dict)
     next_id: int = 1
 
-    def mint(self, to: Address, note: bytes, bound_account: Address | None = None) -> NftRecord:
-        record = NftRecord(self.next_id, to, note, bound_account)
-        self.tokens[record.token_id] = record
-        self.next_id += 1
-        return record
-
     def get(self, token_id: int) -> NftRecord:
         record = self.tokens.get(token_id)
         if record is None:

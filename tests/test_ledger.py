@@ -6,17 +6,25 @@ import random
 import pytest
 
 from nftaa_sim import (
+    CreateTba,
     ETH,
     ErrorCode,
     Fail,
     Ledger,
     LedgerError,
     MintNftaa,
+    MintToken,
+    ProxyExecute,
+    ProxyPayload,
     QueueConfig,
+    TbaExecute,
     Transaction,
+    TransferToken,
     TransferValue,
     UpgradeAccount,
+    WithdrawAssets,
     eoa_address,
+    salt_from_int,
 )
 
 
@@ -140,12 +148,32 @@ def test_transaction_without_a_caller_is_paid_by_the_system(ledger):
     assert receipt.error.code is ErrorCode.INJECTED_FAILURE
 
 
-def test_contract_caller_rejected(ledger):
+@pytest.mark.parametrize("kind", [
+    "TransferValue", "MintToken", "TransferToken", "MintNftaa", "ProxyExecute",
+    "WithdrawAssets", "UpgradeAccount", "CreateTba", "TbaExecute",
+])
+def test_contract_caller_rejected(ledger, kind):
     alice = ledger.create_eoa("alice")
-    ledger.must(MintNftaa(alice, ledger.state.factory.address, b"n"))
-    nftaa = next(iter(ledger.state.nftaas))
-    receipt = ledger.submit(TransferValue(nftaa, alice, 0))
+    token_id, nftaa = ledger.mint_nftaa(alice, b"n")
+    tba = ledger.create_tba(alice, token_id, salt_from_int(0))
+    collection = ledger.state.collection.address
+    # each operation issued by the proxy account, with arguments an owner could use
+    op = {
+        "TransferValue": TransferValue(nftaa, tba, 0),
+        "MintToken": MintToken(nftaa, collection, nftaa, b"n"),
+        "TransferToken": TransferToken(nftaa, collection, token_id, tba),
+        "MintNftaa": MintNftaa(nftaa, ledger.state.factory.address, b"n"),
+        "ProxyExecute": ProxyExecute(nftaa, nftaa, ProxyPayload("noop")),
+        "WithdrawAssets": WithdrawAssets(nftaa, nftaa, tba, 0),
+        "UpgradeAccount": UpgradeAccount(nftaa, nftaa, 1),
+        "CreateTba": CreateTba(nftaa, ledger.state.registry.address, collection,
+                               token_id, salt_from_int(1)),
+        "TbaExecute": TbaExecute(nftaa, tba, ProxyPayload("noop")),
+    }[kind]
+    digest = ledger.state_digest()
+    receipt = ledger.submit(op)
     assert receipt.error.code is ErrorCode.CALLER_NOT_EOA
+    assert ledger.state_digest() == digest
 
 
 def test_random_transactions_match_replay_oracle():

@@ -1,7 +1,9 @@
 """Every name the benchmark's tracer patches still exists in nftaa_sim.
 
-`perfbench/tracing.py` replaces the functions in its TRACED table by name; a
-rename would otherwise surface only when someone runs the traced benchmark.
+`perfbench/tracing.py` replaces the functions in its TRACED table by name,
+plus `WithdrawalQueue.process_block`; its untraced `Counter` wraps the
+TRACED entries named in `Counter.COUNTED`. A rename would otherwise surface
+only when someone runs the benchmark.
 """
 
 import importlib
@@ -11,10 +13,15 @@ from pathlib import Path
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_every_traced_name_resolves():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_resolves():
+    tracing = _tracing()
     missing = []
     for _layer, name, namespaces, attribute in tracing.TRACED:
         for namespace in namespaces:
@@ -25,3 +32,12 @@ def test_every_traced_name_resolves():
             if not callable(getattr(owner, attribute, None)):
                 missing.append(f"{name} in {namespace}")
     assert tracing.TRACED and not missing
+
+
+def test_block_counter_and_counted_names_resolve():
+    tracing = _tracing()
+    staking = importlib.import_module("nftaa_sim.staking")
+    assert callable(getattr(staking.WithdrawalQueue, "process_block", None))
+    traced = {name for _layer, name, _namespaces, _attribute in tracing.TRACED}
+    assert tracing.Counter.COUNTED
+    assert set(tracing.Counter.COUNTED) <= traced
