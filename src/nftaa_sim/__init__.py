@@ -29,7 +29,6 @@ from .ops import (
     ProxyExecute,
     ProxyPayload,
     TbaExecute,
-    Transaction,
     TransferToken,
     TransferValue,
     UpgradeAccount,
@@ -102,7 +101,6 @@ __all__ = [
     "TbaExecute",
     "TbaRecord",
     "TbaRegistry",
-    "Transaction",
     "TransferToken",
     "TransferValue",
     "TxReceipt",

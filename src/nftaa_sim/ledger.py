@@ -41,7 +41,6 @@ from .ops import (
     ProxyExecute,
     ProxyPayload,
     TbaExecute,
-    Transaction,
     TransferToken,
     TransferValue,
     UpgradeAccount,
@@ -65,10 +64,8 @@ class CodeId(str, Enum):
 
 @dataclass
 class Account:
-    address: Address
     code_id: CodeId | None  # None marks an externally owned account
     balance: int = 0
-    nonce: int = 0
 
     @property
     def is_eoa(self) -> bool:
@@ -97,6 +94,7 @@ class WorldState:
     registry: TbaRegistry
     accounts: dict[Address, Account] = field(default_factory=dict)
     nftaas: dict[Address, NftaaAccount] = field(default_factory=dict)
+    # keyed by the contract account that staked, never by its human owner
     stakes: dict[Address, StakePosition] = field(default_factory=dict)
     queue: WithdrawalQueue = field(default_factory=WithdrawalQueue)
 
@@ -136,7 +134,7 @@ class Ledger:
         self.next_tx_id = 1
         collection, factory, registry = (contract_address(SYSTEM_ADDRESS, n) for n in range(3))
         self.state = WorldState(NftCollection(collection),
-                                FactoryState(factory, collection), TbaRegistry(registry))
+                                FactoryState(factory), TbaRegistry(registry))
         self._create_account(SYSTEM_ADDRESS, None)
         self._create_account(collection, CodeId.NFT_COLLECTION)
         self._create_account(factory, CodeId.NFTAA_FACTORY)
@@ -146,14 +144,12 @@ class Ledger:
     # Accounts and direct (non-transactional) plumbing
     # ------------------------------------------------------------------
 
-    def _create_account(self, address: Address, code_id: CodeId | None) -> Account:
+    def _create_account(self, address: Address, code_id: CodeId | None) -> None:
         if address in self.state.accounts:
             # Two distinct derivations landing on one address is a corpus-level
             # impossibility, not a recoverable protocol error.
             raise RuntimeError(f"address collision at {to_hex(address)}")
-        account = Account(address, code_id)
-        self.state.accounts[address] = account
-        return account
+        self.state.accounts[address] = Account(code_id)
 
     def _account(self, address: Address) -> Account:
         account = self.state.accounts.get(address)
@@ -167,7 +163,8 @@ class Ledger:
         address = eoa_address(label)
         if address in self.state.accounts:  # only this label derives this address
             raise err(ErrorCode.DUPLICATE_LABEL, label=label)
-        return self._create_account(address, None).address
+        self._create_account(address, None)
+        return address
 
     def faucet(self, to: Address, amount: int) -> None:
         """Test funding; the only operation exempt from conservation."""
@@ -209,13 +206,13 @@ class Ledger:
     # Transactions
     # ------------------------------------------------------------------
 
-    def apply_transaction(self, tx: Transaction) -> TxReceipt:
-        self._account(tx.caller)  # unknown caller fails the call itself, not the receipt
+    def apply_transaction(self, *operations) -> TxReceipt:
+        """Apply `operations` as one atomic transaction; each names its own caller."""
         tx_id = self.next_tx_id
         self.next_tx_id += 1
         ctx = _TxContext(tx_id)
         try:
-            for op in tx.operations:
+            for op in operations:
                 self._execute(op, ctx)
         except LedgerError as failure:
             ctx.rollback()
@@ -223,17 +220,11 @@ class Ledger:
         except BaseException:
             ctx.rollback()  # a defect, not a protocol failure: undo, then surface it
             raise
-        self.state.accounts[tx.caller].nonce += 1
         self.events.extend(ctx.events)
         return TxReceipt(tx_id, None, tuple(ctx.events))
 
-    def submit(self, *operations) -> TxReceipt:
-        """Apply one transaction, paid by the first operation's caller, else by the system."""
-        caller = next((op.caller for op in operations if hasattr(op, "caller")), SYSTEM_ADDRESS)
-        return self.apply_transaction(Transaction(caller, tuple(operations)))
-
     def must(self, *operations) -> TxReceipt:
-        receipt = self.submit(*operations)
+        receipt = self.apply_transaction(*operations)
         if not receipt.committed:
             raise receipt.error
         return receipt
@@ -350,20 +341,19 @@ class Ledger:
             raise err(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(op.factory))
         validate_note(op.note)
         # Account first, then its token, inside the same atomic transaction.
-        account = self._new_account(contract_address(factory.address, factory.creation_nonce),
-                                    CodeId.NFTAA_ACCOUNT, ctx)
+        account = contract_address(factory.address, factory.creation_nonce)
+        self._new_account(account, CodeId.NFTAA_ACCOUNT, ctx)
         ctx.write(factory, "creation_nonce", factory.creation_nonce + 1)
         collection = self.state.collection
-        record = self._mint(collection, op.caller, op.note, account.address, ctx)
-        ctx.insert(self.state.nftaas, account.address,
-                   NftaaAccount(account.address, collection.address, record.token_id))
+        record = self._mint(collection, op.caller, op.note, account, ctx)
+        ctx.insert(self.state.nftaas, account, NftaaAccount(collection.address, record.token_id))
         ctx.events.append(self._event(EventKind.TRANSFER, collection.address, ctx,
                                       {"from": to_hex(ZERO_ADDRESS),
                                        "to": to_hex(op.caller),
                                        "token_id": record.token_id}))
         ctx.events.append(self._event(EventKind.NEW_NFTAA, factory.address, ctx,
                                       {"token_id": record.token_id,
-                                       "account": to_hex(account.address),
+                                       "account": to_hex(account),
                                        "creator": to_hex(op.caller)}))
 
     def _nftaa(self, address: Address) -> NftaaAccount:
@@ -413,7 +403,7 @@ class Ledger:
             raise err(ErrorCode.ALREADY_DEPLOYED, account=to_hex(address))
         self._new_account(address, CodeId.TBA_ACCOUNT, ctx)
         ctx.insert(registry.records, address,
-                   TbaRecord(*key, address, has_execute=op.has_execute))
+                   TbaRecord(*key, has_execute=op.has_execute))
         ctx.events.append(self._event(EventKind.TBA_CREATED, registry.address, ctx,
                                       {"collection": to_hex(op.collection),
                                        "token_id": op.token_id,
@@ -456,7 +446,7 @@ class Ledger:
             raise err(ErrorCode.ALREADY_STAKING)
         ctx.write(account, "balance", account.balance - amount)
         unlock = self.height + self.config.unlock_delay
-        ctx.insert(self.state.stakes, acting, StakePosition(acting, amount, unlock))
+        ctx.insert(self.state.stakes, acting, StakePosition(amount, unlock))
         ctx.events.append(self._event(EventKind.STAKED, acting, ctx,
                                       {"amount": amount, "unlock_block": unlock}))
 
@@ -495,10 +485,9 @@ class Ledger:
     # Journaled writes shared by several operations; each runs inside a
     # transaction.
 
-    def _new_account(self, address: Address, code_id: CodeId, ctx: _TxContext) -> Account:
-        account = self._create_account(address, code_id)
+    def _new_account(self, address: Address, code_id: CodeId, ctx: _TxContext) -> None:
+        self._create_account(address, code_id)
         ctx.journal.append((dict.pop, self.state.accounts, address))
-        return account
 
     def _mint(self, collection: NftCollection, to: Address, note: bytes,
               bound_account: Address | None, ctx: _TxContext) -> NftRecord:
@@ -564,8 +553,6 @@ class Ledger:
         out = bytearray()
         state = self.state
         _section(out, b"accounts")
-        # nonces are transaction bookkeeping, not protocol state: leaving them
-        # out keeps "upgrade changed nothing but the version" digest-checkable
         for address in sorted(state.accounts):
             account = state.accounts[address]
             code = b"" if account.code_id is None else account.code_id.value.encode()
@@ -590,11 +577,11 @@ class Ledger:
             _fields(out, address, binding.bound_collection,
                     _uint(binding.bound_token_id), _uint(binding.upgrade_version))
         _section(out, b"tbas")
-        for record in state.registry.sorted_records():
+        for address, record in state.registry.sorted_records():
             _fields(out, record.collection, _uint(record.token_id), record.salt,
-                    record.address, _uint(int(record.has_execute)))
+                    address, _uint(int(record.has_execute)))
         _section(out, b"factory")
-        _fields(out, state.factory.address, state.factory.collection,
+        _fields(out, state.factory.address, state.collection.address,
                 _uint(state.factory.creation_nonce))
         _section(out, b"height")
         _fields(out, _uint(self.height))

@@ -15,7 +15,6 @@ from .addresses import Address
 
 @dataclass
 class NftaaAccount:
-    address: Address
     bound_collection: Address
     bound_token_id: int
     upgrade_version: int = 1
@@ -28,5 +27,4 @@ class NftaaAccount:
 @dataclass
 class FactoryState:
     address: Address
-    collection: Address  # where the factory mints the bound tokens
     creation_nonce: int = 0

@@ -1,13 +1,13 @@
 """Transaction operations as plain data.
 
 A transaction is an ordered list of these records applied atomically by the
-ledger. Each record carries its own caller: authorization is evaluated per
-operation, while the transaction-level caller only pays the nonce.
+ledger. Each record carries its own caller, and authorization is evaluated
+per operation: a transaction has no caller of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .addresses import Address
 
@@ -110,8 +110,3 @@ class Fail:
 
     message: str = "injected"
 
-
-@dataclass(frozen=True)
-class Transaction:
-    caller: Address
-    operations: tuple = field(default_factory=tuple)

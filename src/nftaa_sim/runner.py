@@ -504,7 +504,8 @@ class ScenarioRunner:
         for event in self.ledger.events:
             if event.kind.value != wanted_kind:
                 continue
-            if all(str(event.payload.get(k)) == v for k, v in criteria.items()):
+            payload = event.payload
+            if all(k in payload and str(payload[k]) == v for k, v in criteria.items()):
                 return True, f"event {wanted_kind} present"
         return False, f"event {wanted_kind} matching {criteria} not found"
 

@@ -49,11 +49,12 @@ class QueueConfig:
             raise ValueError("blocks_per_day must be >= 1")
         if not 0.0 <= self.missed_slot_probability < 1.0:
             raise ValueError("missed_slot_probability must be in [0, 1)")
+        if self.unlock_delay < 0:
+            raise ValueError("unlock_delay must be >= 0")
 
 
 @dataclass
 class StakePosition:
-    owner: Address  # the proxy-account address, never the human owner
     amount: int
     unlock_block: int  # fixed at creation; adding funds does not extend it
 

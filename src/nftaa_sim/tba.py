@@ -26,7 +26,6 @@ class TbaRecord:
     collection: Address
     token_id: int
     salt: bytes
-    address: Address
     has_execute: bool = True  # badly developed account variant when False
 
 
@@ -45,9 +44,10 @@ class TbaRegistry:
             raise err(ErrorCode.NOT_DEPLOYED, address=address.hex())
         return record
 
-    def sorted_records(self) -> list[TbaRecord]:
-        """Deployed records in (collection, token_id, salt) order."""
-        return sorted(self.records.values(), key=lambda r: (r.collection, r.token_id, r.salt))
+    def sorted_records(self) -> list[tuple[Address, TbaRecord]]:
+        """Deployed (address, record) pairs in (collection, token_id, salt) order."""
+        return sorted(self.records.items(),
+                      key=lambda item: (item[1].collection, item[1].token_id, item[1].salt))
 
 
 def _mix(collection: Address, token_id: int, salt: bytes) -> bytes:
@@ -80,11 +80,11 @@ def detect_locked_nfts(state) -> list[tuple[Address, int]]:
 def detect_stranded_tbas(state) -> list[tuple[Address, int]]:
     """Deployed accounts without an execute function that are holding funds."""
     stranded = []
-    for record in state.registry.sorted_records():
+    for address, record in state.registry.sorted_records():
         if not record.has_execute:
-            account = state.accounts.get(record.address)
+            account = state.accounts.get(address)
             if account is not None and account.balance > 0:
-                stranded.append((record.address, account.balance))
+                stranded.append((address, account.balance))
     return stranded
 
 

@@ -6,8 +6,8 @@ accounts, block advancement) with deliberately invalid calls mixed in, and
 verifies after each transaction that:
 
 * a rolled-back transaction left the state digest untouched, and the whole
-  state equal to a copy taken before it ran (nonces and id counters
-  included, which the digest omits),
+  state equal to a copy taken before it ran (the collection's next token
+  id included, which the digest omits),
 * conservation holds (balances + stakes + queue == faucet total),
 * the account<->token binding maps are mutual inverses,
 * no committed transaction both moved a bound NFT and drained its account.
@@ -36,7 +36,6 @@ from nftaa_sim import (
     ProxyPayload,
     QueueConfig,
     TbaExecute,
-    Transaction,
     TransferToken,
     TransferValue,
     TxReceipt,
@@ -63,7 +62,6 @@ class FuzzTrace:
 def check_binding_bijection(ledger: Ledger) -> None:
     forward = {}
     for address, binding in ledger.state.nftaas.items():
-        assert binding.address == address
         record = ledger.state.collection.tokens.get(binding.bound_token_id)
         assert record is not None, "binding points at an unminted token"
         assert record.bound_account == address, "token does not point back"
@@ -156,7 +154,7 @@ class FuzzDriver:
         return sorted(self.ledger.state.collection.tokens)
 
     def tbas(self):
-        return sorted(r.address for r in self.ledger.state.registry.records.values())
+        return sorted(self.ledger.state.registry.records)
 
     def any_address(self):
         pool = self.actors + self.nftaas() + self.tbas()
@@ -315,7 +313,7 @@ class FuzzDriver:
         caller = next((op.caller for op in ops if hasattr(op, "caller")), self.actors[0])
         before = self.ledger.state_digest()
         snapshot = copy.deepcopy(self.ledger.state)
-        receipt = self.ledger.apply_transaction(Transaction(caller, tuple(ops)))
+        receipt = self.ledger.apply_transaction(*ops)
         self.trace.receipts.append((caller, tuple(ops), receipt))
         if receipt.committed:
             self.trace.committed += 1

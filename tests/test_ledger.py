@@ -18,7 +18,6 @@ from nftaa_sim import (
     ProxyPayload,
     QueueConfig,
     TbaExecute,
-    Transaction,
     TransferToken,
     TransferValue,
     UpgradeAccount,
@@ -90,7 +89,7 @@ def test_transfer_insufficient_balance(ledger):
     alice, bob = ledger.create_eoa("alice"), ledger.create_eoa("bob")
     ledger.faucet(alice, 5)
     digest = ledger.state_digest()
-    receipt = ledger.submit(TransferValue(alice, bob, 6))
+    receipt = ledger.apply_transaction(TransferValue(alice, bob, 6))
     assert not receipt.committed
     assert receipt.error.code is ErrorCode.INSUFFICIENT_BALANCE
     assert ledger.state_digest() == digest
@@ -112,8 +111,8 @@ def test_transaction_rollback_restores_digest(ledger):
     alice, bob = ledger.create_eoa("alice"), ledger.create_eoa("bob")
     ledger.faucet(alice, 10)
     digest = ledger.state_digest()
-    receipt = ledger.submit(TransferValue(alice, bob, 4),
-                            TransferValue(alice, bob, 100))
+    receipt = ledger.apply_transaction(TransferValue(alice, bob, 4),
+                                       TransferValue(alice, bob, 100))
     assert not receipt.committed
     assert receipt.error.code is ErrorCode.INSUFFICIENT_BALANCE
     assert receipt.events == ()
@@ -121,29 +120,29 @@ def test_transaction_rollback_restores_digest(ledger):
 
 
 def test_empty_transaction_commits(ledger):
-    alice = ledger.create_eoa("alice")
-    receipt = ledger.apply_transaction(Transaction(alice, ()))
+    receipt = ledger.apply_transaction()
     assert receipt.committed
     assert receipt.events == ()
-    assert ledger.state.accounts[alice].nonce == 1
 
 
 def test_unknown_caller_fails_the_call_itself(ledger):
-    with pytest.raises(LedgerError) as caught:
-        ledger.apply_transaction(Transaction(eoa_address("ghost"), ()))
-    assert caught.value.code is ErrorCode.UNKNOWN_ACCOUNT
+    bob = ledger.create_eoa("bob")
+    digest = ledger.state_digest()
+    receipt = ledger.apply_transaction(TransferValue(eoa_address("ghost"), bob, 0))
+    assert receipt.error.code is ErrorCode.UNKNOWN_ACCOUNT
+    assert ledger.state_digest() == digest
 
 
 def test_rolled_back_events_never_reach_the_log(ledger):
     alice = ledger.create_eoa("alice")
     ledger.faucet(alice, 10)
     log_before = len(ledger.events)
-    ledger.submit(TransferValue(alice, alice, 1), Fail())
+    ledger.apply_transaction(TransferValue(alice, alice, 1), Fail())
     assert len(ledger.events) == log_before
 
 
-def test_transaction_without_a_caller_is_paid_by_the_system(ledger):
-    receipt = ledger.submit(Fail())
+def test_transaction_without_a_caller_runs(ledger):
+    receipt = ledger.apply_transaction(Fail())
     assert not receipt.committed
     assert receipt.error.code is ErrorCode.INJECTED_FAILURE
 
@@ -171,7 +170,7 @@ def test_contract_caller_rejected(ledger, kind):
         "TbaExecute": TbaExecute(nftaa, tba, ProxyPayload("noop")),
     }[kind]
     digest = ledger.state_digest()
-    receipt = ledger.submit(op)
+    receipt = ledger.apply_transaction(op)
     assert receipt.error.code is ErrorCode.CALLER_NOT_EOA
     assert ledger.state_digest() == digest
 
@@ -193,17 +192,17 @@ def test_random_transactions_match_replay_oracle():
         ops = [TransferValue(sender, receiver, rng.randint(0, 60))]
         if rng.random() < 0.3:
             ops.append(TransferValue(sender, receiver, rng.randint(100, 500)))  # will fail
-        receipt = ledger.apply_transaction(Transaction(sender, tuple(ops)))
+        receipt = ledger.apply_transaction(*ops)
         if receipt.committed:
-            committed_ops.append((sender, tuple(ops)))
+            committed_ops.append(ops)
 
     replay = Ledger()
     for i in range(4):
         replay.create_eoa(f"actor{i}")
     for actor, amount in fund_log:
         replay.faucet(actor, amount)
-    for sender, ops in committed_ops:
-        replay_receipt = replay.apply_transaction(Transaction(sender, ops))
+    for ops in committed_ops:
+        replay_receipt = replay.apply_transaction(*ops)
         assert replay_receipt.committed
     assert replay.state_digest() == ledger.state_digest()
 
@@ -228,17 +227,6 @@ def test_advance_with_empty_queue_emits_nothing():
     assert ledger.events == []
 
 
-def test_nonce_increments_only_on_commit(ledger):
-    alice, bob = ledger.create_eoa("alice"), ledger.create_eoa("bob")
-    ledger.faucet(alice, 10)
-    observed = []
-    for amount in (1, 100, 2, 100, 3):
-        receipt = ledger.submit(TransferValue(alice, bob, amount))
-        if receipt.committed:
-            observed.append(ledger.state.accounts[alice].nonce)
-    assert observed == [1, 2, 3]  # strictly increasing, no gaps
-
-
 def test_digest_is_64_lowercase_hex(ledger):
     digest = ledger.state_digest()
     assert len(digest) == 64
@@ -256,7 +244,7 @@ def test_negative_amount_in_a_transaction_rolls_back(ledger):
     alice, bob = ledger.create_eoa("alice"), ledger.create_eoa("bob")
     ledger.faucet(alice, 10)
     digest = ledger.state_digest()
-    receipt = ledger.submit(TransferValue(alice, bob, 5), TransferValue(alice, bob, -1))
+    receipt = ledger.apply_transaction(TransferValue(alice, bob, 5), TransferValue(alice, bob, -1))
     assert receipt.error.code is ErrorCode.NEGATIVE_AMOUNT
     assert ledger.state_digest() == digest
 
@@ -276,7 +264,7 @@ def test_unexpected_exception_rolls_back_then_propagates(ledger, monkeypatch):
 
     monkeypatch.setattr(Ledger, "_execute", second_operation_is_a_defect)
     with pytest.raises(RuntimeError):
-        ledger.submit(TransferValue(alice, bob, 5), TransferValue(alice, bob, 1))
+        ledger.apply_transaction(TransferValue(alice, bob, 5), TransferValue(alice, bob, 1))
     assert ledger.state_digest() == digest
     assert ledger.balance_of(bob) == 0
 
@@ -289,7 +277,7 @@ def test_rolled_back_grouped_mint_restores_the_id_counters(ledger):
     factory = ledger.state.factory.address
     ledger.must(MintNftaa(alice, factory, b"kept"))
     next_id, nonce = counters()
-    receipt = ledger.submit(MintNftaa(alice, factory, b"doomed"), Fail())
+    receipt = ledger.apply_transaction(MintNftaa(alice, factory, b"doomed"), Fail())
     assert not receipt.committed
     assert counters() == (next_id, nonce)
     assert ledger.mint_nftaa(alice, b"next")[0] == next_id
@@ -298,7 +286,7 @@ def test_rolled_back_grouped_mint_restores_the_id_counters(ledger):
 def test_rolled_back_upgrade_restores_the_version(ledger):
     alice = ledger.create_eoa("alice")
     _, account = ledger.mint_nftaa(alice, b"n")
-    receipt = ledger.submit(UpgradeAccount(alice, account, 2), Fail())
+    receipt = ledger.apply_transaction(UpgradeAccount(alice, account, 2), Fail())
     assert not receipt.committed
     assert ledger.upgrade_version_of(account) == 1
 
@@ -311,7 +299,7 @@ def test_transactions_never_copy_the_world(ledger, monkeypatch):
     ledger.faucet(alice, 10)
     state = ledger.state
     monkeypatch.setattr(copy, "deepcopy", no_copies)
-    assert ledger.submit(TransferValue(alice, bob, 4)).committed
-    assert not ledger.submit(TransferValue(alice, bob, 1), Fail()).committed
+    assert ledger.apply_transaction(TransferValue(alice, bob, 4)).committed
+    assert not ledger.apply_transaction(TransferValue(alice, bob, 1), Fail()).committed
     assert ledger.state is state
     assert (ledger.balance_of(alice), ledger.balance_of(bob)) == (6, 4)

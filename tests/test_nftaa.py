@@ -44,7 +44,7 @@ def test_mint_empty_note_leaves_no_residue(world):
     ledger, alice, _ = world
     digest = ledger.state_digest()
     events = len(ledger.events)
-    receipt = ledger.submit(MintNftaa(alice, ledger.state.factory.address, b""))
+    receipt = ledger.apply_transaction(MintNftaa(alice, ledger.state.factory.address, b""))
     assert receipt.error.code is ErrorCode.EMPTY_NOTE
     assert ledger.state_digest() == digest
     assert len(ledger.events) == events
@@ -55,7 +55,7 @@ def test_mint_empty_note_leaves_no_residue(world):
 def test_mint_oversize_note_leaves_no_residue(world):
     ledger, alice, _ = world
     digest = ledger.state_digest()
-    receipt = ledger.submit(MintNftaa(alice, ledger.state.factory.address, b"x" * 257))
+    receipt = ledger.apply_transaction(MintNftaa(alice, ledger.state.factory.address, b"x" * 257))
     assert receipt.error.code is ErrorCode.NOTE_TOO_LARGE
     assert ledger.state_digest() == digest
 
@@ -114,14 +114,14 @@ def test_proxy_noop_emits_response(world):
 def test_proxy_non_owner_rejected_without_event(world):
     ledger, alice, bob = world
     _, account = ledger.mint_nftaa(alice, b"n")
-    receipt = ledger.submit(ProxyExecute(bob, account, ProxyPayload("noop")))
+    receipt = ledger.apply_transaction(ProxyExecute(bob, account, ProxyPayload("noop")))
     assert receipt.error.code is ErrorCode.NOT_NFT_OWNER
     assert all(e.kind is not EventKind.PROXY_RESPONSE for e in ledger.events)
 
 
 def test_proxy_on_non_nftaa(world):
     ledger, alice, bob = world
-    receipt = ledger.submit(ProxyExecute(alice, bob, ProxyPayload("noop")))
+    receipt = ledger.apply_transaction(ProxyExecute(alice, bob, ProxyPayload("noop")))
     assert receipt.error.code is ErrorCode.NOT_AN_NFTAA
 
 
@@ -134,9 +134,9 @@ def test_authorization_follows_nft(world):
     for flips in range(5):
         owner = ledger.owner_of(token_id)
         outsider = bob if owner == alice else alice
-        ok = ledger.submit(ProxyExecute(owner, account, ProxyPayload("noop")))
+        ok = ledger.apply_transaction(ProxyExecute(owner, account, ProxyPayload("noop")))
         assert ok.committed
-        bad = ledger.submit(ProxyExecute(outsider, account, ProxyPayload("noop")))
+        bad = ledger.apply_transaction(ProxyExecute(outsider, account, ProxyPayload("noop")))
         assert bad.error.code is ErrorCode.NOT_NFT_OWNER
         ledger.must(TransferToken(owner, collection, token_id, outsider))
 
@@ -168,7 +168,7 @@ def test_withdraw_by_owner(world):
 def test_withdraw_insufficient(world):
     ledger, alice, _ = world
     _, account = ledger.mint_nftaa(alice, b"n")
-    receipt = ledger.submit(WithdrawAssets(alice, account, alice, 1))
+    receipt = ledger.apply_transaction(WithdrawAssets(alice, account, alice, 1))
     assert receipt.error.code is ErrorCode.INSUFFICIENT_BALANCE
 
 
@@ -187,7 +187,7 @@ def test_fraud_guard_both_orders(world):
          WithdrawAssets(bob, account, bob, ETH)],
     ]
     for ops in orderings:
-        receipt = ledger.submit(*ops)
+        receipt = ledger.apply_transaction(*ops)
         assert receipt.error.code is ErrorCode.FRAUD_GUARD
         assert ledger.state_digest() == digest
     # separated into two transactions the same intent is legitimate
@@ -201,18 +201,18 @@ def test_fraud_guard_covers_proxy_drain(world):
     token_id, account = ledger.mint_nftaa(alice, b"n")
     ledger.transfer_value(alice, account, 10 * ETH)
     collection = ledger.state.collection.address
-    receipt = ledger.submit(
-        ProxyExecute(alice, account, ProxyPayload("transfer_value", amount=ETH,
-                                                  to=alice)),
-        TransferToken(alice, collection, token_id, bob))
+    receipt = ledger.apply_transaction(
+                   ProxyExecute(alice, account, ProxyPayload("transfer_value", amount=ETH,
+                                                             to=alice)),
+                   TransferToken(alice, collection, token_id, bob))
     assert receipt.error.code is ErrorCode.FRAUD_GUARD
 
 
 def test_self_custody_hazard_rejected(world):
     ledger, alice, _ = world
     token_id, account = ledger.mint_nftaa(alice, b"n")
-    receipt = ledger.submit(TransferToken(alice, ledger.state.collection.address,
-                                          token_id, account))
+    receipt = ledger.apply_transaction(TransferToken(alice, ledger.state.collection.address,
+                                                     token_id, account))
     assert receipt.error.code is ErrorCode.SELF_CUSTODY_HAZARD
     assert ledger.owner_of(token_id) == alice
 
@@ -232,9 +232,9 @@ def test_upgrade_touches_only_the_version(world):
 def test_upgrade_gating_and_version_skew(world):
     ledger, alice, bob = world
     _, account = ledger.mint_nftaa(alice, b"n")
-    receipt = ledger.submit(UpgradeAccount(bob, account, 2))
+    receipt = ledger.apply_transaction(UpgradeAccount(bob, account, 2))
     assert receipt.error.code is ErrorCode.NOT_NFT_OWNER
-    receipt = ledger.submit(UpgradeAccount(alice, account, 3))
+    receipt = ledger.apply_transaction(UpgradeAccount(alice, account, 3))
     assert receipt.error.code is ErrorCode.VERSION_SKEW
     assert ledger.upgrade_version_of(account) == 1
 
@@ -263,7 +263,7 @@ def test_creation_atomicity_under_injected_failures(world):
         ops = [MintNftaa(alice, factory, note)]
         if inject:
             ops.append(Fail())
-        ledger.submit(*ops)
+        ledger.apply_transaction(*ops)
         accounts = len(ledger.state.nftaas)
         bound = sum(1 for r in ledger.state.collection.tokens.values()
                     if r.bound_account is not None)

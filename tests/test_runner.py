@@ -306,3 +306,12 @@ def test_assert_digest_step():
     assert run_text(text).exit_code == 0
     wrong = 'actor alice\nassert_digest ' + '0' * 64 + '\n'
     assert run_text(wrong).exit_code == 1
+
+
+def test_assert_event_requires_the_key():
+    # a Transfer event has no `bogus` key, so it must not match the text None
+    report = run_text('actor alice\nfaucet alice 5\n'
+                      'assert_event Transfer to=@alice\n'
+                      'assert_event Transfer bogus=None\n')
+    assert [(v.line, v.passed) for v in report.verdicts] == [(3, True), (4, False)]
+    assert report.exit_code == 1

@@ -117,8 +117,9 @@ def test_unknown_config_key():
         parse_scenario("set gravity 10\n")
 
 
-@pytest.mark.parametrize("line", ["set unlock_delay abc", "set missed_prob 1.0",
-                                  "set per_block_cap 0", "set blocks_per_day 0"])
+@pytest.mark.parametrize("line", ["set unlock_delay abc", "set unlock_delay -3",
+                                  "set missed_prob 1.0", "set per_block_cap 0",
+                                  "set blocks_per_day 0"])
 def test_config_values_checked_at_parse_time(line):
     with pytest.raises(ScenarioParseError) as caught:
         parse_scenario(line + "\n")

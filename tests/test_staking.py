@@ -39,7 +39,7 @@ def staked_world():
 
 
 def _proxy(ledger, caller, account, method, **kwargs):
-    return ledger.submit(ProxyExecute(caller, account, ProxyPayload(method, **kwargs)))
+    return ledger.apply_transaction(ProxyExecute(caller, account, ProxyPayload(method, **kwargs)))
 
 
 def test_constants_are_consistent():
@@ -126,13 +126,13 @@ def test_rolled_back_stake_and_add_restore_balance_and_position(staked_world):
     def call(method, amount):
         return ProxyExecute(alice, account, ProxyPayload(method, amount=amount))
 
-    receipt = ledger.submit(call("stake", 32 * ETH), call("add_to_stake", ETH), Fail())
+    receipt = ledger.apply_transaction(call("stake", 32 * ETH), call("add_to_stake", ETH), Fail())
     assert not receipt.committed
     assert ledger.state_digest() == digest
     assert ledger.balance_of(account) == 100 * ETH
     assert ledger.state.stakes == {}
     ledger.must(call("stake", 32 * ETH))
-    assert not ledger.submit(call("add_to_stake", ETH), Fail()).committed
+    assert not ledger.apply_transaction(call("add_to_stake", ETH), Fail()).committed
     assert ledger.stake_balance_of(account) == 32 * ETH
     assert ledger.balance_of(account) == 68 * ETH
 
@@ -142,9 +142,9 @@ def test_rolled_back_unstake_restores_position_and_queue(staked_world):
     _proxy(ledger, alice, account, "stake", amount=32 * ETH)
     _proxy(ledger, alice, account, "add_to_stake", amount=ETH)
     ledger.advance_blocks(10)
-    position = StakePosition(account, 33 * ETH, ledger.state.stakes[account].unlock_block)
-    receipt = ledger.submit(ProxyExecute(alice, account, ProxyPayload("request_unstake")),
-                            Fail())
+    position = StakePosition(33 * ETH, ledger.state.stakes[account].unlock_block)
+    receipt = ledger.apply_transaction(
+        ProxyExecute(alice, account, ProxyPayload("request_unstake")), Fail())
     assert not receipt.committed
     assert ledger.state.stakes == {account: position}
     assert len(ledger.state.queue.pending) == 0

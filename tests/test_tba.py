@@ -80,9 +80,9 @@ def test_create_leaves_the_token_silent(world):
 def test_create_twice_same_salt(world):
     ledger, alice, _, token_id = world
     ledger.create_tba(alice, token_id, salt_from_int(0))
-    receipt = ledger.submit(CreateTba(alice, ledger.state.registry.address,
-                                      ledger.state.collection.address,
-                                      token_id, salt_from_int(0)))
+    receipt = ledger.apply_transaction(CreateTba(alice, ledger.state.registry.address,
+                                                 ledger.state.collection.address,
+                                                 token_id, salt_from_int(0)))
     assert receipt.error.code is ErrorCode.ALREADY_DEPLOYED
 
 
@@ -91,9 +91,10 @@ def test_rolled_back_create_leaves_no_record(world):
     ledger.compute_tba_address(token_id, salt_from_int(0))
     before = copy.deepcopy(ledger.state)
     for salt in (salt_from_int(0), salt_from_int(5)):  # a key probed before, and a new one
-        receipt = ledger.submit(CreateTba(alice, ledger.state.registry.address,
-                                          ledger.state.collection.address, token_id, salt),
-                                Fail())
+        receipt = ledger.apply_transaction(CreateTba(alice, ledger.state.registry.address,
+                                                     ledger.state.collection.address,
+                                                     token_id, salt),
+                                           Fail())
         assert not receipt.committed
         assert ledger.state == before
     assert ledger.state.registry.records == {}
@@ -101,9 +102,9 @@ def test_rolled_back_create_leaves_no_record(world):
 
 def test_create_for_unminted_token(world):
     ledger, alice, _, _ = world
-    receipt = ledger.submit(CreateTba(alice, ledger.state.registry.address,
-                                      ledger.state.collection.address,
-                                      42, salt_from_int(0)))
+    receipt = ledger.apply_transaction(CreateTba(alice, ledger.state.registry.address,
+                                                 ledger.state.collection.address,
+                                                 42, salt_from_int(0)))
     assert receipt.error.code is ErrorCode.UNKNOWN_TOKEN
 
 
@@ -111,9 +112,9 @@ def test_execute_gated_by_token_owner(world):
     ledger, alice, bob, token_id = world
     tba = ledger.create_tba(alice, token_id, salt_from_int(0))
     assert ledger.must(TbaExecute(alice, tba, ProxyPayload("noop"))).committed
-    receipt = ledger.submit(TbaExecute(bob, tba, ProxyPayload("noop")))
+    receipt = ledger.apply_transaction(TbaExecute(bob, tba, ProxyPayload("noop")))
     assert receipt.error.code is ErrorCode.NOT_NFT_OWNER
-    receipt = ledger.submit(TbaExecute(alice, bob, ProxyPayload("noop")))
+    receipt = ledger.apply_transaction(TbaExecute(alice, bob, ProxyPayload("noop")))
     assert receipt.error.code is ErrorCode.NOT_DEPLOYED
 
 
@@ -123,10 +124,10 @@ def test_drain_and_sell_commits_here(world):
     ledger, alice, bob, token_id = world
     tba = ledger.create_tba(alice, token_id, salt_from_int(0))
     ledger.faucet(tba, 10 * ETH)
-    receipt = ledger.submit(
-        TbaExecute(alice, tba, ProxyPayload("transfer_value", amount=10 * ETH,
-                                            to=alice)),
-        TransferToken(alice, ledger.state.collection.address, token_id, bob))
+    receipt = ledger.apply_transaction(
+                   TbaExecute(alice, tba, ProxyPayload("transfer_value", amount=10 * ETH,
+                                                       to=alice)),
+                   TransferToken(alice, ledger.state.collection.address, token_id, bob))
     assert receipt.committed
     assert ledger.owner_of(token_id) == bob
     assert ledger.balance_of(tba) == 0  # buyer got an empty account
@@ -141,7 +142,7 @@ def test_self_send_locks_and_is_detected(world):
     assert locked == [(ledger.state.collection.address, token_id)]
     # exhaustive: no existing account can pass the owner gate anymore
     for caller in list(ledger.state.accounts):
-        receipt = ledger.submit(TbaExecute(caller, tba, ProxyPayload("noop")))
+        receipt = ledger.apply_transaction(TbaExecute(caller, tba, ProxyPayload("noop")))
         assert not receipt.committed
 
 
@@ -168,8 +169,9 @@ def test_computing_an_address_writes_nothing(world):
         ledger.compute_tba_address(token_id, salt)
     assert ledger.state == before
     assert ledger.state_digest() == digest
-    receipt = ledger.submit(TransferToken(alice, ledger.state.collection.address, token_id,
-                                          ledger.compute_tba_address(token_id, salt_from_int(9))))
+    receipt = ledger.apply_transaction(
+        TransferToken(alice, ledger.state.collection.address, token_id,
+                      ledger.compute_tba_address(token_id, salt_from_int(9))))
     assert receipt.error.code is ErrorCode.UNKNOWN_ACCOUNT
     assert detect_locked_nfts(ledger.state) == []
 
@@ -177,7 +179,7 @@ def test_computing_an_address_writes_nothing(world):
 def test_stranded_funds_in_no_execute_account(world):
     ledger, alice, _, token_id = world
     tba = ledger.create_tba(alice, token_id, salt_from_int(0), has_execute=False)
-    receipt = ledger.submit(TbaExecute(alice, tba, ProxyPayload("noop")))
+    receipt = ledger.apply_transaction(TbaExecute(alice, tba, ProxyPayload("noop")))
     assert receipt.error.code is ErrorCode.NO_EXECUTE
     assert detect_stranded_tbas(ledger.state) == []
     ledger.faucet(tba, 3 * ETH)

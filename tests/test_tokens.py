@@ -71,8 +71,8 @@ def test_non_owner_transfer_rejected(world):
     ledger, alice, bob = world
     token = _mint(ledger, alice, alice)
     digest = ledger.state_digest()
-    receipt = ledger.submit(TransferToken(bob, ledger.state.collection.address,
-                                          token, bob))
+    receipt = ledger.apply_transaction(TransferToken(bob, ledger.state.collection.address,
+                                                     token, bob))
     assert receipt.error.code is ErrorCode.NOT_OWNER
     assert ledger.state_digest() == digest
 
@@ -137,14 +137,14 @@ def test_plain_mint_cannot_bind_an_account(world):
 def test_mint_to_unknown_account(world):
     ledger, alice, _ = world
     from nftaa_sim import eoa_address
-    receipt = ledger.submit(MintToken(alice, ledger.state.collection.address,
-                                      eoa_address("ghost"), b"n"))
+    receipt = ledger.apply_transaction(MintToken(alice, ledger.state.collection.address,
+                                                 eoa_address("ghost"), b"n"))
     assert receipt.error.code is ErrorCode.UNKNOWN_ACCOUNT
 
 
 def test_unknown_collection(world):
     ledger, alice, _ = world
-    receipt = ledger.submit(MintToken(alice, ZERO_ADDRESS, alice, b"n"))
+    receipt = ledger.apply_transaction(MintToken(alice, ZERO_ADDRESS, alice, b"n"))
     assert receipt.error.code is ErrorCode.UNKNOWN_COLLECTION
 
 
@@ -160,7 +160,7 @@ def test_only_owner_called_transfers_commit(world):
         caller, to = rng.choice(actors), rng.choice(actors)
         token = rng.choice(tokens)
         owner_before = ledger.owner_of(token)
-        receipt = ledger.submit(TransferToken(caller, collection, token, to))
+        receipt = ledger.apply_transaction(TransferToken(caller, collection, token, to))
         if receipt.committed:
             assert caller == owner_before
             assert ledger.owner_of(token) == to
