@@ -5,7 +5,7 @@
     nftaa-sim queue --pending N [--missed-prob P] [--simulate] [--seed N] [--no-trace]
 
 `run` and `diff` replay their files one after another in this process.
-Exit codes: 0 all verdicts passed, 1 any verdict failed, 2 parse or read error.
+Exit codes: 0 all verdicts passed, 1 any verdict failed, 2 parse, read or write error.
 """
 
 from __future__ import annotations
@@ -78,8 +78,13 @@ def _replay(args) -> int:
             result = run_scenario(script, name=path.stem, seed=args.seed)
             if args.events is not None:
                 out = args.events / f"{path.stem}.events" if len(args.files) > 1 else args.events
-                out.parent.mkdir(parents=True, exist_ok=True)
-                out.write_text("".join(e.render() + "\n" for e in result.events))
+                try:
+                    out.parent.mkdir(parents=True, exist_ok=True)
+                    out.write_text("".join(e.render() + "\n" for e in result.events))
+                except OSError as failure:
+                    sys.stdout.write(f"write_error file={failure.filename or out} "
+                                     f"{failure.strerror}\n")
+                    worst = max(worst, 2)
             text = f"{path.stem} {result.final_digest}\n" if args.digest else result.to_text()
         sys.stdout.write(text)
         worst = max(worst, result.exit_code)

@@ -6,10 +6,10 @@ discarded, so the log only ever shows committed history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .addresses import Address, to_hex
+from .records import Record
 
 SYSTEM_TX_ID = 0  # faucet credits and block-level withdrawal processing
 
@@ -28,13 +28,11 @@ class EventKind(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Event:
-    kind: EventKind
-    emitter: Address
-    payload: dict
-    block: int
-    tx_id: int
+class Event(Record):
+    __slots__ = __match_args__ = ("kind", "emitter", "payload", "block", "tx_id")
+    def __init__(self, kind: EventKind, emitter: Address, payload: dict, block: int, tx_id: int):
+        self.kind, self.emitter, self.payload = kind, emitter, payload
+        self.block, self.tx_id = block, tx_id
 
     def render(self) -> str:
         parts = [f"block={self.block}", f"tx={self.tx_id}", self.kind.value,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .addresses import (
@@ -46,6 +45,7 @@ from .ops import (
     UpgradeAccount,
     WithdrawAssets,
 )
+from .records import Record
 from .staking import QueueConfig, StakePosition, WithdrawalQueue
 from .tba import TbaRecord, TbaRegistry
 from .tokens import NftCollection, NftRecord, validate_note
@@ -62,21 +62,16 @@ class CodeId(str, Enum):
     TARGET = "Target"
 
 
-@dataclass
-class Account:
-    code_id: CodeId | None  # None marks an externally owned account
-    balance: int = 0
-
-    @property
-    def is_eoa(self) -> bool:
-        return self.code_id is None
+class Account(Record):
+    __slots__ = __match_args__ = ("code_id", "balance")
+    def __init__(self, code_id: CodeId | None):
+        self.code_id, self.balance = code_id, 0  # code None marks an externally owned account
 
 
-@dataclass(frozen=True)
-class TxReceipt:
-    tx_id: int
-    error: LedgerError | None  # None when the transaction committed
-    events: tuple[Event, ...]
+class TxReceipt(Record):
+    __slots__ = __match_args__ = ("tx_id", "error", "events")
+    def __init__(self, tx_id: int, error: LedgerError | None, events: tuple[Event, ...]):
+        self.tx_id, self.error, self.events = tx_id, error, events  # error None: committed
 
     @property
     def committed(self) -> bool:
@@ -87,26 +82,27 @@ class TxReceipt:
         return None if self.error is None else self.error.code.value
 
 
-@dataclass
-class WorldState:
-    collection: NftCollection
-    factory: FactoryState
-    registry: TbaRegistry
-    accounts: dict[Address, Account] = field(default_factory=dict)
-    nftaas: dict[Address, NftaaAccount] = field(default_factory=dict)
-    # keyed by the contract account that staked, never by its human owner
-    stakes: dict[Address, StakePosition] = field(default_factory=dict)
-    queue: WithdrawalQueue = field(default_factory=WithdrawalQueue)
+class WorldState(Record):
+    __slots__ = __match_args__ = ("collection", "factory", "registry", "accounts", "nftaas",
+                                  "stakes", "queue")
+    def __init__(self, collection: NftCollection, factory: FactoryState, registry: TbaRegistry):
+        self.collection, self.factory, self.registry = collection, factory, registry
+        self.accounts: dict[Address, Account] = {}
+        self.nftaas: dict[Address, NftaaAccount] = {}
+        # keyed by the contract account that staked, never by its human owner
+        self.stakes: dict[Address, StakePosition] = {}
+        self.queue = WithdrawalQueue()
 
 
-@dataclass
 class _TxContext:
-    tx_id: int
-    events: list[Event] = field(default_factory=list)
-    moved_tokens: set[tuple[Address, int]] = field(default_factory=set)
-    value_out: set[Address] = field(default_factory=set)
-    # one (undo function, *arguments) entry per write, replayed in reverse on rollback
-    journal: list[tuple] = field(default_factory=list)
+    __slots__ = ("tx_id", "events", "moved_tokens", "value_out", "journal")
+    def __init__(self, tx_id: int):
+        self.tx_id = tx_id
+        self.events: list[Event] = []
+        self.moved_tokens: set[tuple[Address, int]] = set()
+        self.value_out: set[Address] = set()
+        # one (undo function, *arguments) entry per write, replayed in reverse on rollback
+        self.journal: list[tuple] = []
 
     def write(self, obj, name: str, value) -> None:
         """Write one attribute, recording its old value first."""
@@ -256,7 +252,7 @@ class Ledger:
         # only through their execute paths. This is what makes a token locked
         # inside its own account permanently unreachable. Fail is the only
         # operation without a caller.
-        if hasattr(op, "caller") and not self._account(op.caller).is_eoa:
+        if hasattr(op, "caller") and self._account(op.caller).code_id is not None:
             raise err(ErrorCode.CALLER_NOT_EOA, address=to_hex(op.caller))
         match op:
             case TransferValue():

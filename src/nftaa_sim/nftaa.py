@@ -8,23 +8,22 @@ record carries the token identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .addresses import Address
+from .records import Record
 
 
-@dataclass
-class NftaaAccount:
-    bound_collection: Address
-    bound_token_id: int
-    upgrade_version: int = 1
+class NftaaAccount(Record):
+    __slots__ = __match_args__ = ("bound_collection", "bound_token_id", "upgrade_version")
+    def __init__(self, bound_collection: Address, bound_token_id: int):
+        self.bound_collection, self.bound_token_id = bound_collection, bound_token_id
+        self.upgrade_version = 1
 
     @property
     def bound_nft(self) -> tuple[Address, int]:
         return (self.bound_collection, self.bound_token_id)
 
 
-@dataclass
-class FactoryState:
-    address: Address
-    creation_nonce: int = 0
+class FactoryState(Record):
+    __slots__ = __match_args__ = ("address", "creation_nonce")
+    def __init__(self, address: Address):
+        self.address, self.creation_nonce = address, 0

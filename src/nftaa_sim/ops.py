@@ -7,106 +7,90 @@ per operation: a transaction has no caller of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .addresses import Address
+from .records import Record
 
 PROXY_METHODS = frozenset({"stake", "add_to_stake", "request_unstake", "transfer_value", "noop"})
 
 
-@dataclass(frozen=True)
-class ProxyPayload:
+class ProxyPayload(Record):
     """What an owner asks their bound account to do.
 
     The method set is closed: the simulator has no bytecode VM, so arbitrary
-    calls are represented by symbolic tags.
+    calls are represented by symbolic tags. An unknown method is a ValueError.
     """
 
-    method: str
-    amount: int = 0
-    to: Address | None = None
-
-    def __post_init__(self):
-        if self.method not in PROXY_METHODS:
-            raise ValueError(f"unknown proxy method {self.method!r}")
+    __slots__ = __match_args__ = ("method", "amount", "to")
+    def __init__(self, method: str, amount: int = 0, to: Address | None = None):
+        if method not in PROXY_METHODS:
+            raise ValueError(f"unknown proxy method {method!r}")
+        self.method, self.amount, self.to = method, amount, to
 
 
-@dataclass(frozen=True)
-class TransferValue:
-    caller: Address
-    to: Address
-    amount: int
+class TransferValue(Record):
+    __slots__ = __match_args__ = ("caller", "to", "amount")
+    def __init__(self, caller: Address, to: Address, amount: int):
+        self.caller, self.to, self.amount = caller, to, amount
 
 
-@dataclass(frozen=True)
-class MintToken:
+class MintToken(Record):
     """Plain NFT mint, no account attached (the token-bound-account starting point)."""
 
-    caller: Address
-    collection: Address
-    to: Address
-    note: bytes
+    __slots__ = __match_args__ = ("caller", "collection", "to", "note")
+    def __init__(self, caller: Address, collection: Address, to: Address, note: bytes):
+        self.caller, self.collection, self.to, self.note = caller, collection, to, note
 
 
-@dataclass(frozen=True)
-class TransferToken:
-    caller: Address
-    collection: Address
-    token_id: int
-    to: Address
+class TransferToken(Record):
+    __slots__ = __match_args__ = ("caller", "collection", "token_id", "to")
+    def __init__(self, caller: Address, collection: Address, token_id: int, to: Address):
+        self.caller, self.collection, self.token_id, self.to = caller, collection, token_id, to
 
 
-@dataclass(frozen=True)
-class MintNftaa:
+class MintNftaa(Record):
     """Atomically create a proxy account plus its bound NFT."""
 
-    caller: Address
-    factory: Address
-    note: bytes
+    __slots__ = __match_args__ = ("caller", "factory", "note")
+    def __init__(self, caller: Address, factory: Address, note: bytes):
+        self.caller, self.factory, self.note = caller, factory, note
 
 
-@dataclass(frozen=True)
-class ProxyExecute:
-    caller: Address
-    nftaa: Address
-    payload: ProxyPayload
+class ProxyExecute(Record):
+    __slots__ = __match_args__ = ("caller", "nftaa", "payload")
+    def __init__(self, caller: Address, nftaa: Address, payload: ProxyPayload):
+        self.caller, self.nftaa, self.payload = caller, nftaa, payload
 
 
-@dataclass(frozen=True)
-class WithdrawAssets:
-    caller: Address
-    nftaa: Address
-    to: Address
-    amount: int
+class WithdrawAssets(Record):
+    __slots__ = __match_args__ = ("caller", "nftaa", "to", "amount")
+    def __init__(self, caller: Address, nftaa: Address, to: Address, amount: int):
+        self.caller, self.nftaa, self.to, self.amount = caller, nftaa, to, amount
 
 
-@dataclass(frozen=True)
-class UpgradeAccount:
-    caller: Address
-    nftaa: Address
-    new_version: int
+class UpgradeAccount(Record):
+    __slots__ = __match_args__ = ("caller", "nftaa", "new_version")
+    def __init__(self, caller: Address, nftaa: Address, new_version: int):
+        self.caller, self.nftaa, self.new_version = caller, nftaa, new_version
 
 
-@dataclass(frozen=True)
-class CreateTba:
-    caller: Address
-    registry: Address
-    collection: Address
-    token_id: int
-    salt: bytes
-    has_execute: bool = True
+class CreateTba(Record):
+    __slots__ = __match_args__ = ("caller", "registry", "collection", "token_id", "salt",
+                                  "has_execute")
+    def __init__(self, caller: Address, registry: Address, collection: Address,
+                 token_id: int, salt: bytes, has_execute: bool = True):
+        self.caller, self.registry, self.collection = caller, registry, collection
+        self.token_id, self.salt, self.has_execute = token_id, salt, has_execute
 
 
-@dataclass(frozen=True)
-class TbaExecute:
-    caller: Address
-    tba: Address
-    payload: ProxyPayload
+class TbaExecute(Record):
+    __slots__ = __match_args__ = ("caller", "tba", "payload")
+    def __init__(self, caller: Address, tba: Address, payload: ProxyPayload):
+        self.caller, self.tba, self.payload = caller, tba, payload
 
 
-@dataclass(frozen=True)
-class Fail:
+class Fail(Record):
     """Always fails; used to exercise rollback paths."""
 
-    message: str = "injected"
-
+    __slots__ = __match_args__ = ("message",)
+    def __init__(self, message: str = "injected"):
+        self.message = message

@@ -31,8 +31,6 @@ and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .addresses import Address, contract_address, salt_from_int, to_hex
 from .errors import ErrorCode, LedgerError
 from .events import Event, EventKind
@@ -49,6 +47,7 @@ from .ops import (
     UpgradeAccount,
     WithdrawAssets,
 )
+from .records import Record
 from .scenario import EXECUTABLE, PROXY_FORMS, ScenarioScript, Step, parse_amount, queue_config
 from .staking import estimate_drain_time, simulate_drain
 from .tba import diagnostic_lines
@@ -72,16 +71,12 @@ _NO_ANALOG = {"native": frozenset(), "nftaa": frozenset({"tbacall", "createtba"}
 _STAKING_METHOD = {"stake": "stake", "addstake": "add_to_stake", "unstake": "request_unstake"}
 
 
-@dataclass
-class StepOutcome:
-    index: int
-    line: int
-    kind: str
-    status: str
-    detail: str = ""
-    code: str | None = None
-    tx_count: int = 0
-    group_kinds: tuple[str, ...] = ()
+class StepOutcome(Record):
+    __slots__ = __match_args__ = ("index", "line", "kind", "status", "detail", "code",
+                                  "tx_count", "group_kinds")
+    def __init__(self, index: int, line: int, kind: str, status: str):
+        self.index, self.line, self.kind, self.status = index, line, kind, status
+        self.detail, self.code, self.tx_count, self.group_kinds = "", None, 0, ()
 
     def render(self) -> str:
         text = f"step index={self.index} line={self.line} kind={self.kind} status={self.status}"
@@ -110,26 +105,24 @@ class StepOutcome:
         return ":".join(parts)
 
 
-@dataclass
-class Verdict:
-    line: int
-    description: str
-    passed: bool
+class Verdict(Record):
+    __slots__ = __match_args__ = ("line", "description", "passed")
+    def __init__(self, line: int, description: str, passed: bool):
+        self.line, self.description, self.passed = line, description, passed
 
     def render(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
         return f"verdict line={self.line} status={flag} {self.description}"
 
 
-@dataclass
-class RunReport:
-    name: str
-    lane: str
-    seed: int
-    outcomes: list[StepOutcome] = field(default_factory=list)
-    verdicts: list[Verdict] = field(default_factory=list)
-    events: list[Event] = field(default_factory=list)
-    final_digest: str = ""
+class RunReport(Record):
+    __slots__ = __match_args__ = ("name", "lane", "seed", "outcomes", "verdicts", "events",
+                                  "final_digest")
+    def __init__(self, name: str, lane: str, seed: int):
+        self.name, self.lane, self.seed, self.final_digest = name, lane, seed, ""
+        self.outcomes: list[StepOutcome] = []
+        self.verdicts: list[Verdict] = []
+        self.events: list[Event] = []
 
     @property
     def exit_code(self) -> int:
@@ -542,26 +535,21 @@ def run_scenario(script: ScenarioScript, name: str = "scenario",
 # Differential execution
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DiffEntry:
-    index: int
-    line: int
-    kind: str
-    nftaa: str
-    tba: str
-    claim: str
+class DiffEntry(Record):
+    __slots__ = __match_args__ = ("index", "line", "kind", "nftaa", "tba", "claim")
+    def __init__(self, index: int, line: int, kind: str, nftaa: str, tba: str, claim: str):
+        self.index, self.line, self.kind = index, line, kind
+        self.nftaa, self.tba, self.claim = nftaa, tba, claim
 
     def render(self) -> str:
         return (f"step index={self.index} line={self.line} kind={self.kind} "
                 f"nftaa={self.nftaa} tba={self.tba} claim={self.claim}")
 
 
-@dataclass
-class DiffResult:
-    name: str
-    nftaa: RunReport
-    tba: RunReport
-    entries: list[DiffEntry]
+class DiffResult(Record):
+    __slots__ = __match_args__ = ("name", "nftaa", "tba", "entries")
+    def __init__(self, name: str, nftaa: RunReport, tba: RunReport, entries: list[DiffEntry]):
+        self.name, self.nftaa, self.tba, self.entries = name, nftaa, tba, entries
 
     @property
     def exit_code(self) -> int:

@@ -17,11 +17,11 @@ set `a|b`, the `method`/`form` sub-tables, and `?`/`*` for optional/repeated rol
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .addresses import SALT_LEN
 from .errors import ErrorCode
+from .records import Record
 from .staking import ETH, QueueConfig, check_drain_size
 
 _SCAN = re.compile(r'"([^"]*)"|(#.*)|(\S+)')  # quoted value, comment to line end, word
@@ -188,15 +188,20 @@ class ScenarioParseError(Exception):
         super().__init__(f"line {line}, col {column}: {message}")
 
 
-@dataclass(frozen=True)
-class Step:
-    kind: str
-    args: tuple[str, ...]
-    line: int = field(compare=False, default=0)
+class Step(Record):
+    """A step kind and its arguments; `line`, where the step was written, is not compared."""
+
+    __slots__ = __match_args__ = ("kind", "args", "line")
+    def __init__(self, kind: str, args: tuple[str, ...], line: int = 0):
+        self.kind, self.args, self.line = kind, args, line
+
+    def __eq__(self, other):
+        if type(other) is not Step:
+            return NotImplemented
+        return self.kind == other.kind and self.args == other.args
 
 
-@dataclass(frozen=True)
-class ScenarioScript:
+class ScenarioScript(NamedTuple):
     config: tuple[tuple[str, str], ...] = ()
     steps: tuple[Step, ...] = ()
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
 from operator import sub
 
 from .addresses import Address
+from .records import Record
 
 ETH = 10**18
 MIN_STAKE = 32 * ETH  # validator entry threshold
@@ -33,42 +33,43 @@ TRACE_CHUNK_LINES = 4_096
 _TRACE_LINE = "block=%s processed=%s remaining=%s\n"  # %s renders an int as str() does
 
 
-@dataclass
-class QueueConfig:
-    per_block_cap: int = PER_BLOCK_CAP
-    blocks_per_day: int = BLOCKS_PER_DAY
-    missed_slot_probability: float = 0.0
-    unlock_delay: int = 100  # blocks between staking and the earliest unstake
-    min_stake: int = MIN_STAKE
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.per_block_cap < 1:
+class QueueConfig(Record):
+    __slots__ = __match_args__ = ("per_block_cap", "blocks_per_day", "missed_slot_probability",
+                                  "unlock_delay", "min_stake", "rng_seed")
+    def __init__(self, per_block_cap: int = PER_BLOCK_CAP, blocks_per_day: int = BLOCKS_PER_DAY,
+                 missed_slot_probability: float = 0.0,
+                 unlock_delay: int = 100,  # blocks between staking and the earliest unstake
+                 min_stake: int = MIN_STAKE, rng_seed: int = 0):
+        if per_block_cap < 1:
             raise ValueError("per_block_cap must be >= 1")
-        if self.blocks_per_day < 1:
+        if blocks_per_day < 1:
             raise ValueError("blocks_per_day must be >= 1")
-        if not 0.0 <= self.missed_slot_probability < 1.0:
+        if not 0.0 <= missed_slot_probability < 1.0:
             raise ValueError("missed_slot_probability must be in [0, 1)")
-        if self.unlock_delay < 0:
+        if unlock_delay < 0:
             raise ValueError("unlock_delay must be >= 0")
+        self.per_block_cap, self.blocks_per_day = per_block_cap, blocks_per_day
+        self.missed_slot_probability, self.unlock_delay = missed_slot_probability, unlock_delay
+        self.min_stake, self.rng_seed = min_stake, rng_seed
 
 
-@dataclass
-class StakePosition:
-    amount: int
-    unlock_block: int  # fixed at creation; adding funds does not extend it
+class StakePosition(Record):
+    __slots__ = __match_args__ = ("amount", "unlock_block")
+    def __init__(self, amount: int, unlock_block: int):
+        self.amount = amount
+        self.unlock_block = unlock_block  # fixed at creation; adding funds does not extend it
 
 
-@dataclass(slots=True)
-class QueueEntry:
-    owner: Address
-    amount: int
-    enqueued_at: int
+class QueueEntry(Record):
+    __slots__ = __match_args__ = ("owner", "amount", "enqueued_at")
+    def __init__(self, owner: Address, amount: int, enqueued_at: int):
+        self.owner, self.amount, self.enqueued_at = owner, amount, enqueued_at
 
 
-@dataclass
-class WithdrawalQueue:
-    pending: deque[QueueEntry] = field(default_factory=deque)
+class WithdrawalQueue(Record):
+    __slots__ = __match_args__ = ("pending",)
+    def __init__(self):
+        self.pending: deque[QueueEntry] = deque()
 
     def enqueue(self, owner: Address, amount: int, height: int) -> None:
         self.pending.append(QueueEntry(owner, amount, height))
@@ -98,10 +99,11 @@ def block_take(pending: int, config: QueueConfig, rng: random.Random) -> int:
 # Closed-form estimate and standalone queue simulations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DrainEstimate:
-    blocks: int       # ceil of the expected block count
-    days: float       # unrounded expectation / blocks_per_day
+class DrainEstimate(Record):
+    __slots__ = __match_args__ = ("blocks", "days")
+    def __init__(self, blocks: int, days: float):
+        self.blocks = blocks  # ceil of the expected block count
+        self.days = days      # unrounded expectation / blocks_per_day
 
     def summary_line(self) -> str:
         return f"drained_in_blocks={self.blocks} days={self.days:.3f}"
@@ -117,10 +119,10 @@ def estimate_drain_time(pending_count: int, config: QueueConfig) -> DrainEstimat
     return DrainEstimate(math.ceil(expected), expected / config.blocks_per_day)
 
 
-@dataclass
-class DrainTrace:
-    per_block: list[int]  # processed count for each block, in order
-    config: QueueConfig
+class DrainTrace(Record):
+    __slots__ = __match_args__ = ("per_block", "config")
+    def __init__(self, per_block: list[int], config: QueueConfig):
+        self.per_block, self.config = per_block, config  # per_block: processed count per block
 
     @property
     def blocks(self) -> int:

@@ -15,24 +15,24 @@ registry address is one of those records.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 from .addresses import Address, deterministic_address
 from .errors import ErrorCode, err
+from .records import Record
 
 
-@dataclass
-class TbaRecord:
-    collection: Address
-    token_id: int
-    salt: bytes
-    has_execute: bool = True  # badly developed account variant when False
+class TbaRecord(Record):
+    __slots__ = __match_args__ = ("collection", "token_id", "salt", "has_execute")
+    def __init__(self, collection: Address, token_id: int, salt: bytes, has_execute: bool):
+        self.collection, self.token_id, self.salt = collection, token_id, salt
+        self.has_execute = has_execute  # badly developed account variant when False
 
 
-@dataclass
-class TbaRegistry:
-    address: Address
-    records: dict[Address, TbaRecord] = field(default_factory=dict)  # deployed, by address
+class TbaRegistry(Record):
+    __slots__ = __match_args__ = ("address", "records")
+    def __init__(self, address: Address):
+        self.address = address
+        self.records: dict[Address, TbaRecord] = {}  # deployed, by address
 
     def compute_address(self, collection: Address, token_id: int, salt: bytes) -> Address:
         """The account address of this key, deployed or not."""

@@ -6,29 +6,27 @@ approvals, no burning, no metadata URIs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .addresses import Address
 from .errors import ErrorCode, err
+from .records import Record
 
 NOTE_MIN_LEN = 1
 NOTE_MAX_LEN = 256  # reject anything larger as "excessively large"
 
 
-@dataclass
-class NftRecord:
-    token_id: int
-    owner: Address
-    note: bytes
-    # Set once at mint when the token fronts a proxy account; immutable afterwards.
-    bound_account: Address | None = None
+class NftRecord(Record):
+    __slots__ = __match_args__ = ("token_id", "owner", "note", "bound_account")
+    def __init__(self, token_id: int, owner: Address, note: bytes, bound_account: Address | None):
+        self.token_id, self.owner, self.note = token_id, owner, note
+        # Set once at mint when the token fronts a proxy account; immutable afterwards.
+        self.bound_account = bound_account
 
 
-@dataclass
-class NftCollection:
-    address: Address
-    tokens: dict[int, NftRecord] = field(default_factory=dict)
-    next_id: int = 1
+class NftCollection(Record):
+    __slots__ = __match_args__ = ("address", "tokens", "next_id")
+    def __init__(self, address: Address):
+        self.address, self.next_id = address, 1
+        self.tokens: dict[int, NftRecord] = {}
 
     def get(self, token_id: int) -> NftRecord:
         record = self.tokens.get(token_id)

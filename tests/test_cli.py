@@ -150,6 +150,38 @@ def test_run_multiple_files_parallel(tmp_path, capsys):
         ["s0.events", "s1.events", "s2.events"]
 
 
+def test_events_into_a_directory_exits_two(scenario_file, tmp_path, capsys):
+    # one script: --events names the log file itself, here an existing directory
+    assert main(["run", str(scenario_file), "--events", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"write_error file={tmp_path} Is a directory\n")
+    assert "scenario=good" in out  # the run's report is still printed
+
+
+def test_events_under_a_file_exits_two(scenario_file, tmp_path, capsys):
+    # several scripts: --events names a directory, here an existing file
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["run", str(scenario_file), str(scenario_file), "--events", str(taken)])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert out.count(f"write_error file={taken} File exists\n") == 2
+    assert out.count("scenario=good") == 2
+    assert taken.read_text() == ""
+
+
+def test_cli_import_loads_no_dataclasses():
+    """Records are plain classes: the CLI's import builds none with `dataclasses`,
+    which would also load `inspect`."""
+    source = str(Path(nftaa_sim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": source}
+    probe = ("import sys, nftaa_sim.cli\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    assert loaded == "[]"
+
+
 def test_cli_import_stays_single_process():
     """The CLI replays in one process: importing it loads no process or thread pool."""
     source = str(Path(nftaa_sim.__file__).resolve().parent.parent)

@@ -1,9 +1,10 @@
-"""Every name the benchmark's tracer patches still exists in nftaa_sim.
+"""Every name the benchmark's tracer patches or reads still exists in nftaa_sim.
 
 `perfbench/tracing.py` replaces the functions in its TRACED table by name,
 plus `WithdrawalQueue.process_block`; its untraced `Counter` wraps the
-TRACED entries named in `Counter.COUNTED`. A rename would otherwise surface
-only when someone runs the benchmark.
+TRACED entries named in `Counter.COUNTED`. Its span tags and counters read
+attributes of the results. A rename would otherwise surface only when
+someone runs the benchmark.
 """
 
 import importlib
@@ -41,3 +42,33 @@ def test_block_counter_and_counted_names_resolve():
     traced = {name for _layer, name, _namespaces, _attribute in tracing.TRACED}
     assert tracing.Counter.COUNTED
     assert set(tracing.Counter.COUNTED) <= traced
+
+
+
+def test_span_tags_and_counters_read_real_results():
+    """`_tag` and `Counter` read attributes of what the simulator returns:
+    `ScenarioScript.steps`, `TxReceipt.committed`, `DrainTrace.per_block` and
+    `Ledger.state.accounts`. Each is read here through the benchmark's own
+    wrapper around the real function, called on real objects."""
+    from nftaa_sim import Fail, Ledger, QueueConfig, TransferValue, scenario, simulate_drain
+
+    tracing = _tracing()
+    tracer, counter = tracing.Tracer(), tracing.Counter()
+    config = QueueConfig()
+    ledger = Ledger(config)
+    alice, bob = ledger.create_eoa("alice"), ledger.create_eoa("bob")
+    ledger.faucet(alice, 10)
+    script = tracer.wrap("parse_scenario", scenario.parse_scenario)("actor a\nadvance 3\n")
+    apply = tracer.wrap("Ledger.apply_transaction", Ledger.apply_transaction)
+    apply(ledger, TransferValue(alice, bob, 4))
+    apply(ledger, Fail())
+    tracer.wrap("Ledger.advance_blocks", Ledger.advance_blocks)(ledger, 3)
+    tracer.wrap("Ledger.state_digest", Ledger.state_digest)(ledger)
+    trace = tracer.wrap("simulate_drain", simulate_drain)(40, config)
+    assert (len(script.steps), len(ledger.state.accounts), len(trace.per_block)) == (2, 6, 3)
+    assert [span[4] for span in tracer.spans] == [2, "c", "r", 3, 6, 3]
+
+    counter.wrap("Ledger.apply_transaction", Ledger.apply_transaction)(ledger, Fail())
+    counter.wrap("Ledger.advance_blocks", Ledger.advance_blocks)(ledger, 5)
+    counter.wrap("simulate_drain", simulate_drain)(40, config)
+    assert counter.counts == {"tx": 1, "ledger_blocks": 5, "drain_blocks": 3}

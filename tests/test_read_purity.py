@@ -10,7 +10,6 @@ kind, status, error code, transaction count and detail, every other verdict
 must stay as it was, and the event log and the final digest must not change.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 from nftaa_sim import ScenarioRunner, Step, parse_scenario
@@ -54,7 +53,7 @@ def test_inserted_reads_change_nothing_else():
         baseline = {lane: _observed(script, lane) for lane in LANES}
         for position in _read_positions(steps):
             for read in READS:
-                probed = replace(script, steps=steps[:position] + (read,) + steps[position:])
+                probed = script._replace(steps=steps[:position] + (read,) + steps[position:])
                 for lane in LANES:
                     assert _observed(probed, lane) == baseline[lane], \
                         f"{name} lane={lane}: {read.kind} {read.args[0][:8]} " \
