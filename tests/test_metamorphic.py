@@ -25,7 +25,6 @@ gen = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)  # datacl
 _spec.loader.exec_module(gen)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
-TBA_ONLY = {"createtba", "tbacall"}
 
 
 def _split_advances(script, rng):
@@ -59,10 +58,12 @@ def test_split_advances_give_the_same_run(seed, rng):
     assert parts.exit_code == whole.exit_code
 
 
+def _uses_tba(script) -> bool:
+    return any(step.kind in ("createtba", "tbacall") or step.args[:1] == ("tba_address",)
+               for step in script.steps)
+
+
 def _assert_lanes_agree(script):
-    kinds = {step.kind for step in script.steps}
-    probes = {step.args[0] for step in script.steps if step.kind == "probe"}
-    assert not kinds & TBA_ONLY and "tba_address" not in probes
     native, nftaa = run_scenario(script, lane="native"), run_scenario(script, lane="nftaa")
     assert nftaa.outcomes == native.outcomes
     assert nftaa.verdicts == native.verdicts
@@ -70,26 +71,24 @@ def _assert_lanes_agree(script):
     assert nftaa.final_digest == native.final_digest
 
 
-def _without_tba_steps(path: Path) -> bool:
-    script = parse_scenario(path.read_text())
-    return not any(step.kind in TBA_ONLY or step.args[:1] == ("tba_address",)
-                   for step in script.steps)
+SCRIPTS = {path.name: parse_scenario(path.read_text())
+           for path in sorted((ROOT / "scenarios").glob("**/*.scn"))
+           + [ROOT / "tests/golden/failures.scn"]}
+CORPUS = {name: script for name, script in SCRIPTS.items() if not _uses_tba(script)}
 
 
-CORPUS = [path for path in sorted((ROOT / "scenarios").glob("**/*.scn"))
-          + [ROOT / "tests/golden/failures.scn"] if _without_tba_steps(path)]
-
-
-@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.name)
-def test_corpus_runs_alike_in_native_and_nftaa_lanes(path):
-    _assert_lanes_agree(parse_scenario(path.read_text()))
-
-
-def test_most_of_the_corpus_is_compared_across_lanes():
+def test_the_lane_comparison_covers_most_of_the_corpus():
     assert len(CORPUS) >= 10
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_runs_alike_in_native_and_nftaa_lanes(name):
+    _assert_lanes_agree(CORPUS[name])
 
 
 @settings(max_examples=30, deadline=None)
 @given(SEEDS)
 def test_generated_world_runs_alike_in_native_and_nftaa_lanes(seed):
-    _assert_lanes_agree(parse_scenario(gen.nftaa_world(seed, actors=10, ops=30).text))
+    script = parse_scenario(gen.nftaa_world(seed, actors=10, ops=30).text)
+    assert not _uses_tba(script)
+    _assert_lanes_agree(script)
