@@ -44,7 +44,6 @@ def test_block_counter_and_counted_names_resolve():
     assert set(tracing.Counter.COUNTED) <= traced
 
 
-
 def test_span_tags_and_counters_read_real_results():
     """`_tag` and `Counter` read attributes of what the simulator returns:
     `ScenarioScript.steps`, `TxReceipt.committed`, `DrainTrace.per_block` and
