@@ -11,6 +11,7 @@ Exit codes: 0 all verdicts passed, 1 any verdict failed, 2 parse, read or write 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from .scenario import ScenarioParseError, parse_scenario
 from .staking import QueueConfig, check_drain_size, estimate_drain_time, simulate_drain
 
 
+@functools.cache  # one parser per process: each build costs time and leaves cycles
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nftaa-sim",
                                      description="Deterministic NFT-as-account ledger simulator")
@@ -97,7 +99,7 @@ def _cmd_queue(args, config: QueueConfig) -> int:
           f"blocks_per_day={config.blocks_per_day} "
           f"missed_prob={config.missed_slot_probability:.3f}")
     if args.simulate:
-        trace = simulate_drain(args.pending, config)
+        trace = simulate_drain(args.pending, config, trace=not args.no_trace)
         if not args.no_trace:
             sys.stdout.writelines(trace.trace_lines())
         print(trace.summary_line())

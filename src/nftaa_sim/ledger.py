@@ -222,7 +222,10 @@ class Ledger:
     def must(self, *operations) -> TxReceipt:
         receipt = self.apply_transaction(*operations)
         if not receipt.committed:
-            raise receipt.error
+            try:
+                raise receipt.error
+            finally:  # this frame joins the error's traceback: hold no path back to it
+                receipt = None
         return receipt
 
     # Convenience single-operation wrappers used heavily by tests.

@@ -260,7 +260,7 @@ class ScenarioRunner:
             else:
                 self._run_transaction(group, outcome)
         except LedgerError as failure:
-            _failed(outcome, failure)
+            _failed(outcome, failure.code)
         return outcome
 
     # ------------------------------------------------------------------
@@ -302,7 +302,7 @@ class ScenarioRunner:
         """
         seq: list[str] = []
         committed = 0
-        failure: LedgerError | None = None
+        failure: ErrorCode | None = None  # not the error: its traceback holds this frame
         rest = list(group)
         while rest:
             step = rest.pop(0)
@@ -323,17 +323,16 @@ class ScenarioRunner:
                     committed += 1
                 pending.clear()
             except LedgerError as error:
-                failure = error
-                seq.append(f"{name}={error.code.value}")
+                failure = error.code
+                seq.append(f"{name}={failure.value}")
                 seq += [f"{later}={SKIPPED}" for later, _ in parts[done:]]
         outcome.detail = "seq=" + ",".join(seq)
         if failure is None:
             outcome.status = COMMITTED
-        elif committed or len(seq) > 1:
-            outcome.status = PARTIAL if committed else ROLLED_BACK
-            outcome.code = failure.code.value
         else:
             _failed(outcome, failure)
+            if committed or len(seq) > 1:
+                outcome.status = PARTIAL if committed else ROLLED_BACK
 
     def _translate(self, step: Step, ahead: list, pending: list[str]) -> list[tuple[str, object]]:
         """The named ledger operations of one step in this lane.
@@ -505,14 +504,13 @@ class ScenarioRunner:
     def _queue_report(self, pending: int, mode: str) -> str:
         if mode == "closed":
             return estimate_drain_time(pending, self.config).summary_line()
-        return simulate_drain(pending, self.config).summary_line()
+        return simulate_drain(pending, self.config, trace=False).summary_line()
 
 
-def _failed(outcome: StepOutcome, failure: LedgerError) -> None:
+def _failed(outcome: StepOutcome, code: ErrorCode) -> None:
     """A step that raised: not comparable if it has no analog in the lane, else rolled back."""
-    comparable = failure.code is not ErrorCode.NOT_COMPARABLE
-    outcome.status = ROLLED_BACK if comparable else NOT_COMPARABLE
-    outcome.code = failure.code.value
+    outcome.status = NOT_COMPARABLE if code is ErrorCode.NOT_COMPARABLE else ROLLED_BACK
+    outcome.code = code.value
 
 
 def _creation_detail(receipt: TxReceipt) -> str:
@@ -609,9 +607,9 @@ def run_differential(script: ScenarioScript, name: str = "scenario",
     lane_b = run_scenario(script, name, lane="tba", seed=seed)
     entries = []
     for outcome_a, outcome_b in zip(lane_a.outcomes, lane_b.outcomes):
-        if outcome_a.signature() == outcome_b.signature():
-            continue
-        entries.append(DiffEntry(outcome_a.index, outcome_a.line, outcome_a.kind,
-                                 outcome_a.signature(), outcome_b.signature(),
-                                 classify_difference(outcome_a, outcome_b)))
+        signature_a, signature_b = outcome_a.signature(), outcome_b.signature()
+        if signature_a != signature_b:
+            entries.append(DiffEntry(outcome_a.index, outcome_a.line, outcome_a.kind,
+                                     signature_a, signature_b,
+                                     classify_difference(outcome_a, outcome_b)))
     return DiffResult(name, lane_a, lane_b, entries)

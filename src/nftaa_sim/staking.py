@@ -10,7 +10,7 @@ block at a time. The standalone drain applies the same rule one batch at a
 time: it needs only the count, so it never builds an entry, and it draws the
 missed slots of many blocks in one pass, consuming the generator exactly as
 the block-at-a-time rule would. A simulated drain is capped at
-`MAX_DRAIN_BLOCKS` expected blocks, since it keeps one list slot per block.
+`MAX_DRAIN_BLOCKS` expected blocks: a traced one keeps a list slot per block.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from itertools import accumulate, chain, islice
-from operator import sub
+from itertools import accumulate, chain, islice, repeat, starmap
+from operator import ge, sub
 
 from .addresses import Address
 from .records import Record
@@ -132,8 +132,7 @@ class DrainTrace(Record):
     def days(self) -> float:
         return self.blocks / self.config.blocks_per_day
 
-    def summary_line(self) -> str:
-        return f"drained_in_blocks={self.blocks} days={self.days:.3f}"
+    summary_line = DrainEstimate.summary_line
 
     def trace_lines(self):
         """The trace as text, one `block=<h> processed=<n> remaining=<m>` line per block.
@@ -159,8 +158,13 @@ def check_drain_size(pending_count: int, config: QueueConfig) -> None:
                          f"{blocks} blocks, more than {MAX_DRAIN_BLOCKS}")
 
 
+class _BlockCount(int):
+    """An untraced drain's per-block list: only its len(), which `DrainTrace.blocks` reads."""
+    __len__ = int.__index__
+
+
 def simulate_drain(pending_count: int, config: QueueConfig,
-                   rng: random.Random | None = None) -> DrainTrace:
+                   rng: random.Random | None = None, trace: bool = True) -> DrainTrace:
     """Drain a backlog of `pending_count` entries and record how many each block took.
 
     Only the count is kept, and the draws are those of `block_take`, as the
@@ -168,22 +172,29 @@ def simulate_drain(pending_count: int, config: QueueConfig,
     match a queue of real entries. A drain needs exactly `ceil(pending / cap)`
     blocks that are not missed. While `need` of them are owed, the next `need`
     blocks are drawn as one batch: the drain lasts at least that long, so a
-    batch never draws past its last block. At p = 0 nothing is drawn. Raises
-    ValueError, before drawing, when `check_drain_size` rejects the backlog.
+    batch never draws past its last block. At p = 0 nothing is drawn. Untraced,
+    a batch's draws are only counted, not kept. Raises ValueError, before
+    drawing, when `check_drain_size` rejects the backlog.
     """
     check_drain_size(pending_count, config)
     if rng is None:
         rng = random.Random(config.rng_seed)
     cap, missed = config.per_block_cap, config.missed_slot_probability
     busy = max(-(-pending_count // cap), 0)  # ceil division; a negative backlog is empty
-    if missed > 0.0:
-        per_block, need = [], busy
-        while need:
-            batch = [cap if rng.random() >= missed else 0 for _ in range(need)]
+    need = busy if missed > 0.0 else 0  # at p = 0 every block is a hit
+    blocks, per_block = busy, [cap] * (busy - need) if trace else None
+    while need:
+        draws = starmap(rng.random, repeat((), need))
+        if per_block is None:
+            hits = sum(map(ge, draws, repeat(missed)))
+        else:
+            batch = [cap if draw >= missed else 0 for draw in draws]
             per_block += batch
-            need -= batch.count(cap)
-    else:
-        per_block = [cap] * busy
+            hits = batch.count(cap)
+        blocks += need - hits
+        need -= hits
+    if per_block is None:
+        return DrainTrace(_BlockCount(blocks), config)
     if busy:
         per_block[-1] = pending_count - (busy - 1) * cap
     return DrainTrace(per_block, config)

@@ -65,16 +65,14 @@ def detect_locked_nfts(state) -> list[tuple[Address, int]]:
     Such a token can never satisfy its own owner gate again: the only party
     that could act is the account, and accounts do not originate calls.
     A token can only be sent to an existing account, so its owner is one of
-    its own accounts exactly when the owner is a deployed record of it.
+    its own accounts exactly when the owner is a deployed record of it. So
+    the walk is over the deployed records (each made for a minted token),
+    not over the tokens; the hits are sorted by token id.
     """
-    locked = []
-    collection = state.collection
-    for token_id in sorted(collection.tokens):
-        owner = state.registry.records.get(collection.tokens[token_id].owner)
-        if owner is not None and owner.collection == collection.address \
-                and owner.token_id == token_id:
-            locked.append((collection.address, token_id))
-    return locked
+    collection, tokens = state.collection.address, state.collection.tokens
+    return sorted((collection, record.token_id)
+                  for address, record in state.registry.records.items()
+                  if record.collection == collection and tokens[record.token_id].owner == address)
 
 
 def detect_stranded_tbas(state) -> list[tuple[Address, int]]:

@@ -9,19 +9,13 @@ as the model wrote, and parse -> serialize -> parse must give the script
 back. A failure means the runner or the model is wrong.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 from hypothesis import given, settings, strategies as st
 
 from nftaa_sim import parse_scenario, serialize_scenario
 from nftaa_sim.runner import run_differential, run_scenario
+from tests.perfbench_modules import load
 
-GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-_spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
-gen = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)  # dataclasses look it up
-_spec.loader.exec_module(gen)
+gen = load("gen")
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 

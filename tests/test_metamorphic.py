@@ -9,20 +9,16 @@
   `diff`.
 """
 
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nftaa_sim import Step, parse_scenario, run_scenario
+from tests.perfbench_modules import load
 
 ROOT = Path(__file__).resolve().parent.parent
-GEN = ROOT / "perfbench" / "gen.py"
-_spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
-gen = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)  # dataclasses look it up
-_spec.loader.exec_module(gen)
+gen = load("gen")
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 

@@ -8,21 +8,12 @@ someone runs the benchmark.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+from tests.perfbench_modules import load
 
 
 def test_every_traced_name_resolves():
-    tracing = _tracing()
+    tracing = load("tracing")
     missing = []
     for _layer, name, namespaces, attribute in tracing.TRACED:
         for namespace in namespaces:
@@ -36,7 +27,7 @@ def test_every_traced_name_resolves():
 
 
 def test_block_counter_and_counted_names_resolve():
-    tracing = _tracing()
+    tracing = load("tracing")
     staking = importlib.import_module("nftaa_sim.staking")
     assert callable(getattr(staking.WithdrawalQueue, "process_block", None))
     traced = {name for _layer, name, _namespaces, _attribute in tracing.TRACED}
@@ -48,10 +39,11 @@ def test_span_tags_and_counters_read_real_results():
     """`_tag` and `Counter` read attributes of what the simulator returns:
     `ScenarioScript.steps`, `TxReceipt.committed`, `DrainTrace.per_block` and
     `Ledger.state.accounts`. Each is read here through the benchmark's own
-    wrapper around the real function, called on real objects."""
+    wrapper around the real function, called on real objects. An untraced
+    drain must count the same blocks as a traced one."""
     from nftaa_sim import Fail, Ledger, QueueConfig, TransferValue, scenario, simulate_drain
 
-    tracing = _tracing()
+    tracing = load("tracing")
     tracer, counter = tracing.Tracer(), tracing.Counter()
     config = QueueConfig()
     ledger = Ledger(config)
@@ -64,10 +56,12 @@ def test_span_tags_and_counters_read_real_results():
     tracer.wrap("Ledger.advance_blocks", Ledger.advance_blocks)(ledger, 3)
     tracer.wrap("Ledger.state_digest", Ledger.state_digest)(ledger)
     trace = tracer.wrap("simulate_drain", simulate_drain)(40, config)
+    tracer.wrap("simulate_drain", simulate_drain)(40, config, trace=False)
     assert (len(script.steps), len(ledger.state.accounts), len(trace.per_block)) == (2, 6, 3)
-    assert [span[4] for span in tracer.spans] == [2, "c", "r", 3, 6, 3]
+    assert [span[4] for span in tracer.spans] == [2, "c", "r", 3, 6, 3, 3]
 
     counter.wrap("Ledger.apply_transaction", Ledger.apply_transaction)(ledger, Fail())
     counter.wrap("Ledger.advance_blocks", Ledger.advance_blocks)(ledger, 5)
     counter.wrap("simulate_drain", simulate_drain)(40, config)
-    assert counter.counts == {"tx": 1, "ledger_blocks": 5, "drain_blocks": 3}
+    counter.wrap("simulate_drain", simulate_drain)(40, config, trace=False)
+    assert counter.counts == {"tx": 1, "ledger_blocks": 5, "drain_blocks": 6}

@@ -9,23 +9,18 @@ scripts kept next to the golden transcripts and three generated `spot`
 scripts (`perfbench/gen.py`) in all three lanes.
 """
 
-import importlib.util
-import sys
 from pathlib import Path
 
 from nftaa_sim import ScenarioRunner, parse_scenario
 from nftaa_sim.runner import NOT_COMPARABLE, ROLLED_BACK
+from tests.perfbench_modules import load
 
 ROOT = Path(__file__).resolve().parent.parent
 PATHS = sorted((ROOT / "scenarios").glob("**/*.scn")) + sorted(ROOT.glob("tests/golden/*.scn"))
 
 
 def _spot_scripts() -> dict[str, str]:
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen  # its dataclasses look the module up there
-    spec.loader.exec_module(gen)
-    return {f"spot{seed}": gen.spot(seed).text for seed in (0, 7, 11)}
+    return {f"spot{seed}": load("gen").spot(seed).text for seed in (0, 7, 11)}
 
 
 class _PurityRunner(ScenarioRunner):

@@ -3,6 +3,7 @@
 import math
 import random
 import statistics
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -353,6 +354,34 @@ def test_drain_without_misses_draws_no_randomness():
     state_before = rng.getstate()
     assert simulate_drain(10_007, QueueConfig(), rng).per_block == [16] * 625 + [7]
     assert rng.getstate() == state_before
+
+
+@pytest.mark.parametrize("pending, probability, seed", [
+    (0, 0.1, 1), (1, 0.9, 2), (10_007, 0.0, 3), (10_007, 0.25, 4), (5_000, 0.9, 5),
+    (160_000, 0.1, 6)])
+def test_untraced_drain_counts_the_blocks_of_the_traced_one(pending, probability, seed):
+    """Same block count, summary and final generator state: the same draws."""
+    for cap in (1, 16):
+        config = QueueConfig(per_block_cap=cap, missed_slot_probability=probability)
+        traced_rng, counted_rng = random.Random(seed), random.Random(seed)
+        traced = simulate_drain(pending, config, traced_rng)
+        counted = simulate_drain(pending, config, counted_rng, trace=False)
+        assert counted.blocks == len(traced.per_block)
+        assert counted.summary_line() == traced.summary_line()
+        assert counted_rng.getstate() == traced_rng.getstate()
+
+
+def test_untraced_drain_of_a_million_blocks_keeps_no_list():
+    """Its per-block list alone would take about 8 MiB."""
+    config = QueueConfig(missed_slot_probability=0.1, rng_seed=9)
+    tracemalloc.start()
+    try:
+        trace = simulate_drain(16 * 900_000, config, trace=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.blocks > 10**6
+    assert peak < 2**20
 
 
 def _reference_trace(per_block: list[int]) -> str:

@@ -15,13 +15,16 @@ from nftaa_sim import (
     Ledger,
     MintToken,
     ProxyPayload,
+    ScenarioRunner,
     TbaExecute,
     TransferToken,
     detect_locked_nfts,
     detect_stranded_tbas,
+    parse_scenario,
     salt_from_int,
 )
 from nftaa_sim.tba import diagnostic_lines
+from tests.perfbench_modules import load
 
 
 @pytest.fixture
@@ -174,6 +177,55 @@ def test_computing_an_address_writes_nothing(world):
                       ledger.compute_tba_address(token_id, salt_from_int(9))))
     assert receipt.error.code is ErrorCode.UNKNOWN_ACCOUNT
     assert detect_locked_nfts(ledger.state) == []
+
+
+def _locked_by_token_scan(state):
+    """The lock diagnostic as first written: every token, in id order, looked
+    up in the registry by its owner."""
+    locked = []
+    collection = state.collection
+    for token_id in sorted(collection.tokens):
+        owner = state.registry.records.get(collection.tokens[token_id].owner)
+        if owner is not None and owner.collection == collection.address \
+                and owner.token_id == token_id:
+            locked.append((collection.address, token_id))
+    return locked
+
+
+class _LockCheckingRunner(ScenarioRunner):
+    """Compares the lock diagnostic with the token scan after every step."""
+
+    most_locked = 0
+
+    def _run_step(self, step, group):
+        outcome = super()._run_step(step, group)
+        expected = _locked_by_token_scan(self.ledger.state)
+        assert detect_locked_nfts(self.ledger.state) == expected, outcome.render()
+        self.most_locked = max(self.most_locked, len(expected))
+        return outcome
+
+
+def test_lock_diagnostic_walks_the_registry_like_the_token_scan(world):
+    """Same tokens in the same order: two tokens whose accounts were deployed
+    in the other order, and every lane of generated `fraud_diff` scripts,
+    whose self-sends lock several tokens at once."""
+    ledger, alice, _, first = world
+    collection = ledger.state.collection.address
+    second = ledger.must(MintToken(alice, collection, alice, b"two")).events[0].payload["token_id"]
+    accounts = {token_id: ledger.create_tba(alice, token_id, salt_from_int(0))
+                for token_id in (second, first)}
+    for token_id, account in accounts.items():
+        ledger.must(TransferToken(alice, collection, token_id, account))
+    assert detect_locked_nfts(ledger.state) == _locked_by_token_scan(ledger.state) \
+        == [(collection, first), (collection, second)]
+    most_locked = 0
+    for seed in (11, 12):
+        script = parse_scenario(load("gen").fraud_diff(seed).text)
+        for lane in ("native", "nftaa", "tba"):
+            runner = _LockCheckingRunner(script, lane=lane)
+            runner.run()
+            most_locked = max(most_locked, runner.most_locked)
+    assert most_locked >= 5
 
 
 def test_stranded_funds_in_no_execute_account(world):
