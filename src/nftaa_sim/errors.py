@@ -52,7 +52,3 @@ class LedgerError(Exception):
         if detail:
             text += " (" + ", ".join(f"{k}={v}" for k, v in detail.items()) + ")"
         super().__init__(text)
-
-
-def err(code: ErrorCode, message: str = "", **detail: object) -> LedgerError:
-    return LedgerError(code, message, **detail)

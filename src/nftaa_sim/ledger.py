@@ -29,7 +29,7 @@ from .addresses import (
     from_hex,
     to_hex,
 )
-from .errors import ErrorCode, LedgerError, err
+from .errors import ErrorCode, LedgerError
 from .events import SYSTEM_TX_ID, Event, EventKind
 from .nftaa import FactoryState, NftaaAccount
 from .ops import (
@@ -59,7 +59,6 @@ class CodeId(str, Enum):
     NFTAA_FACTORY = "NftaaFactory"
     TBA_REGISTRY = "TbaRegistry"
     TBA_ACCOUNT = "TbaAccount"
-    TARGET = "Target"
 
 
 class Account(Record):
@@ -150,7 +149,7 @@ class Ledger:
     def _account(self, address: Address) -> Account:
         account = self.state.accounts.get(address)
         if account is None:
-            raise err(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(address))
+            raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(address))
         return account
 
     def create_eoa(self, label: str) -> Address:
@@ -158,7 +157,7 @@ class Ledger:
             raise ValueError("label must be non-empty")
         address = eoa_address(label)
         if address in self.state.accounts:  # only this label derives this address
-            raise err(ErrorCode.DUPLICATE_LABEL, label=label)
+            raise LedgerError(ErrorCode.DUPLICATE_LABEL, label=label)
         self._create_account(address, None)
         return address
 
@@ -212,7 +211,7 @@ class Ledger:
                 self._execute(op, ctx)
         except LedgerError as failure:
             ctx.rollback()
-            return TxReceipt(tx_id, failure, ())
+            return TxReceipt(tx_id, failure.with_traceback(None), ())  # holds no frame
         except BaseException:
             ctx.rollback()  # a defect, not a protocol failure: undo, then surface it
             raise
@@ -256,7 +255,7 @@ class Ledger:
         # inside its own account permanently unreachable. Fail is the only
         # operation without a caller.
         if hasattr(op, "caller") and self._account(op.caller).code_id is not None:
-            raise err(ErrorCode.CALLER_NOT_EOA, address=to_hex(op.caller))
+            raise LedgerError(ErrorCode.CALLER_NOT_EOA, address=to_hex(op.caller))
         match op:
             case TransferValue():
                 self._move_value(op.caller, op.to, op.amount, ctx)
@@ -277,7 +276,7 @@ class Ledger:
             case TbaExecute():
                 self._op_tba_execute(op, ctx)
             case Fail():
-                raise err(ErrorCode.INJECTED_FAILURE, op.message)
+                raise LedgerError(ErrorCode.INJECTED_FAILURE, op.message)
             case _:
                 raise TypeError(f"unknown operation {op!r}")
 
@@ -287,12 +286,9 @@ class Ledger:
         dest = self._account(to)
         binding = self.state.nftaas.get(frm)
         if binding is not None and binding.bound_nft in ctx.moved_tokens:
-            raise err(ErrorCode.FRAUD_GUARD,
-                      "bound NFT already transferred in this transaction")
-        if source.balance < amount:
-            raise err(ErrorCode.INSUFFICIENT_BALANCE,
-                      have=source.balance, need=amount)
-        ctx.write(source, "balance", source.balance - amount)
+            raise LedgerError(ErrorCode.FRAUD_GUARD,
+                              "bound NFT already transferred in this transaction")
+        _debit(source, amount, ctx)
         ctx.write(dest, "balance", dest.balance + amount)
         ctx.value_out.add(frm)
         ctx.events.append(self._event(EventKind.TRANSFER, frm, ctx,
@@ -301,32 +297,28 @@ class Ledger:
 
     def _collection(self, address: Address) -> NftCollection:
         if self.state.collection.address != address:
-            raise err(ErrorCode.UNKNOWN_COLLECTION, address=to_hex(address))
+            raise LedgerError(ErrorCode.UNKNOWN_COLLECTION, address=to_hex(address))
         return self.state.collection
 
     def _op_mint_token(self, op: MintToken, ctx: _TxContext) -> None:
         collection = self._collection(op.collection)
         self._account(op.to)
-        record = self._mint(collection, op.to, op.note, None, ctx)
-        ctx.events.append(self._event(EventKind.TRANSFER, op.collection, ctx,
-                                      {"from": to_hex(ZERO_ADDRESS),
-                                       "to": to_hex(op.to),
-                                       "token_id": record.token_id}))
+        self._mint(collection, op.to, op.note, None, ctx)
 
     def _op_transfer_token(self, op: TransferToken, ctx: _TxContext) -> None:
         collection = self._collection(op.collection)
         record = collection.get(op.token_id)
         if record.owner != op.caller:
-            raise err(ErrorCode.NOT_OWNER, token=op.token_id)
+            raise LedgerError(ErrorCode.NOT_OWNER, token=op.token_id)
         self._account(op.to)
         if record.bound_account is not None:
             if op.to == record.bound_account:
                 # Sending the key into the lock: the owner gate could never
                 # pass again, so reject instead of bricking the account.
-                raise err(ErrorCode.SELF_CUSTODY_HAZARD, token=op.token_id)
+                raise LedgerError(ErrorCode.SELF_CUSTODY_HAZARD, token=op.token_id)
             if record.bound_account in ctx.value_out:
-                raise err(ErrorCode.FRAUD_GUARD,
-                          "account was drained in this transaction")
+                raise LedgerError(ErrorCode.FRAUD_GUARD,
+                                  "account was drained in this transaction")
         previous = record.owner
         ctx.write(record, "owner", op.to)
         ctx.moved_tokens.add((op.collection, op.token_id))
@@ -337,7 +329,7 @@ class Ledger:
     def _op_mint_nftaa(self, op: MintNftaa, ctx: _TxContext) -> None:
         factory = self.state.factory
         if factory.address != op.factory:
-            raise err(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(op.factory))
+            raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(op.factory))
         validate_note(op.note)
         # Account first, then its token, inside the same atomic transaction.
         account = contract_address(factory.address, factory.creation_nonce)
@@ -346,10 +338,6 @@ class Ledger:
         collection = self.state.collection
         record = self._mint(collection, op.caller, op.note, account, ctx)
         ctx.insert(self.state.nftaas, account, NftaaAccount(collection.address, record.token_id))
-        ctx.events.append(self._event(EventKind.TRANSFER, collection.address, ctx,
-                                      {"from": to_hex(ZERO_ADDRESS),
-                                       "to": to_hex(op.caller),
-                                       "token_id": record.token_id}))
         ctx.events.append(self._event(EventKind.NEW_NFTAA, factory.address, ctx,
                                       {"token_id": record.token_id,
                                        "account": to_hex(account),
@@ -358,12 +346,12 @@ class Ledger:
     def _nftaa(self, address: Address) -> NftaaAccount:
         binding = self.state.nftaas.get(address)
         if binding is None:
-            raise err(ErrorCode.NOT_AN_NFTAA, address=to_hex(address))
+            raise LedgerError(ErrorCode.NOT_AN_NFTAA, address=to_hex(address))
         return binding
 
     def _require_nft_owner(self, caller: Address, collection: Address, token_id: int) -> None:
         if self._collection(collection).owner_of(token_id) != caller:
-            raise err(ErrorCode.NOT_NFT_OWNER, "caller is not the owner of the NFT")
+            raise LedgerError(ErrorCode.NOT_NFT_OWNER, "caller is not the owner of the NFT")
 
     def _owned_nftaa(self, caller: Address, address: Address) -> NftaaAccount:
         """The binding of proxy account `address`, once `caller` owns its bound NFT."""
@@ -386,20 +374,20 @@ class Ledger:
     def _op_upgrade_account(self, op: UpgradeAccount, ctx: _TxContext) -> None:
         binding = self._owned_nftaa(op.caller, op.nftaa)
         if op.new_version != binding.upgrade_version + 1:
-            raise err(ErrorCode.VERSION_SKEW,
-                      current=binding.upgrade_version, requested=op.new_version)
+            raise LedgerError(ErrorCode.VERSION_SKEW,
+                              current=binding.upgrade_version, requested=op.new_version)
         ctx.write(binding, "upgrade_version", op.new_version)
 
     def _op_create_tba(self, op: CreateTba, ctx: _TxContext) -> None:
         registry = self.state.registry
         if registry.address != op.registry:
-            raise err(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(op.registry))
+            raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(op.registry))
         collection = self._collection(op.collection)
         collection.get(op.token_id)  # token must exist; its record stays untouched
         key = (op.collection, op.token_id, op.salt)
         address = registry.compute_address(*key)
         if address in registry.records:
-            raise err(ErrorCode.ALREADY_DEPLOYED, account=to_hex(address))
+            raise LedgerError(ErrorCode.ALREADY_DEPLOYED, account=to_hex(address))
         self._new_account(address, CodeId.TBA_ACCOUNT, ctx)
         ctx.insert(registry.records, address,
                    TbaRecord(*key, has_execute=op.has_execute))
@@ -412,7 +400,7 @@ class Ledger:
     def _op_tba_execute(self, op: TbaExecute, ctx: _TxContext) -> None:
         record = self.state.registry.get_deployed(op.tba)
         if not record.has_execute:
-            raise err(ErrorCode.NO_EXECUTE, account=to_hex(op.tba))
+            raise LedgerError(ErrorCode.NO_EXECUTE, account=to_hex(op.tba))
         self._require_nft_owner(op.caller, record.collection, record.token_id)
         # No fraud guard and no self-custody guard on this path; reproducing
         # those hazards is the module's purpose.
@@ -436,14 +424,12 @@ class Ledger:
                 self._request_unstake(acting, ctx)
 
     def _stake(self, acting: Address, amount: int, ctx: _TxContext) -> None:
-        account = self._account(acting)
-        if account.balance < amount:
-            raise err(ErrorCode.INSUFFICIENT_BALANCE, have=account.balance, need=amount)
+        _debit(self._account(acting), amount, ctx)  # a later failure undoes the debit
         if amount < self.config.min_stake:
-            raise err(ErrorCode.BELOW_MIN_STAKE, amount=amount, minimum=self.config.min_stake)
+            raise LedgerError(ErrorCode.BELOW_MIN_STAKE, amount=amount,
+                              minimum=self.config.min_stake)
         if acting in self.state.stakes:
-            raise err(ErrorCode.ALREADY_STAKING)
-        ctx.write(account, "balance", account.balance - amount)
+            raise LedgerError(ErrorCode.ALREADY_STAKING)
         unlock = self.height + self.config.unlock_delay
         ctx.insert(self.state.stakes, acting, StakePosition(amount, unlock))
         ctx.events.append(self._event(EventKind.STAKED, acting, ctx,
@@ -452,24 +438,21 @@ class Ledger:
     def _add_to_stake(self, acting: Address, amount: int, ctx: _TxContext) -> None:
         position = self.state.stakes.get(acting)
         if position is None:
-            raise err(ErrorCode.NO_POSITION)
-        account = self._account(acting)
-        if account.balance < amount:
-            raise err(ErrorCode.INSUFFICIENT_BALANCE, have=account.balance, need=amount)
+            raise LedgerError(ErrorCode.NO_POSITION)
+        _debit(self._account(acting), amount, ctx)
         if amount == 0:
-            raise err(ErrorCode.ZERO_AMOUNT)
-        ctx.write(account, "balance", account.balance - _unsigned(amount))
-        ctx.write(position, "amount", position.amount + amount)
+            raise LedgerError(ErrorCode.ZERO_AMOUNT)
+        ctx.write(position, "amount", position.amount + _unsigned(amount))
         ctx.events.append(self._event(EventKind.STAKE_INCREASED, acting, ctx,
                                       {"amount": amount, "total": position.amount}))
 
     def _request_unstake(self, acting: Address, ctx: _TxContext) -> None:
         position = self.state.stakes.get(acting)
         if position is None:
-            raise err(ErrorCode.NO_POSITION)
+            raise LedgerError(ErrorCode.NO_POSITION)
         if self.height < position.unlock_block:
-            raise err(ErrorCode.STILL_LOCKED,
-                      remaining_blocks=position.unlock_block - self.height)
+            raise LedgerError(ErrorCode.STILL_LOCKED,
+                              remaining_blocks=position.unlock_block - self.height)
         # The full amount goes to the queue, credited later to the contract
         # account itself, never to the human owner's address.
         queue = self.state.queue
@@ -493,6 +476,9 @@ class Ledger:
         record = NftRecord(collection.next_id, to, note, bound_account)
         ctx.insert(collection.tokens, record.token_id, record)
         ctx.write(collection, "next_id", record.token_id + 1)
+        ctx.events.append(self._event(EventKind.TRANSFER, collection.address, ctx,
+                                      {"from": to_hex(ZERO_ADDRESS), "to": to_hex(to),
+                                       "token_id": record.token_id}))
         return record
 
     def _event(self, kind: EventKind, emitter: Address, ctx: _TxContext,
@@ -587,9 +573,16 @@ class Ledger:
         return bytes(out)
 
 
+def _debit(account: Account, amount: int, ctx: _TxContext) -> None:
+    """Take `amount` from `account`; the one balance check of every value-moving path."""
+    if account.balance < amount:
+        raise LedgerError(ErrorCode.INSUFFICIENT_BALANCE, have=account.balance, need=amount)
+    ctx.write(account, "balance", account.balance - amount)
+
+
 def _unsigned(amount: int) -> int:
     if amount < 0:
-        raise err(ErrorCode.NEGATIVE_AMOUNT, amount=amount)
+        raise LedgerError(ErrorCode.NEGATIVE_AMOUNT, amount=amount)
     return amount
 
 

@@ -376,12 +376,9 @@ class ScenarioRunner:
         elif kind in _STAKING_METHOD:
             op = self._execute_call(args[0], args[1], _STAKING_METHOD[kind], *args[2:])
         elif kind == "withdraw":
-            actor, account = self.address_of(args[0]), self.address_of(args[1])
-            to, amount = self.address_of(args[2]), parse_amount(args[3])
-            if self._is_tba(args[1]):
-                op = TbaExecute(actor, account, ProxyPayload("transfer_value", amount=amount, to=to))
-            else:
-                op = WithdrawAssets(actor, account, to, amount)
+            op = self._execute_call(args[0], args[1], "transfer_value", *args[2:])
+            if isinstance(op, ProxyExecute):  # a proxy account has its own withdraw operation
+                op = WithdrawAssets(op.caller, op.nftaa, op.payload.to, op.payload.amount)
         elif kind == "upgrade":
             op = UpgradeAccount(self.address_of(args[0]), self.address_of(args[1]), int(args[2]))
         elif kind == "createtba":

@@ -5,11 +5,11 @@ cap of 16 and 7,200 blocks per simulated day that is a ceiling of 115,200
 withdrawals per day; a backlog of 800,000 takes 50,000 blocks, just under
 seven days. A slot can also be "missed" (Bernoulli draw from the ledger's
 seeded generator), in which case the block processes nothing and the backlog
-slips proportionally. `block_take` is that rule for the ledger's queue, one
-block at a time. The standalone drain applies the same rule one batch at a
-time: it needs only the count, so it never builds an entry, and it draws the
-missed slots of many blocks in one pass, consuming the generator exactly as
-the block-at-a-time rule would. A simulated drain is capped at
+slips proportionally. `WithdrawalQueue.process_block` is that rule for the
+ledger's queue, one block at a time. The standalone drain applies the same
+rule one batch at a time: it needs only the count, so it never builds an
+entry, and it draws the missed slots of many blocks in one pass, consuming
+the generator exactly as the block-at-a-time rule would. A simulated drain is capped at
 `MAX_DRAIN_BLOCKS` expected blocks: a traced one keeps a list slot per block.
 """
 
@@ -78,21 +78,15 @@ class WithdrawalQueue(Record):
         return sum(entry.amount for entry in self.pending)
 
     def process_block(self, config: QueueConfig, rng: random.Random) -> list[QueueEntry]:
-        """Dequeue what `block_take` allows for this block, in FIFO order."""
-        pending = self.pending
-        return [pending.popleft() for _ in range(block_take(len(pending), config, rng))]
+        """Dequeue up to `per_block_cap` entries for one block, in FIFO order.
 
-
-def block_take(pending: int, config: QueueConfig, rng: random.Random) -> int:
-    """How many of `pending` queued entries one block processes.
-
-    The missed-slot draw happens only when there is work to do, so empty
-    blocks neither consume randomness nor count as missed.
-    """
-    missed = config.missed_slot_probability
-    if not pending or (missed > 0.0 and rng.random() < missed):
-        return 0
-    return min(config.per_block_cap, pending)
+        The missed-slot draw happens only when there is work to do, so empty
+        blocks neither consume randomness nor count as missed.
+        """
+        pending, missed = self.pending, config.missed_slot_probability
+        if not pending or (missed > 0.0 and rng.random() < missed):
+            return []
+        return [pending.popleft() for _ in range(min(config.per_block_cap, len(pending)))]
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +161,15 @@ def simulate_drain(pending_count: int, config: QueueConfig,
                    rng: random.Random | None = None, trace: bool = True) -> DrainTrace:
     """Drain a backlog of `pending_count` entries and record how many each block took.
 
-    Only the count is kept, and the draws are those of `block_take`, as the
-    ledger's queue makes them, so the trace and the generator's final state
-    match a queue of real entries. A drain needs exactly `ceil(pending / cap)`
-    blocks that are not missed. While `need` of them are owed, the next `need`
-    blocks are drawn as one batch: the drain lasts at least that long, so a
-    batch never draws past its last block. At p = 0 nothing is drawn. Untraced,
-    a batch's draws are only counted, not kept. Raises ValueError, before
-    drawing, when `check_drain_size` rejects the backlog.
+    Only the count is kept, and the draws are those of
+    `WithdrawalQueue.process_block`, so the trace and the generator's final
+    state match a queue of real entries. A drain needs exactly
+    `ceil(pending / cap)` blocks that are not missed. While `need` of them are
+    owed, the next `need` blocks are drawn as one batch: the drain lasts at
+    least that long, so a batch never draws past its last block. At p = 0
+    nothing is drawn. Untraced, a batch's draws are only counted, not kept.
+    Raises ValueError, before drawing, when `check_drain_size` rejects the
+    backlog.
     """
     check_drain_size(pending_count, config)
     if rng is None:
@@ -200,17 +195,15 @@ def simulate_drain(pending_count: int, config: QueueConfig,
     return DrainTrace(per_block, config)
 
 
-def simulate_saturated_days(days: int, config: QueueConfig,
-                            rng: random.Random | None = None) -> list[int]:
+def simulate_saturated_days(days: int, config: QueueConfig) -> list[int]:
     """Daily throughput with the queue never running dry (capacity statistics).
 
     Each slot of a day is missed with probability p, independently, as in
-    `block_take`, so a day's missed count is Binomial(blocks_per_day, p). It is
-    drawn as one variate per day, not slot by slot. The long-run mean is
-    cap * blocks_per_day * (1 - p).
+    `WithdrawalQueue.process_block`, so a day's missed count is
+    Binomial(blocks_per_day, p). It is drawn as one variate per day, not slot
+    by slot. The long-run mean is cap * blocks_per_day * (1 - p).
     """
-    if rng is None:
-        rng = random.Random(config.rng_seed)
+    rng = random.Random(config.rng_seed)
     n, p = config.blocks_per_day, config.missed_slot_probability
     return [config.per_block_cap * (n - binomial_variate(n, p, rng)) for _ in range(days)]
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 
 from .addresses import Address, deterministic_address
-from .errors import ErrorCode, err
+from .errors import ErrorCode, LedgerError
 from .records import Record
 
 
@@ -41,7 +41,7 @@ class TbaRegistry(Record):
     def get_deployed(self, address: Address) -> TbaRecord:
         record = self.records.get(address)
         if record is None:
-            raise err(ErrorCode.NOT_DEPLOYED, address=address.hex())
+            raise LedgerError(ErrorCode.NOT_DEPLOYED, address=address.hex())
         return record
 
     def sorted_records(self) -> list[tuple[Address, TbaRecord]]:

@@ -7,7 +7,7 @@ approvals, no burning, no metadata URIs.
 from __future__ import annotations
 
 from .addresses import Address
-from .errors import ErrorCode, err
+from .errors import ErrorCode, LedgerError
 from .records import Record
 
 NOTE_MIN_LEN = 1
@@ -31,7 +31,7 @@ class NftCollection(Record):
     def get(self, token_id: int) -> NftRecord:
         record = self.tokens.get(token_id)
         if record is None:
-            raise err(ErrorCode.UNKNOWN_TOKEN, token=token_id)
+            raise LedgerError(ErrorCode.UNKNOWN_TOKEN, token=token_id)
         return record
 
     def owner_of(self, token_id: int) -> Address:
@@ -40,6 +40,6 @@ class NftCollection(Record):
 
 def validate_note(note: bytes) -> None:
     if len(note) < NOTE_MIN_LEN:
-        raise err(ErrorCode.EMPTY_NOTE)
+        raise LedgerError(ErrorCode.EMPTY_NOTE)
     if len(note) > NOTE_MAX_LEN:
-        raise err(ErrorCode.NOTE_TOO_LARGE, length=len(note), limit=NOTE_MAX_LEN)
+        raise LedgerError(ErrorCode.NOTE_TOO_LARGE, length=len(note), limit=NOTE_MAX_LEN)

@@ -6,7 +6,6 @@ lines. Tolerances are pinned here, not configurable.
 
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
@@ -21,9 +20,9 @@ from nftaa_sim import (
 )
 from nftaa_sim.cli import main
 
+from tests.corpus import CORPUS, SCENARIOS
 from tests.fuzz_engine import replay_owner_gate, run_sequence
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FIVE = ["flow", "validations", "staking", "attributes", "proxy"]
 DIFFS = ["fraud", "creation", "binding", "selflock", "counterfactual"]
 
@@ -235,8 +234,8 @@ def test_c6_thousand_random_sequences():
 # -- criterion 7: determinism over the scenario corpus ------------------------
 
 def test_c7_repository_corpus_is_deterministic():
-    native = sorted(SCENARIOS.glob("*.scn"))
-    diffs = sorted((SCENARIOS / "diff").glob("*.scn"))
+    native = [path for path in CORPUS if path.parent == SCENARIOS]
+    diffs = [path for path in CORPUS if path.parent == SCENARIOS / "diff"]
     assert len(native) >= 5 and len(diffs) >= 5
     for path in native:
         script = parse_scenario(path.read_text())

@@ -15,21 +15,18 @@ failures script and a few generated `fraud_diff` scripts must leave
 import contextlib
 import gc
 import io
-from pathlib import Path
 
 from nftaa_sim import cli, parse_scenario
 from nftaa_sim.runner import ROLLED_BACK, run_differential, run_scenario
+from tests.corpus import SCRIPTS
 from tests.perfbench_modules import load
-
-ROOT = Path(__file__).resolve().parent.parent
-PATHS = sorted((ROOT / "scenarios").glob("**/*.scn")) + [ROOT / "tests/golden/failures.scn"]
 
 
 def test_runs_leave_no_cyclic_garbage(tmp_path):
     for seed in (1, 2, 3):
         text = load("gen").fraud_diff(seed, actors=4, nftaas=4, tokens=4, transactions=40).text
         (tmp_path / f"fraud{seed}.scn").write_text(text)
-    paths = PATHS + sorted(tmp_path.glob("*.scn"))
+    paths = SCRIPTS + sorted(tmp_path.glob("*.scn"))
     scripts = {path: parse_scenario(path.read_text()) for path in paths}
     left, rolled_back = {}, set()
     enabled = gc.isenabled()

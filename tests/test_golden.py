@@ -18,13 +18,10 @@ from pathlib import Path
 import pytest
 
 from nftaa_sim.cli import main
+from tests.corpus import CORPUS, GOLDEN, PINNED, SCRIPTS
 
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = Path(__file__).resolve().parent / "golden"
-CORPUS = sorted((ROOT / "scenarios").glob("**/*.scn"))
-PINNED = sorted(GOLDEN.glob("*.scn"))
 COMMANDS = {"run": ["run", "--seed", "7"], "diff": ["diff", "--seed", "7", "--verbose"]}
-CASES = [(command, path) for path in CORPUS + PINNED for command in COMMANDS]
+CASES = [(command, path) for path in SCRIPTS for command in COMMANDS]
 
 
 def _golden_path(command: str, path: Path) -> Path:
@@ -40,7 +37,7 @@ def transcript(command: str, path: Path) -> str:
 
 def test_corpus_has_eleven_files_with_distinct_names():
     assert len(CORPUS) == 11
-    assert len({path.stem for path in CORPUS + PINNED}) == 11 + len(PINNED)
+    assert len({path.stem for path in SCRIPTS}) == 11 + len(PINNED)
 
 
 @pytest.mark.parametrize("command,path", CASES,

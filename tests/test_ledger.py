@@ -303,3 +303,48 @@ def test_transactions_never_copy_the_world(ledger, monkeypatch):
     assert not ledger.apply_transaction(TransferValue(alice, bob, 1), Fail()).committed
     assert ledger.state is state
     assert (ledger.balance_of(alice), ledger.balance_of(bob)) == (6, 4)
+
+
+def test_rolled_back_receipt_holds_no_frame(ledger):
+    alice, bob = ledger.create_eoa("alice"), ledger.create_eoa("bob")
+    ledger.faucet(alice, 5)
+    receipt = ledger.apply_transaction(TransferValue(alice, bob, 1), TransferValue(alice, bob, 6))
+    assert receipt.error.__traceback__ is None
+    assert receipt.error.code is ErrorCode.INSUFFICIENT_BALANCE
+    with pytest.raises(LedgerError) as caught:
+        ledger.must(TransferValue(alice, bob, 1), TransferValue(alice, bob, 6))
+    assert caught.value.code is ErrorCode.INSUFFICIENT_BALANCE
+    assert caught.value.detail == {"have": 4, "need": 6}
+    assert str(caught.value) == "InsufficientBalance (have=4, need=6)"
+    assert ledger.balance_of(alice) == 5
+
+
+# Each case breaks two or more checks at once; the code is the first check's,
+# in the order the ledger has always made them.
+@pytest.mark.parametrize("staked,method,amount,code", [
+    (False, "stake", -1, ErrorCode.BELOW_MIN_STAKE),
+    (False, "stake", 20 * ETH, ErrorCode.INSUFFICIENT_BALANCE),
+    (True, "stake", 1 * ETH, ErrorCode.BELOW_MIN_STAKE),
+    (True, "stake", 20 * ETH, ErrorCode.INSUFFICIENT_BALANCE),
+    (True, "add_to_stake", -1, ErrorCode.NEGATIVE_AMOUNT),
+    (True, "add_to_stake", 0, ErrorCode.ZERO_AMOUNT),
+    (False, "add_to_stake", 0, ErrorCode.NO_POSITION),
+    (False, "transfer_value", -1, ErrorCode.NEGATIVE_AMOUNT),
+])
+@pytest.mark.parametrize("style", ["nftaa", "tba"])
+def test_debit_sites_keep_their_check_order(ledger, style, staked, method, amount, code):
+    alice = ledger.create_eoa("alice")
+    token, account = ledger.mint_nftaa(alice, b"n")
+    execute = ProxyExecute
+    if style == "tba":
+        account, execute = ledger.create_tba(alice, token, salt_from_int(0)), TbaExecute
+    ledger.faucet(account, 42 * ETH if staked else 10 * ETH)
+    if staked:
+        ledger.must(execute(alice, account, ProxyPayload("stake", amount=32 * ETH)))
+    assert ledger.balance_of(account) == 10 * ETH
+    digest = ledger.state_digest()
+    to = eoa_address("ghost")  # unknown: a later check the transfer must not reach
+    receipt = ledger.apply_transaction(execute(alice, account,
+                                               ProxyPayload(method, amount=amount, to=to)))
+    assert receipt.error.code is code
+    assert ledger.state_digest() == digest

@@ -9,15 +9,13 @@
   `diff`.
 """
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nftaa_sim import Step, parse_scenario, run_scenario
+from tests import corpus
 from tests.perfbench_modules import load
 
-ROOT = Path(__file__).resolve().parent.parent
 gen = load("gen")
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -67,9 +65,7 @@ def _assert_lanes_agree(script):
     assert nftaa.final_digest == native.final_digest
 
 
-SCRIPTS = {path.name: parse_scenario(path.read_text())
-           for path in sorted((ROOT / "scenarios").glob("**/*.scn"))
-           + [ROOT / "tests/golden/failures.scn"]}
+SCRIPTS = {path.name: parse_scenario(path.read_text()) for path in corpus.SCRIPTS}
 CORPUS = {name: script for name, script in SCRIPTS.items() if not _uses_tba(script)}
 
 

@@ -10,12 +10,9 @@ kind, status, error code, transaction count and detail, every other verdict
 must stay as it was, and the event log and the final digest must not change.
 """
 
-from pathlib import Path
-
 from nftaa_sim import ScenarioRunner, Step, parse_scenario
+from tests.corpus import SCRIPTS
 
-ROOT = Path(__file__).resolve().parent.parent
-PATHS = sorted((ROOT / "scenarios").glob("**/*.scn")) + [ROOT / "tests/golden/failures.scn"]
 # seed 7 misses the first two slots, so the withdrawal lands in block 3
 MISSED_SLOTS = ("set seed 7\nset missed_prob 0.5\nset unlock_delay 0\nactor a\n"
                 "mintnftaa a n1 \"x\"\nfaucet n1 40eth\nstake a n1 32eth\nunstake a n1\n"
@@ -46,7 +43,7 @@ def _read_positions(steps) -> list[int]:
 
 def test_inserted_reads_change_nothing_else():
     runs = 0
-    scripts = {path.name: path.read_text() for path in PATHS} | {"missed_slots": MISSED_SLOTS}
+    scripts = {path.name: path.read_text() for path in SCRIPTS} | {"missed_slots": MISSED_SLOTS}
     for name, text in scripts.items():
         script = parse_scenario(text)
         steps = script.steps

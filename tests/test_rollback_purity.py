@@ -9,14 +9,10 @@ scripts kept next to the golden transcripts and three generated `spot`
 scripts (`perfbench/gen.py`) in all three lanes.
 """
 
-from pathlib import Path
-
 from nftaa_sim import ScenarioRunner, parse_scenario
 from nftaa_sim.runner import NOT_COMPARABLE, ROLLED_BACK
+from tests.corpus import SCRIPTS
 from tests.perfbench_modules import load
-
-ROOT = Path(__file__).resolve().parent.parent
-PATHS = sorted((ROOT / "scenarios").glob("**/*.scn")) + sorted(ROOT.glob("tests/golden/*.scn"))
 
 
 def _spot_scripts() -> dict[str, str]:
@@ -39,7 +35,7 @@ class _PurityRunner(ScenarioRunner):
 
 
 def test_failed_steps_leave_the_digest_unchanged():
-    scripts = {path.stem: path.read_text() for path in PATHS} | _spot_scripts()
+    scripts = {path.stem: path.read_text() for path in SCRIPTS} | _spot_scripts()
     checked = 0
     for name, text in scripts.items():
         script = parse_scenario(text)
