@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output shapes, multi-file runs, import cost."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -264,6 +265,20 @@ def test_queue_simulate_prints_trace_and_summary(capsys):
     assert lines[2] == "block=2 processed=16 remaining=8"
     assert lines[3] == "block=3 processed=8 remaining=0"
     assert lines[4] == "drained_in_blocks=3 days=0.000"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("--pending 800000 --missed-prob 0.1 --simulate --seed 7",
+     "0e34f1636eb23a0e0918b30fc4ee1c9f4804de88f4b96f122ec467cfd9912289"),
+    ("--pending 16001 --missed-prob 0.5 --simulate --seed 3",
+     "ed8df4a35db58f1b7af5727e32a1bf569b1ad66a5868505adafea14415a97119"),
+    ("--pending 1600 --missed-prob 0.0 --simulate",
+     "b727bdeab7bb827d2a00887d4d680d89204a740c31a73af5b7e10b22d985f371"),
+], ids=["800000 p=0.1", "16001 p=0.5", "1600 p=0"])
+def test_queue_simulate_output_is_pinned(argv, digest, capsys):
+    """The sha256 of the whole stdout: header, per-block trace and summary."""
+    assert main(["queue", *argv.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_queue_simulate_no_trace(capsys):
