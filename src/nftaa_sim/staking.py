@@ -49,7 +49,8 @@ class QueueConfig(Record):
         if unlock_delay < 0:
             raise ValueError("unlock_delay must be >= 0")
         self.per_block_cap, self.blocks_per_day = per_block_cap, blocks_per_day
-        self.missed_slot_probability, self.unlock_delay = missed_slot_probability, unlock_delay
+        # abs: -0.0 passes the range check, and would print as -0.000
+        self.missed_slot_probability, self.unlock_delay = abs(missed_slot_probability), unlock_delay
         self.min_stake, self.rng_seed = min_stake, rng_seed
 
 

@@ -281,6 +281,14 @@ def test_queue_simulate_output_is_pinned(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("mode", ["closed", "simulate"])
+def test_queue_negative_zero_missed_prob_prints_as_zero(mode, capsys):
+    argv = ["queue", "--pending", "32", "--missed-prob", "-0.0"]
+    assert main(argv + ["--simulate"] * (mode == "simulate")) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == f"mode={mode} pending=32 per_block_cap=16 blocks_per_day=7200 missed_prob=0.000"
+
+
 def test_queue_simulate_no_trace(capsys):
     assert main(["queue", "--pending", "115200", "--simulate", "--no-trace"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
