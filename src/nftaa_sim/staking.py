@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from itertools import accumulate, chain, islice, repeat, starmap
+from contextlib import suppress
+from itertools import accumulate, islice, repeat, starmap
 from operator import ge, sub
 
 from .addresses import Address
@@ -29,8 +30,7 @@ MIN_STAKE = 32 * ETH  # validator entry threshold
 PER_BLOCK_CAP = 16
 BLOCKS_PER_DAY = 7_200  # 115,200 withdrawals/day at 16 per block
 MAX_DRAIN_BLOCKS = 10**7  # longest simulated drain: about 1,389 days at 7,200 blocks a day
-TRACE_CHUNK_LINES = 4_096
-_TRACE_LINE = "block=%s processed=%s remaining=%s\n"  # %s renders an int as str() does
+_TRACE_ROW = "%%03d processed=%d remaining=%%%%d\n"  # formatted by `_trace_rows`
 
 
 class QueueConfig(Record):
@@ -132,16 +132,39 @@ class DrainTrace(Record):
     def trace_lines(self):
         """The trace as text, one `block=<h> processed=<n> remaining=<m>` line per block.
 
-        Yields newline-terminated chunks of up to TRACE_CHUNK_LINES lines, each
-        built by one %-format over a flat tuple of the chunk's values. An empty
-        drain yields nothing.
+        Yields one newline-terminated chunk per thousand block numbers: blocks
+        1 to 999, then 1000k to 1000k + 999. Such rows differ only in their
+        last three digits, so a table of rows `<ddd> processed=<n> remaining=%d`
+        joined with `block=<k>` is the chunk's format string, and only
+        `remaining` is converted per line. Every block but the last processes
+        `per_block_cap` or 0 entries, as `simulate_drain` records them. An
+        empty drain yields nothing.
         """
-        per_block = self.per_block
+        per_block, cap = self.per_block, self.config.per_block_cap
+        n, size = len(per_block), min(len(per_block) + 1, 1000)
+        hits, misses = _trace_rows(cap, size), None
         remaining = accumulate(per_block, sub, initial=sum(per_block))
         next(remaining)  # the backlog before the first block
-        rows = zip(range(1, len(per_block) + 1), per_block, remaining)
-        while chunk := tuple(chain.from_iterable(islice(rows, TRACE_CHUNK_LINES))):
-            yield (_TRACE_LINE * (len(chunk) // 3)) % chunk
+        for base in range(0, n + 1 if n else 0, 1000):  # row j of a chunk is block base + j
+            stop = min(base + 999, n)  # the chunk's last block
+            rows, miss = hits[:stop - base + 1], max(base - 1, 0)
+            with suppress(ValueError):  # index() raises past the chunk's last miss
+                while True:  # per_block[miss] is block miss + 1
+                    miss = per_block.index(0, miss, stop)
+                    misses = misses or _trace_rows(0, size)
+                    rows[miss + 1 - base] = misses[miss + 1 - base]
+                    miss += 1
+            if stop == n and per_block[-1] != cap:
+                rows[-1] = _TRACE_ROW % per_block[-1] % (n - base)
+            if not base:  # blocks 1 to 999 are not zero-padded; there is no block 0
+                rows = [row.lstrip("0") for row in rows[1:]]
+            head = f"block={base // 1000}" if base else "block="
+            yield (head + head.join(rows)) % tuple(islice(remaining, len(rows)))
+
+
+def _trace_rows(processed: int, size: int) -> list[str]:
+    """Rows 0 to size - 1 of a trace chunk, each `<ddd> processed=<processed> remaining=%d`."""
+    return (_TRACE_ROW % processed * size % tuple(range(size))).splitlines(keepends=True)
 
 
 def check_drain_size(pending_count: int, config: QueueConfig) -> None:

@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nftaa_sim import (
     BLOCKS_PER_DAY,
@@ -26,7 +27,7 @@ from nftaa_sim import (
     simulate_drain,
     simulate_saturated_days,
 )
-from nftaa_sim.staking import MAX_DRAIN_BLOCKS, TRACE_CHUNK_LINES, binomial_variate
+from nftaa_sim.staking import MAX_DRAIN_BLOCKS, binomial_variate
 
 
 @pytest.fixture
@@ -394,14 +395,52 @@ def _reference_trace(per_block: list[int]) -> str:
 
 
 def test_trace_renders_in_chunks_like_one_line_at_a_time():
-    """A drain with misses over more than two chunks, and an empty drain."""
+    """A drain with misses over many chunks, and an empty drain. Chunk k holds
+    blocks max(1, 1000k) to 1000k + 999."""
     trace = simulate_drain(200_000, QueueConfig(missed_slot_probability=0.1, rng_seed=3))
-    assert trace.blocks > 2 * TRACE_CHUNK_LINES and 0 in trace.per_block
+    assert trace.blocks > 2_000 and 0 in trace.per_block
     chunks = list(trace.trace_lines())
-    assert len(chunks) == -(-trace.blocks // TRACE_CHUNK_LINES)
-    assert all(chunk.count("\n") == TRACE_CHUNK_LINES for chunk in chunks[:-1])
+    assert len(chunks) == trace.blocks // 1000 + 1
+    for k, chunk in enumerate(chunks):
+        blocks = [int(line.split()[0].removeprefix("block=")) for line in chunk.splitlines()]
+        assert blocks == list(range(max(1, 1000 * k), min(1000 * k + 1000, trace.blocks + 1)))
     assert "".join(chunks) == _reference_trace(trace.per_block)
     assert list(simulate_drain(0, QueueConfig()).trace_lines()) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(pending=st.integers(0, 20_000),
+       cap=st.sampled_from([1, 2, 7, 16, 999, 1000, 1001, 5000]) | st.integers(1, 3_000),
+       probability=st.sampled_from([0.0, 0.1, 0.5, 0.9]) | st.floats(0.0, 0.9),
+       seed=st.integers(0, 2**32 - 1))
+@example(pending=999, cap=1, probability=0.0, seed=0)  # 999 blocks: chunk 0 only
+@example(pending=16_000, cap=16, probability=0.0, seed=0)  # 1,000 blocks
+@example(pending=1_001, cap=1, probability=0.0, seed=0)  # 1,001 blocks
+@example(pending=16 * 1_999 - 9, cap=16, probability=0.0, seed=0)  # 1,999; the last takes 7
+@example(pending=2_000, cap=1, probability=0.0, seed=0)  # 2,000 blocks
+@example(pending=1_500_500, cap=1_000, probability=0.1, seed=1)  # cap >= 1000, last takes 500
+@example(pending=12_345, cap=5_000, probability=0.0, seed=0)
+@example(pending=3_000, cap=7, probability=0.9, seed=5)
+@example(pending=0, cap=16, probability=0.1, seed=0)  # the empty drain
+def test_trace_matches_the_line_at_a_time_reference(pending, cap, probability, seed):
+    config = QueueConfig(per_block_cap=cap, missed_slot_probability=probability)
+    trace = simulate_drain(pending, config, random.Random(seed))
+    assert "".join(trace.trace_lines()) == _reference_trace(trace.per_block)
+
+
+def test_trace_of_222_thousand_blocks_renders_in_bounded_memory():
+    """The drain is built before tracing starts. A chunk at a time, rendering
+    keeps about 350 KiB; the n `remaining` values alone would take over 6 MB."""
+    trace = simulate_drain(3_200_000, QueueConfig(missed_slot_probability=0.1, rng_seed=3))
+    assert trace.blocks == 222_121
+    tracemalloc.start()
+    try:
+        for _ in trace.trace_lines():
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 2**10
 
 
 def test_drain_longer_than_the_cap_is_refused_before_any_draw():
