@@ -26,7 +26,6 @@ from .addresses import (
     ZERO_ADDRESS,
     contract_address,
     eoa_address,
-    from_hex,
     to_hex,
 )
 from .errors import ErrorCode, LedgerError
@@ -75,10 +74,6 @@ class TxReceipt(Record):
     @property
     def committed(self) -> bool:
         return self.error is None
-
-    @property
-    def error_code(self) -> str | None:
-        return None if self.error is None else self.error.code.value
 
 
 class WorldState(Record):
@@ -226,24 +221,6 @@ class Ledger:
             finally:  # this frame joins the error's traceback: hold no path back to it
                 receipt = None
         return receipt
-
-    # Convenience single-operation wrappers used heavily by tests.
-
-    def transfer_value(self, caller: Address, to: Address, amount: int) -> TxReceipt:
-        return self.must(TransferValue(caller, to, amount))
-
-    def mint_nftaa(self, caller: Address, note: bytes) -> tuple[int, Address]:
-        receipt = self.must(MintNftaa(caller, self.state.factory.address, note))
-        created = next(e for e in receipt.events if e.kind is EventKind.NEW_NFTAA)
-        return created.payload["token_id"], from_hex(created.payload["account"])
-
-    def create_tba(self, caller: Address, token_id: int, salt: bytes,
-                   has_execute: bool = True) -> Address:
-        receipt = self.must(CreateTba(caller, self.state.registry.address,
-                                      self.state.collection.address, token_id, salt,
-                                      has_execute))
-        created = next(e for e in receipt.events if e.kind is EventKind.TBA_CREATED)
-        return from_hex(created.payload["account"])
 
     # ------------------------------------------------------------------
     # Operation interpreter
@@ -489,9 +466,6 @@ class Ledger:
     # Views
     # ------------------------------------------------------------------
 
-    def owner_of(self, token_id: int) -> Address:
-        return self.state.collection.owner_of(token_id)
-
     def token_note(self, token_id: int) -> bytes:
         return self.state.collection.get(token_id).note
 
@@ -501,9 +475,6 @@ class Ledger:
 
     def bound_nft_of(self, nftaa: Address) -> tuple[Address, int]:
         return self._nftaa(nftaa).bound_nft
-
-    def upgrade_version_of(self, nftaa: Address) -> int:
-        return self._nftaa(nftaa).upgrade_version
 
     def balance_of(self, address: Address) -> int:
         return self._account(address).balance
@@ -518,13 +489,6 @@ class Ledger:
     def compute_tba_address(self, token_id: int, salt: bytes) -> Address:
         return self.state.registry.compute_address(self.state.collection.address,
                                                    token_id, salt)
-
-    def total_conserved(self) -> int:
-        """Sum that every operation except faucet must preserve."""
-        balances = sum(a.balance for a in self.state.accounts.values())
-        staked = sum(p.amount for p in self.state.stakes.values())
-        queued = self.state.queue.total_amount()
-        return balances + staked + queued
 
     # ------------------------------------------------------------------
     # Canonical digest

@@ -45,6 +45,7 @@ from nftaa_sim import (
     detect_locked_nfts,
     salt_from_int,
 )
+from tests.ledger_helpers import total_conserved
 
 NOTE_CHOICES = [b"n", b"note", b"x" * 256, b"", b"y" * 257]
 SALTS = [salt_from_int(i) for i in range(3)]  # every registry salt the generator uses
@@ -227,7 +228,7 @@ class FuzzDriver:
         if not tokens:
             return None
         token = self.rng.choice(tokens)
-        owner = self.ledger.owner_of(token)
+        owner = self.ledger.state.collection.owner_of(token)
         caller = owner if owner in self.actors else self.actor()
         to = self.ledger.compute_tba_address(token, self.rng.choice(SALTS))
         if self.tbas() and self.rng.random() < 0.25:
@@ -253,7 +254,7 @@ class FuzzDriver:
             return None
         nftaa = self.rng.choice(accounts)
         binding = self.ledger.state.nftaas[nftaa]
-        owner = self.ledger.owner_of(binding.bound_token_id)
+        owner = self.ledger.state.collection.owner_of(binding.bound_token_id)
         caller = owner if owner in self.actors else self.actor()
         buyer = self.actor()
         ops = [WithdrawAssets(caller, nftaa, caller,
@@ -275,7 +276,7 @@ class FuzzDriver:
             return None
         nftaa = self.rng.choice(accounts)
         binding = self.ledger.state.nftaas[nftaa]
-        owner = self.ledger.owner_of(binding.bound_token_id)
+        owner = self.ledger.state.collection.owner_of(binding.bound_token_id)
         if owner not in self.actors:
             return None
         if self.ledger.stake_balance_of(nftaa) == 0:
@@ -319,11 +320,12 @@ class FuzzDriver:
             self.trace.committed += 1
         else:
             self.trace.rolled_back += 1
+            code = receipt.error.code.value
             assert self.ledger.state_digest() == before, \
-                f"rollback of tx {receipt.tx_id} ({receipt.error_code}) mutated state"
+                f"rollback of tx {receipt.tx_id} ({code}) mutated state"
             assert self.ledger.state == snapshot, \
-                f"rollback of tx {receipt.tx_id} ({receipt.error_code}) left state the digest omits"
-        assert self.ledger.total_conserved() == self.trace.faucet_total, \
+                f"rollback of tx {receipt.tx_id} ({code}) left state the digest omits"
+        assert total_conserved(self.ledger) == self.trace.faucet_total, \
             f"conservation broken after tx {receipt.tx_id}"
         check_binding_bijection(self.ledger)
         check_fraud_exclusion(receipt, self.ledger)

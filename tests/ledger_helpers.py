@@ -1,0 +1,33 @@
+"""Ledger set-up and oracles the tests share, built on the ledger's one entry point.
+
+`mint_nftaa` and `create_tba` submit one operation through `Ledger.must` and
+read the new account off the event it emits. `total_conserved` is the sum the
+fuzz driver checks after every transaction.
+"""
+
+from nftaa_sim import Address, CreateTba, EventKind, Ledger, MintNftaa, from_hex
+
+
+def mint_nftaa(ledger: Ledger, caller: Address, note: bytes) -> tuple[int, Address]:
+    """Mint a proxy account; its token id and account address."""
+    receipt = ledger.must(MintNftaa(caller, ledger.state.factory.address, note))
+    created = next(e for e in receipt.events if e.kind is EventKind.NEW_NFTAA)
+    return created.payload["token_id"], from_hex(created.payload["account"])
+
+
+def create_tba(ledger: Ledger, caller: Address, token_id: int, salt: bytes,
+               has_execute: bool = True) -> Address:
+    """Deploy a registry account for `token_id`; its address."""
+    state = ledger.state
+    receipt = ledger.must(CreateTba(caller, state.registry.address, state.collection.address,
+                                    token_id, salt, has_execute))
+    created = next(e for e in receipt.events if e.kind is EventKind.TBA_CREATED)
+    return from_hex(created.payload["account"])
+
+
+def total_conserved(ledger: Ledger) -> int:
+    """Balances plus stakes plus queued exits: every operation but faucet keeps it."""
+    state = ledger.state
+    balances = sum(account.balance for account in state.accounts.values())
+    staked = sum(position.amount for position in state.stakes.values())
+    return balances + staked + state.queue.total_amount()

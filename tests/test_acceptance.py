@@ -216,7 +216,7 @@ def test_c6_thousand_random_sequences():
         proxy_checks += replay_owner_gate(trace)
         fraud_rollbacks += sum(
             1 for _, _, receipt in trace.receipts
-            if not receipt.committed and receipt.error_code == "FraudGuard")
+            if not receipt.committed and receipt.error.code.value == "FraudGuard")
     elapsed = time.monotonic() - started
     # the invariants themselves (rollback purity, conservation, bijection,
     # fraud exclusion, owner-gate replay, lock diagnostic) are asserted inside the driver

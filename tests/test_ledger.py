@@ -25,6 +25,7 @@ from nftaa_sim import (
     eoa_address,
     salt_from_int,
 )
+from tests.ledger_helpers import create_tba, mint_nftaa
 
 
 @pytest.fixture
@@ -80,7 +81,7 @@ def test_faucet_unknown_account(ledger):
 def test_transfer_full_balance(ledger):
     alice, bob = ledger.create_eoa("alice"), ledger.create_eoa("bob")
     ledger.faucet(alice, 10)
-    ledger.transfer_value(alice, bob, 10)
+    ledger.must(TransferValue(alice, bob, 10))
     assert ledger.balance_of(alice) == 0
     assert ledger.balance_of(bob) == 10
 
@@ -100,9 +101,9 @@ def test_transfer_cycle_conserves(ledger):
     ledger.faucet(actors[0], 50)
     # conservation oracle: sum balances before and after the cycle
     before = sum(ledger.balance_of(x) for x in actors)
-    ledger.transfer_value(actors[0], actors[1], 7)
-    ledger.transfer_value(actors[1], actors[2], 7)
-    ledger.transfer_value(actors[2], actors[0], 7)
+    ledger.must(TransferValue(actors[0], actors[1], 7))
+    ledger.must(TransferValue(actors[1], actors[2], 7))
+    ledger.must(TransferValue(actors[2], actors[0], 7))
     assert sum(ledger.balance_of(x) for x in actors) == before
     assert [ledger.balance_of(x) for x in actors] == [50, 0, 0]
 
@@ -153,8 +154,8 @@ def test_transaction_without_a_caller_runs(ledger):
 ])
 def test_contract_caller_rejected(ledger, kind):
     alice = ledger.create_eoa("alice")
-    token_id, nftaa = ledger.mint_nftaa(alice, b"n")
-    tba = ledger.create_tba(alice, token_id, salt_from_int(0))
+    token_id, nftaa = mint_nftaa(ledger, alice, b"n")
+    tba = create_tba(ledger, alice, token_id, salt_from_int(0))
     collection = ledger.state.collection.address
     # each operation issued by the proxy account, with arguments an owner could use
     op = {
@@ -280,15 +281,15 @@ def test_rolled_back_grouped_mint_restores_the_id_counters(ledger):
     receipt = ledger.apply_transaction(MintNftaa(alice, factory, b"doomed"), Fail())
     assert not receipt.committed
     assert counters() == (next_id, nonce)
-    assert ledger.mint_nftaa(alice, b"next")[0] == next_id
+    assert mint_nftaa(ledger, alice, b"next")[0] == next_id
 
 
 def test_rolled_back_upgrade_restores_the_version(ledger):
     alice = ledger.create_eoa("alice")
-    _, account = ledger.mint_nftaa(alice, b"n")
+    _, account = mint_nftaa(ledger, alice, b"n")
     receipt = ledger.apply_transaction(UpgradeAccount(alice, account, 2), Fail())
     assert not receipt.committed
-    assert ledger.upgrade_version_of(account) == 1
+    assert ledger.state.nftaas[account].upgrade_version == 1
 
 
 def test_transactions_never_copy_the_world(ledger, monkeypatch):
@@ -334,10 +335,10 @@ def test_rolled_back_receipt_holds_no_frame(ledger):
 @pytest.mark.parametrize("style", ["nftaa", "tba"])
 def test_debit_sites_keep_their_check_order(ledger, style, staked, method, amount, code):
     alice = ledger.create_eoa("alice")
-    token, account = ledger.mint_nftaa(alice, b"n")
+    token, account = mint_nftaa(ledger, alice, b"n")
     execute = ProxyExecute
     if style == "tba":
-        account, execute = ledger.create_tba(alice, token, salt_from_int(0)), TbaExecute
+        account, execute = create_tba(ledger, alice, token, salt_from_int(0)), TbaExecute
     ledger.faucet(account, 42 * ETH if staked else 10 * ETH)
     if staked:
         ledger.must(execute(alice, account, ProxyPayload("stake", amount=32 * ETH)))

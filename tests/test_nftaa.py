@@ -14,9 +14,11 @@ from nftaa_sim import (
     ProxyExecute,
     ProxyPayload,
     TransferToken,
+    TransferValue,
     UpgradeAccount,
     WithdrawAssets,
 )
+from tests.ledger_helpers import mint_nftaa
 
 
 @pytest.fixture
@@ -30,9 +32,9 @@ def world():
 
 def test_mint_binds_both_directions(world):
     ledger, alice, _ = world
-    token_id, account = ledger.mint_nftaa(alice, b"v1")
+    token_id, account = mint_nftaa(ledger, alice, b"v1")
     assert token_id == 1
-    assert ledger.owner_of(token_id) == alice
+    assert ledger.state.collection.owner_of(token_id) == alice
     assert ledger.account_of(token_id) == account
     assert ledger.bound_nft_of(account) == (ledger.state.collection.address, token_id)
     created = [e for e in ledger.events if e.kind is EventKind.NEW_NFTAA]
@@ -62,8 +64,8 @@ def test_mint_oversize_note_leaves_no_residue(world):
 
 def test_mint_boundary_note_lengths(world):
     ledger, alice, _ = world
-    ledger.mint_nftaa(alice, b"a")        # length 1 allowed
-    ledger.mint_nftaa(alice, b"b" * 256)  # length 256 allowed
+    mint_nftaa(ledger, alice, b"a")        # length 1 allowed
+    mint_nftaa(ledger, alice, b"b" * 256)  # length 256 allowed
 
 
 def test_account_of_plain_token_is_none(world):
@@ -91,7 +93,7 @@ def test_binding_bijection_over_many_accounts(world):
     ledger, alice, bob = world
     ledger.faucet(bob, ETH)
     for i in range(6):
-        ledger.mint_nftaa(alice if i % 2 else bob, f"acct{i}".encode())
+        mint_nftaa(ledger, alice if i % 2 else bob, f"acct{i}".encode())
     for address, binding in ledger.state.nftaas.items():
         assert ledger.account_of(binding.bound_token_id) == address
     bound = [r for r in ledger.state.collection.tokens.values()
@@ -103,7 +105,7 @@ def test_binding_bijection_over_many_accounts(world):
 
 def test_proxy_noop_emits_response(world):
     ledger, alice, _ = world
-    _, account = ledger.mint_nftaa(alice, b"n")
+    _, account = mint_nftaa(ledger, alice, b"n")
     receipt = ledger.must(ProxyExecute(alice, account, ProxyPayload("noop")))
     responses = [e for e in receipt.events if e.kind is EventKind.PROXY_RESPONSE]
     assert len(responses) == 1
@@ -113,7 +115,7 @@ def test_proxy_noop_emits_response(world):
 
 def test_proxy_non_owner_rejected_without_event(world):
     ledger, alice, bob = world
-    _, account = ledger.mint_nftaa(alice, b"n")
+    _, account = mint_nftaa(ledger, alice, b"n")
     receipt = ledger.apply_transaction(ProxyExecute(bob, account, ProxyPayload("noop")))
     assert receipt.error.code is ErrorCode.NOT_NFT_OWNER
     assert all(e.kind is not EventKind.PROXY_RESPONSE for e in ledger.events)
@@ -129,10 +131,10 @@ def test_authorization_follows_nft(world):
     """After every transfer the gate re-evaluates ownership: the oracle
     re-checks owner_of at each step over all two-owner sequences."""
     ledger, alice, bob = world
-    token_id, account = ledger.mint_nftaa(alice, b"n")
+    token_id, account = mint_nftaa(ledger, alice, b"n")
     collection = ledger.state.collection.address
     for flips in range(5):
-        owner = ledger.owner_of(token_id)
+        owner = ledger.state.collection.owner_of(token_id)
         outsider = bob if owner == alice else alice
         ok = ledger.apply_transaction(ProxyExecute(owner, account, ProxyPayload("noop")))
         assert ok.committed
@@ -144,8 +146,8 @@ def test_authorization_follows_nft(world):
 def test_proxy_acts_as_the_account(world):
     # the inner transfer's sender is the bound account, not the human owner
     ledger, alice, bob = world
-    _, account = ledger.mint_nftaa(alice, b"n")
-    ledger.transfer_value(alice, account, 5 * ETH)
+    _, account = mint_nftaa(ledger, alice, b"n")
+    ledger.must(TransferValue(alice, account, 5 * ETH))
     alice_before = ledger.balance_of(alice)
     receipt = ledger.must(ProxyExecute(alice, account,
                                        ProxyPayload("transfer_value", amount=2 * ETH,
@@ -159,15 +161,15 @@ def test_proxy_acts_as_the_account(world):
 
 def test_withdraw_by_owner(world):
     ledger, alice, bob = world
-    _, account = ledger.mint_nftaa(alice, b"n")
-    ledger.transfer_value(alice, account, 5 * ETH)
+    _, account = mint_nftaa(ledger, alice, b"n")
+    ledger.must(TransferValue(alice, account, 5 * ETH))
     ledger.must(WithdrawAssets(alice, account, bob, ETH))
     assert ledger.balance_of(bob) == ETH
 
 
 def test_withdraw_insufficient(world):
     ledger, alice, _ = world
-    _, account = ledger.mint_nftaa(alice, b"n")
+    _, account = mint_nftaa(ledger, alice, b"n")
     receipt = ledger.apply_transaction(WithdrawAssets(alice, account, alice, 1))
     assert receipt.error.code is ErrorCode.INSUFFICIENT_BALANCE
 
@@ -176,8 +178,8 @@ def test_fraud_guard_both_orders(world):
     """Enumerate both op orders: selling the NFT and draining the account in
     one transaction must roll back either way."""
     ledger, alice, bob = world
-    token_id, account = ledger.mint_nftaa(alice, b"n")
-    ledger.transfer_value(alice, account, 10 * ETH)
+    token_id, account = mint_nftaa(ledger, alice, b"n")
+    ledger.must(TransferValue(alice, account, 10 * ETH))
     collection = ledger.state.collection.address
     digest = ledger.state_digest()
     orderings = [
@@ -193,13 +195,13 @@ def test_fraud_guard_both_orders(world):
     # separated into two transactions the same intent is legitimate
     ledger.must(WithdrawAssets(alice, account, alice, ETH))
     ledger.must(TransferToken(alice, collection, token_id, bob))
-    assert ledger.owner_of(token_id) == bob
+    assert ledger.state.collection.owner_of(token_id) == bob
 
 
 def test_fraud_guard_covers_proxy_drain(world):
     ledger, alice, bob = world
-    token_id, account = ledger.mint_nftaa(alice, b"n")
-    ledger.transfer_value(alice, account, 10 * ETH)
+    token_id, account = mint_nftaa(ledger, alice, b"n")
+    ledger.must(TransferValue(alice, account, 10 * ETH))
     collection = ledger.state.collection.address
     receipt = ledger.apply_transaction(
                    ProxyExecute(alice, account, ProxyPayload("transfer_value", amount=ETH,
@@ -210,19 +212,19 @@ def test_fraud_guard_covers_proxy_drain(world):
 
 def test_self_custody_hazard_rejected(world):
     ledger, alice, _ = world
-    token_id, account = ledger.mint_nftaa(alice, b"n")
+    token_id, account = mint_nftaa(ledger, alice, b"n")
     receipt = ledger.apply_transaction(TransferToken(alice, ledger.state.collection.address,
                                                      token_id, account))
     assert receipt.error.code is ErrorCode.SELF_CUSTODY_HAZARD
-    assert ledger.owner_of(token_id) == alice
+    assert ledger.state.collection.owner_of(token_id) == alice
 
 
 def test_upgrade_touches_only_the_version(world):
     ledger, alice, _ = world
-    _, account = ledger.mint_nftaa(alice, b"n")
+    _, account = mint_nftaa(ledger, alice, b"n")
     before = ledger.state_digest()
     ledger.must(UpgradeAccount(alice, account, 2))
-    assert ledger.upgrade_version_of(account) == 2
+    assert ledger.state.nftaas[account].upgrade_version == 2
     assert ledger.state_digest() != before
     # undoing the version restores the exact canonical state
     ledger.state.nftaas[account].upgrade_version = 1
@@ -231,18 +233,18 @@ def test_upgrade_touches_only_the_version(world):
 
 def test_upgrade_gating_and_version_skew(world):
     ledger, alice, bob = world
-    _, account = ledger.mint_nftaa(alice, b"n")
+    _, account = mint_nftaa(ledger, alice, b"n")
     receipt = ledger.apply_transaction(UpgradeAccount(bob, account, 2))
     assert receipt.error.code is ErrorCode.NOT_NFT_OWNER
     receipt = ledger.apply_transaction(UpgradeAccount(alice, account, 3))
     assert receipt.error.code is ErrorCode.VERSION_SKEW
-    assert ledger.upgrade_version_of(account) == 1
+    assert ledger.state.nftaas[account].upgrade_version == 1
 
 
 def test_upgrade_preserves_balance_and_stake(world):
     ledger, alice, _ = world
-    _, account = ledger.mint_nftaa(alice, b"n")
-    ledger.transfer_value(alice, account, 40 * ETH)
+    _, account = mint_nftaa(ledger, alice, b"n")
+    ledger.must(TransferValue(alice, account, 40 * ETH))
     ledger.must(ProxyExecute(alice, account, ProxyPayload("stake", amount=32 * ETH)))
     ledger.must(UpgradeAccount(alice, account, 2))
     assert ledger.balance_of(account) == 8 * ETH

@@ -11,8 +11,10 @@ from collections import deque
 
 import pytest
 
-from nftaa_sim import ETH, Ledger, ProxyExecute, ProxyPayload, QueueConfig, TbaExecute
+from nftaa_sim import (ETH, Ledger, ProxyExecute, ProxyPayload, QueueConfig, TbaExecute,
+                       TransferValue)
 from nftaa_sim.records import Record
+from tests.ledger_helpers import create_tba, mint_nftaa
 
 
 def _world():
@@ -22,12 +24,12 @@ def _world():
     ledger.faucet(alice, 100 * ETH)
     accounts = []
     for note in (b"staked", b"exiting"):
-        token_id, account = ledger.mint_nftaa(alice, note)
-        ledger.transfer_value(alice, account, 40 * ETH)
+        token_id, account = mint_nftaa(ledger, alice, note)
+        ledger.must(TransferValue(alice, account, 40 * ETH))
         ledger.must(ProxyExecute(alice, account, ProxyPayload("stake", amount=32 * ETH)))
         accounts.append(account)
     ledger.must(ProxyExecute(alice, accounts[1], ProxyPayload("request_unstake")))
-    ledger.create_tba(alice, token_id, b"\x00" * 32)
+    create_tba(ledger, alice, token_id, b"\x00" * 32)
     return ledger.state
 
 

@@ -22,12 +22,14 @@ from nftaa_sim import (
     ProxyPayload,
     QueueConfig,
     StakePosition,
+    TransferValue,
     WithdrawalQueue,
     estimate_drain_time,
     simulate_drain,
     simulate_saturated_days,
 )
 from nftaa_sim.staking import MAX_DRAIN_BLOCKS, binomial_variate
+from tests.ledger_helpers import mint_nftaa
 
 
 @pytest.fixture
@@ -35,8 +37,8 @@ def staked_world():
     ledger = Ledger(QueueConfig(unlock_delay=10))
     alice = ledger.create_eoa("alice")
     ledger.faucet(alice, 200 * ETH)
-    _, account = ledger.mint_nftaa(alice, b"stake")
-    ledger.transfer_value(alice, account, 100 * ETH)
+    _, account = mint_nftaa(ledger, alice, b"stake")
+    ledger.must(TransferValue(alice, account, 100 * ETH))
     return ledger, alice, account
 
 

@@ -24,6 +24,7 @@ from nftaa_sim import (
     salt_from_int,
 )
 from nftaa_sim.tba import diagnostic_lines
+from tests.ledger_helpers import create_tba, mint_nftaa
 from tests.perfbench_modules import load
 
 
@@ -42,7 +43,7 @@ def test_compute_then_create_lands_at_the_address(world):
     ledger, alice, _, token_id = world
     salt = salt_from_int(3)
     computed = ledger.compute_tba_address(token_id, salt)
-    deployed = ledger.create_tba(alice, token_id, salt)
+    deployed = create_tba(ledger, alice, token_id, salt)
     assert computed == deployed
     # still identical after deployment
     assert ledger.compute_tba_address(token_id, salt) == deployed
@@ -67,8 +68,8 @@ def test_compute_for_unminted_token_is_allowed(world):
 
 def test_two_salts_two_live_accounts(world):
     ledger, alice, _, token_id = world
-    first = ledger.create_tba(alice, token_id, salt_from_int(0))
-    second = ledger.create_tba(alice, token_id, salt_from_int(1))
+    first = create_tba(ledger, alice, token_id, salt_from_int(0))
+    second = create_tba(ledger, alice, token_id, salt_from_int(1))
     assert first != second
     assert ledger.state.accounts[first].code_id.value == "TbaAccount"
     assert ledger.state.accounts[second].code_id.value == "TbaAccount"
@@ -76,13 +77,13 @@ def test_two_salts_two_live_accounts(world):
 
 def test_create_leaves_the_token_silent(world):
     ledger, alice, _, token_id = world
-    ledger.create_tba(alice, token_id, salt_from_int(0))
+    create_tba(ledger, alice, token_id, salt_from_int(0))
     assert ledger.account_of(token_id) is None
 
 
 def test_create_twice_same_salt(world):
     ledger, alice, _, token_id = world
-    ledger.create_tba(alice, token_id, salt_from_int(0))
+    create_tba(ledger, alice, token_id, salt_from_int(0))
     receipt = ledger.apply_transaction(CreateTba(alice, ledger.state.registry.address,
                                                  ledger.state.collection.address,
                                                  token_id, salt_from_int(0)))
@@ -113,7 +114,7 @@ def test_create_for_unminted_token(world):
 
 def test_execute_gated_by_token_owner(world):
     ledger, alice, bob, token_id = world
-    tba = ledger.create_tba(alice, token_id, salt_from_int(0))
+    tba = create_tba(ledger, alice, token_id, salt_from_int(0))
     assert ledger.must(TbaExecute(alice, tba, ProxyPayload("noop"))).committed
     receipt = ledger.apply_transaction(TbaExecute(bob, tba, ProxyPayload("noop")))
     assert receipt.error.code is ErrorCode.NOT_NFT_OWNER
@@ -125,20 +126,20 @@ def test_drain_and_sell_commits_here(world):
     """The missing fraud guard, demonstrated: one transaction empties the
     account and hands the token to the buyer."""
     ledger, alice, bob, token_id = world
-    tba = ledger.create_tba(alice, token_id, salt_from_int(0))
+    tba = create_tba(ledger, alice, token_id, salt_from_int(0))
     ledger.faucet(tba, 10 * ETH)
     receipt = ledger.apply_transaction(
                    TbaExecute(alice, tba, ProxyPayload("transfer_value", amount=10 * ETH,
                                                        to=alice)),
                    TransferToken(alice, ledger.state.collection.address, token_id, bob))
     assert receipt.committed
-    assert ledger.owner_of(token_id) == bob
+    assert ledger.state.collection.owner_of(token_id) == bob
     assert ledger.balance_of(tba) == 0  # buyer got an empty account
 
 
 def test_self_send_locks_and_is_detected(world):
     ledger, alice, _, token_id = world
-    tba = ledger.create_tba(alice, token_id, salt_from_int(0))
+    tba = create_tba(ledger, alice, token_id, salt_from_int(0))
     assert detect_locked_nfts(ledger.state) == []
     ledger.must(TransferToken(alice, ledger.state.collection.address, token_id, tba))
     locked = detect_locked_nfts(ledger.state)
@@ -154,7 +155,7 @@ def test_transfer_to_another_tokens_tba_is_not_a_self_lock(world):
     receipt = ledger.must(MintToken(alice, ledger.state.collection.address,
                                     alice, b"other"))
     other_token = receipt.events[0].payload["token_id"]
-    other_tba = ledger.create_tba(alice, other_token, salt_from_int(0))
+    other_tba = create_tba(ledger, alice, other_token, salt_from_int(0))
     ledger.must(TransferToken(alice, ledger.state.collection.address,
                               token_id, other_tba))
     assert detect_locked_nfts(ledger.state) == []
@@ -166,7 +167,7 @@ def test_computing_an_address_writes_nothing(world):
     # an address is a pure function of its key; transfers can only reach
     # existing accounts, so an undeployed address is never a token's owner
     ledger, alice, _, token_id = world
-    ledger.create_tba(alice, token_id, salt_from_int(0))
+    create_tba(ledger, alice, token_id, salt_from_int(0))
     before, digest = copy.deepcopy(ledger.state), ledger.state_digest()
     for salt in (salt_from_int(9), salt_from_int(9), salt_from_int(0)):  # new, repeated, deployed
         ledger.compute_tba_address(token_id, salt)
@@ -212,7 +213,7 @@ def test_lock_diagnostic_walks_the_registry_like_the_token_scan(world):
     ledger, alice, _, first = world
     collection = ledger.state.collection.address
     second = ledger.must(MintToken(alice, collection, alice, b"two")).events[0].payload["token_id"]
-    accounts = {token_id: ledger.create_tba(alice, token_id, salt_from_int(0))
+    accounts = {token_id: create_tba(ledger, alice, token_id, salt_from_int(0))
                 for token_id in (second, first)}
     for token_id, account in accounts.items():
         ledger.must(TransferToken(alice, collection, token_id, account))
@@ -230,7 +231,7 @@ def test_lock_diagnostic_walks_the_registry_like_the_token_scan(world):
 
 def test_stranded_funds_in_no_execute_account(world):
     ledger, alice, _, token_id = world
-    tba = ledger.create_tba(alice, token_id, salt_from_int(0), has_execute=False)
+    tba = create_tba(ledger, alice, token_id, salt_from_int(0), has_execute=False)
     receipt = ledger.apply_transaction(TbaExecute(alice, tba, ProxyPayload("noop")))
     assert receipt.error.code is ErrorCode.NO_EXECUTE
     assert detect_stranded_tbas(ledger.state) == []
@@ -254,7 +255,7 @@ def test_tba_event_shape(world):
 def test_tba_staking_credits_the_tba(world):
     # exits through the queue land at the account address, same as the proxy style
     ledger, alice, _, token_id = world
-    tba = ledger.create_tba(alice, token_id, salt_from_int(0))
+    tba = create_tba(ledger, alice, token_id, salt_from_int(0))
     ledger.faucet(tba, 40 * ETH)
     ledger.must(TbaExecute(alice, tba, ProxyPayload("stake", amount=32 * ETH)))
     assert ledger.staker_address_of(tba) == tba
@@ -268,8 +269,8 @@ def test_nftaa_token_can_also_get_a_tba(world):
     """Composing the two styles is legal; only basic behavior is pinned."""
     ledger, alice, _, _ = world
     ledger.faucet(alice, ETH)
-    token_id, account = ledger.mint_nftaa(alice, b"composed")
-    tba = ledger.create_tba(alice, token_id, salt_from_int(0))
+    token_id, account = mint_nftaa(ledger, alice, b"composed")
+    tba = create_tba(ledger, alice, token_id, salt_from_int(0))
     assert tba != account
     assert ledger.account_of(token_id) == account  # binding still reports the factory account
     assert ledger.must(TbaExecute(alice, tba, ProxyPayload("noop"))).committed

@@ -13,6 +13,7 @@ from nftaa_sim import (
     TransferToken,
     ZERO_ADDRESS,
 )
+from tests.ledger_helpers import mint_nftaa
 
 
 @pytest.fixture
@@ -40,14 +41,14 @@ def test_sequential_ids_and_owners(world):
     ledger, alice, bob = world
     assert _mint(ledger, alice, alice) == 1
     assert _mint(ledger, alice, bob) == 2
-    assert ledger.owner_of(1) == alice
-    assert ledger.owner_of(2) == bob
+    assert ledger.state.collection.owner_of(1) == alice
+    assert ledger.state.collection.owner_of(2) == bob
 
 
 def test_owner_of_unminted(world):
     ledger, _, _ = world
     with pytest.raises(Exception) as caught:
-        ledger.owner_of(99)
+        ledger.state.collection.owner_of(99)
     assert caught.value.code is ErrorCode.UNKNOWN_TOKEN
 
 
@@ -55,7 +56,7 @@ def test_transfer_changes_owner(world):
     ledger, alice, bob = world
     token = _mint(ledger, alice, alice)
     ledger.must(TransferToken(alice, ledger.state.collection.address, token, bob))
-    assert ledger.owner_of(token) == bob
+    assert ledger.state.collection.owner_of(token) == bob
 
 
 def test_transfer_to_self_emits_event(world):
@@ -63,7 +64,7 @@ def test_transfer_to_self_emits_event(world):
     token = _mint(ledger, alice, alice)
     receipt = ledger.must(TransferToken(alice, ledger.state.collection.address,
                                         token, alice))
-    assert ledger.owner_of(token) == alice
+    assert ledger.state.collection.owner_of(token) == alice
     assert len(receipt.events) == 1
 
 
@@ -84,7 +85,7 @@ def test_transfer_chain(world):
     collection = ledger.state.collection.address
     ledger.must(TransferToken(alice, collection, token, bob))
     ledger.must(TransferToken(bob, collection, token, carol))
-    assert ledger.owner_of(token) == carol
+    assert ledger.state.collection.owner_of(token) == carol
 
 
 def test_note_round_trip(world):
@@ -116,11 +117,11 @@ def test_bound_account_survives_every_transfer_order(world):
     ledger, alice, bob = world
     carol = ledger.create_eoa("carol")
     actors = [alice, bob, carol]
-    token, target = ledger.mint_nftaa(alice, b"n")
+    token, target = mint_nftaa(ledger, alice, b"n")
     collection = ledger.state.collection.address
     for recipients in itertools.product(actors, repeat=3):
         for to in recipients:
-            owner = ledger.owner_of(token)
+            owner = ledger.state.collection.owner_of(token)
             ledger.must(TransferToken(owner, collection, token, to))
             assert ledger.account_of(token) == target
 
@@ -129,7 +130,7 @@ def test_plain_mint_cannot_bind_an_account(world):
     # only MintNftaa binds; a binding argument here could name another
     # token's account and break the account-token bijection
     ledger, alice, _ = world
-    account = ledger.mint_nftaa(alice, b"n")[1]
+    account = mint_nftaa(ledger, alice, b"n")[1]
     with pytest.raises(TypeError):
         MintToken(alice, ledger.state.collection.address, alice, b"f", bound_account=account)
 
@@ -159,11 +160,11 @@ def test_only_owner_called_transfers_commit(world):
     for _ in range(200):
         caller, to = rng.choice(actors), rng.choice(actors)
         token = rng.choice(tokens)
-        owner_before = ledger.owner_of(token)
+        owner_before = ledger.state.collection.owner_of(token)
         receipt = ledger.apply_transaction(TransferToken(caller, collection, token, to))
         if receipt.committed:
             assert caller == owner_before
-            assert ledger.owner_of(token) == to
+            assert ledger.state.collection.owner_of(token) == to
         else:
             assert caller != owner_before
-            assert ledger.owner_of(token) == owner_before
+            assert ledger.state.collection.owner_of(token) == owner_before
