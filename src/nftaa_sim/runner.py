@@ -11,22 +11,22 @@ A script runs against a fresh ledger in one of three lanes:
   plain token, staking and withdrawal go through the account's execute call,
   and ``upgrade`` has no analog.
 
-One translation serves all three lanes: it turns a step into the named
-ledger operations of the lane (``mint`` and ``account`` for ``mintnftaa`` in
-the tba lane), or raises NotComparable for a kind with no analog there.
-Labels a step creates are bound before its transaction is submitted, so later
-steps of a group can name them, and unbound if that transaction does not
-commit.
+``_HANDLERS`` maps each step kind, and each ``probe`` form, to the one
+ScenarioRunner method that runs it, and is checked on import against the
+parser's ``STEP_KINDS`` and ``PROBE_FORMS``. The transaction kinds share one
+translation into the lane's named ledger operations (``mint`` and ``account``
+for ``mintnftaa`` in the tba lane). A kind or form with no analog in the lane
+(``_NO_ANALOG``) is NotComparable before any of its labels is resolved. Labels
+a step creates are bound before its transaction is submitted, so later steps
+of a group can name them, and unbound if that transaction does not commit.
 
 ``begin``/``commit`` groups are one atomic transaction in the native and
 nftaa lanes. The tba lane cannot express that: it submits the operations one
 at a time, the first failure skips the remainder, and an ``interrupt`` right
 after a split step lands in the seam between its parts (the mint and the
 account creation). That asymmetry is what the differential runner exists to
-expose.
-
-Reports are plain text and byte-identical across runs with the same script
-and seed.
+expose. Reports are plain text and byte-identical across runs with the same
+script and seed.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ from .ops import (
     WithdrawAssets,
 )
 from .records import Record
-from .scenario import EXECUTABLE, PROXY_FORMS, ScenarioScript, Step, parse_amount, queue_config
+from .scenario import (EXECUTABLE, PROBE_FORMS, PROXY_FORMS, STEP_KINDS, ScenarioScript, Step,
+                       parse_amount, queue_config)
 from .staking import estimate_drain_time, simulate_drain
 from .tba import diagnostic_lines
 
@@ -63,20 +64,22 @@ NOT_COMPARABLE = "not_comparable"
 
 _FAILING = {ROLLED_BACK, PARTIAL, NOT_COMPARABLE}
 
-# step kinds with no analog in a lane's account style
-_NO_ANALOG = {"native": frozenset(), "nftaa": frozenset({"tbacall", "createtba"}),
+# step kinds and probe forms with no analog in a lane's account style
+_NO_ANALOG = {"native": frozenset(),
+              "nftaa": frozenset({"tbacall", "createtba", "tba_address"}),
               "tba": frozenset({"upgrade"})}
 
-# staking steps: sugar for a proxy call of this method
-_STAKING_METHOD = {"stake": "stake", "addstake": "add_to_stake", "unstake": "request_unstake"}
+# execute-call steps: the method each calls through the account, None if the step names it
+_EXECUTE_METHOD = {"proxy": None, "tbacall": None, "stake": "stake", "addstake": "add_to_stake",
+                   "unstake": "request_unstake", "withdraw": "transfer_value"}
 
 
 class StepOutcome(Record):
     __slots__ = __match_args__ = ("index", "line", "kind", "status", "detail", "code",
-                                  "tx_count", "group_kinds")
-    def __init__(self, index: int, line: int, kind: str, status: str):
+                                  "tx_count", "group")
+    def __init__(self, index: int, line: int, kind: str, status: str, group: tuple = ()):
         self.index, self.line, self.kind, self.status = index, line, kind, status
-        self.detail, self.code, self.tx_count, self.group_kinds = "", None, 0, ()
+        self.detail, self.code, self.tx_count, self.group = "", None, 0, group  # steps run
 
     def render(self) -> str:
         text = f"step index={self.index} line={self.line} kind={self.kind} status={self.status}"
@@ -152,10 +155,6 @@ class ScenarioRunner:
         # "tba" (a registry-style account); a token has no address, an actor no token
         self.labels: dict[str, tuple[str, Address | None, int | None]] = {}
 
-    # ------------------------------------------------------------------
-    # Label resolution
-    # ------------------------------------------------------------------
-
     def address_of(self, label: str) -> Address:
         address = self._bound(label)[1]
         if address is None:
@@ -174,10 +173,6 @@ class ScenarioRunner:
             # declared at parse time but its creating step never committed
             raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, f"label {label!r} is unbound")
         return bound
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
 
     def run(self) -> RunReport:
         steps = self.script.steps
@@ -218,63 +213,77 @@ class ScenarioRunner:
                     outcome.line, f"unexpected failure {outcome.code or outcome.status}",
                     False))
             return
+        got = outcome.status
         if expected == "ok":
-            passed = outcome.status in (OK, COMMITTED)
-            got = outcome.status
+            passed = got in (OK, COMMITTED)
         elif expected == "partial":
-            passed = outcome.status == PARTIAL
-            got = outcome.status
+            passed = got == PARTIAL
         else:
-            passed = outcome.status in _FAILING and outcome.code == expected
-            got = outcome.code or outcome.status
+            passed = got in _FAILING and outcome.code == expected
+            got = outcome.code or got
         self.report.verdicts.append(Verdict(
             line, f"expected {expected}, got {got}", passed))
 
     # ------------------------------------------------------------------
-    # Step execution
+    # Step execution: one handler per step kind and probe form (_HANDLERS)
     # ------------------------------------------------------------------
 
     def _run_step(self, step: Step, group: tuple[Step, ...]) -> StepOutcome:
-        """Run one step; a commit runs the steps of its group, a tx step itself."""
-        kind, args = step.kind, step.args
-        outcome = StepOutcome(len(self.report.outcomes) + 1, step.line, kind, OK)
-        if kind == "commit":
-            outcome.group_kinds = tuple(inner.kind for inner in group)
+        """Run one step through its handler and record what it returns: an assert's
+        verdict, (passed, description), or any other step's outcome detail. A
+        failure it raises fails the assert's verdict, or else the step."""
+        kind = step.kind
+        outcome = StepOutcome(len(self.report.outcomes) + 1, step.line, kind, OK, group)
         try:
-            if kind == "actor":
-                address = self.ledger.create_eoa(args[0])
-                self.labels[args[0]] = ("actor", address, None)
-                outcome.detail = f"address={to_hex(address)}"
-            elif kind == "faucet":
-                self.ledger.faucet(self.address_of(args[0]), parse_amount(args[1]))
-            elif kind == "advance":
-                outcome.detail = f"height={self.ledger.advance_blocks(int(args[0]))}"
-            elif kind in ("expect_error", "expect_tba"):
-                outcome.status = SKIPPED  # consumed by _check_expectations
-            elif kind == "queue_report":
-                outcome.detail = self._queue_report(int(args[0]), args[1])
-            elif kind == "probe":
-                outcome.detail = self._probe(args)
-            elif kind.startswith("assert_"):
-                self._assert(step)
-            else:
-                self._run_transaction(group, outcome)
+            result = _HANDLERS[kind](self, step.args, outcome)
         except LedgerError as failure:
-            _failed(outcome, failure.code)
+            if kind not in _ASSERTS:
+                _failed(outcome, failure.code)
+                return outcome
+            result = False, f"{kind} raised {failure.code.value}"
+        if kind in _ASSERTS:
+            self.report.verdicts.append(Verdict(step.line, result[1], result[0]))
+        elif result:
+            outcome.detail = result
         return outcome
+
+    def _comparable(self, key: str) -> None:
+        """The no-analog rule: a step kind or probe form this lane cannot express."""
+        if key in _NO_ANALOG[self.lane]:
+            raise LedgerError(ErrorCode.NOT_COMPARABLE, f"{key} has no {self.lane} analog")
+
+    def _actor(self, args, outcome) -> str:
+        address = self.ledger.create_eoa(args[0])
+        self.labels[args[0]] = ("actor", address, None)
+        return f"address={to_hex(address)}"
+
+    def _faucet(self, args, outcome) -> None:
+        self.ledger.faucet(self.address_of(args[0]), parse_amount(args[1]))
+
+    def _advance(self, args, outcome) -> str:
+        return f"height={self.ledger.advance_blocks(int(args[0]))}"
+
+    def _expectation(self, args, outcome) -> None:
+        outcome.status = SKIPPED  # consumed by _check_expectations
+
+    def _queue_report(self, args, outcome) -> str:
+        if args[1] == "closed":
+            return estimate_drain_time(int(args[0]), self.config).summary_line()
+        return simulate_drain(int(args[0]), self.config, trace=False).summary_line()
 
     # ------------------------------------------------------------------
     # Transactions: one translation, atomic or sequential submission
     # ------------------------------------------------------------------
 
-    def _run_transaction(self, group: tuple[Step, ...], outcome: StepOutcome) -> None:
-        """Translate a step or a begin/commit group and submit it in this lane.
+    def _run_transaction(self, args, outcome: StepOutcome) -> None:
+        """Translate a step or a begin/commit group (`outcome.group`) and submit it.
 
         The atomic lanes submit the group's operations as one transaction and
         raise its failure; the tba lane reports each part in a `seq=` detail.
         Labels bound ahead of a transaction that did not commit are unbound
         here, whichever way it failed.
         """
+        group = outcome.group
         pending: list[str] = []  # bound ahead of a transaction not yet committed
         try:
             if self.lane == "tba":
@@ -343,8 +352,7 @@ class ScenarioRunner:
         in the transaction can name them; they are appended to `pending`.
         """
         kind, args = step.kind, step.args
-        if kind in _NO_ANALOG[self.lane]:
-            raise LedgerError(ErrorCode.NOT_COMPARABLE, f"{kind} has no {self.lane} analog")
+        self._comparable(kind)  # before any label is resolved
         state = self.ledger.state
         collection = state.collection.address
         if kind in ("mintnftaa", "minttoken"):
@@ -371,13 +379,11 @@ class ScenarioRunner:
         if kind in ("transfernftaa", "transfertoken"):
             op = TransferToken(self.address_of(args[0]), collection, self.token_of(args[1]),
                                self.address_of(args[2]))
-        elif kind in ("proxy", "tbacall"):
-            op = self._execute_call(*args)
-        elif kind in _STAKING_METHOD:
-            op = self._execute_call(args[0], args[1], _STAKING_METHOD[kind], *args[2:])
-        elif kind == "withdraw":
-            op = self._execute_call(args[0], args[1], "transfer_value", *args[2:])
-            if isinstance(op, ProxyExecute):  # a proxy account has its own withdraw operation
+        elif kind in _EXECUTE_METHOD:
+            actor, account, *rest = args
+            op = self._execute_call(actor, account, _EXECUTE_METHOD[kind] or rest.pop(0), *rest)
+            if kind == "withdraw" and isinstance(op, ProxyExecute):
+                # a proxy account has its own withdraw operation
                 op = WithdrawAssets(op.caller, op.nftaa, op.payload.to, op.payload.amount)
         elif kind == "upgrade":
             op = UpgradeAccount(self.address_of(args[0]), self.address_of(args[1]), int(args[2]))
@@ -389,17 +395,13 @@ class ScenarioRunner:
             pending.append(args[3])
             op = CreateTba(actor, state.registry.address, collection, token_id, salt,
                            has_execute="noexec" not in args[4:])
-        elif kind in ("fail", "interrupt"):
+        else:  # fail, interrupt
             op = Fail("interrupted" if kind == "interrupt" else "injected")
-        else:
-            raise AssertionError(f"unhandled step kind {kind}")
         return [(kind, op)]
 
     def _execute_call(self, actor: str, account: str, method: str, *rest: str):
-        """proxy/tbacall and the staking sugar, dispatched on the account's style.
-
-        The method's roles give the payload: an amount, or a recipient label.
-        """
+        """An execute call of `method` through `account`, in the account's style; the
+        method's roles give the payload: an amount, or a recipient label."""
         caller, target = self.address_of(actor), self.address_of(account)
         fields: dict[str, object] = {}
         for role, value in zip(PROXY_FORMS[method].roles, rest):
@@ -407,107 +409,107 @@ class ScenarioRunner:
                 fields["amount"] = parse_amount(value)
             else:
                 fields["to"] = self.address_of(value)
-        execute = TbaExecute if self._is_tba(account) else ProxyExecute
+        # the style the step that bound `account` gave it, not the ledger's
+        execute = TbaExecute if self._bound(account)[0] == "tba" else ProxyExecute
         return execute(caller, target, ProxyPayload(method, **fields))
 
-    def _is_tba(self, label: str) -> bool:
-        """Whether the step that bound `label` made a registry-style account."""
-        return self._bound(label)[0] == "tba"
+    def _probe(self, args, outcome) -> str:
+        self._comparable(args[0])
+        return _HANDLERS[args[0]](self, args[1:], outcome)
 
-    # ------------------------------------------------------------------
-    # Probes, asserts, queue report
-    # ------------------------------------------------------------------
+    def _probe_binding(self, args, outcome) -> str:
+        return f"binding={_shown(self.ledger.account_of(self.token_of(args[0])))}"
 
-    def _probe(self, args: tuple[str, ...]) -> str:
-        what = args[0]
-        if what == "binding":
-            token_id = self.token_of(args[1])
-            bound = self.ledger.account_of(token_id)
-            return f"binding={'none' if bound is None else to_hex(bound)}"
-        if what == "tba_address":
-            if self.lane == "nftaa":
-                raise LedgerError(ErrorCode.NOT_COMPARABLE,
-                                  "no pre-deployment address exists for factory accounts")
-            address = self.ledger.compute_tba_address(self.token_of(args[1]),
-                                                      salt_from_int(int(args[2])))
-            return f"tba_address={to_hex(address)}"
-        if what == "locked":
-            lines = diagnostic_lines(self.ledger.state)
-            return "diagnostics=" + (" | ".join(lines) if lines else "none")
-        if what == "counts":
-            state = self.ledger.state
-            return (f"tokens={len(state.collection.tokens)} "
-                    f"bindings={len(state.nftaas)} "
-                    f"tba_accounts={len(state.registry.records)}")
-        raise AssertionError(f"unknown probe {what}")
+    def _probe_tba_address(self, args, outcome) -> str:
+        token_id, salt = self.token_of(args[0]), salt_from_int(int(args[1]))
+        return f"tba_address={to_hex(self.ledger.compute_tba_address(token_id, salt))}"
 
-    def _assert(self, step: Step) -> None:
-        kind, args = step.kind, step.args
-        try:
-            passed, description = self._evaluate_assert(kind, args)
-        except LedgerError as failure:
-            passed, description = False, f"{kind} raised {failure.code.value}"
-        self.report.verdicts.append(Verdict(step.line, description, passed))
+    def _probe_locked(self, args, outcome) -> str:
+        lines = diagnostic_lines(self.ledger.state)
+        return "diagnostics=" + (" | ".join(lines) if lines else "none")
 
-    def _evaluate_assert(self, kind: str, args: tuple[str, ...]) -> tuple[bool, str]:
-        ledger = self.ledger
-        if kind == "assert_digest":
-            actual = ledger.state_digest()
-            return actual == args[0], f"digest expected {args[0][:12]}.. got {actual[:12]}.."
-        if kind == "assert_event":
-            return self._match_event(args)
-        if kind == "assert_note":
-            actual = ledger.token_note(self.token_of(args[0]))
-            return actual == args[1].encode(), f"note of {args[0]} is {actual!r}"
-        if kind == "assert_bound":
-            _, token_id = ledger.bound_nft_of(self.address_of(args[0]))
-            return token_id == int(args[1]), f"bound token of {args[0]} is {token_id}"
-        if kind == "assert_account":
-            bound = ledger.account_of(self.token_of(args[0]))
-            rendered = "none" if bound is None else to_hex(bound)
-            if args[1] == "none":
-                return bound is None, f"account of {args[0]} is {rendered}"
-            return bound == self.address_of(args[1]), f"account of {args[0]} is {rendered}"
-        if kind == "assert_balance":
-            actual = ledger.balance_of(self.address_of(args[0]))
-            return actual == parse_amount(args[1]), f"balance of {args[0]} is {actual}"
-        if kind == "assert_stake":
-            actual = ledger.stake_balance_of(self.address_of(args[0]))
-            return actual == parse_amount(args[1]), f"stake of {args[0]} is {actual}"
-        if kind == "assert_staker":
-            actual = ledger.staker_address_of(self.address_of(args[0]))
-            rendered = "none" if actual is None else to_hex(actual)
-            if args[1] == "none":
-                return actual is None, f"staker of {args[0]} is {rendered}"
-            return actual == self.address_of(args[1]), f"staker of {args[0]} is {rendered}"
-        raise AssertionError(f"unhandled assert {kind}")
+    def _probe_counts(self, args, outcome) -> str:
+        state = self.ledger.state
+        return (f"tokens={len(state.collection.tokens)} bindings={len(state.nftaas)} "
+                f"tba_accounts={len(state.registry.records)}")
 
-    def _match_event(self, args: tuple[str, ...]) -> tuple[bool, str]:
-        wanted_kind = args[0]
-        criteria = {}
-        for pair in args[1:]:
-            key, value = pair.split("=", 1)
-            if value.startswith("@"):
-                value = to_hex(self.address_of(value[1:]))
-            criteria[key] = value
+    def _maybe_address(self, label: str) -> Address | None:
+        """An `@account|none` argument: the bare word `none` names no address."""
+        return None if label == "none" else self.address_of(label)
+
+    def _assert_digest(self, args, outcome) -> tuple[bool, str]:
+        actual = self.ledger.state_digest()
+        return actual == args[0], f"digest expected {args[0][:12]}.. got {actual[:12]}.."
+
+    def _assert_event(self, args, outcome) -> tuple[bool, str]:
+        criteria = {key: to_hex(self.address_of(value[1:])) if value.startswith("@") else value
+                    for key, value in (pair.split("=", 1) for pair in args[1:])}
         for event in self.ledger.events:
-            if event.kind.value != wanted_kind:
-                continue
             payload = event.payload
-            if all(k in payload and str(payload[k]) == v for k, v in criteria.items()):
-                return True, f"event {wanted_kind} present"
-        return False, f"event {wanted_kind} matching {criteria} not found"
+            if event.kind.value == args[0] and all(
+                    k in payload and str(payload[k]) == v for k, v in criteria.items()):
+                return True, f"event {args[0]} present"
+        return False, f"event {args[0]} matching {criteria} not found"
 
-    def _queue_report(self, pending: int, mode: str) -> str:
-        if mode == "closed":
-            return estimate_drain_time(pending, self.config).summary_line()
-        return simulate_drain(pending, self.config, trace=False).summary_line()
+    def _assert_note(self, args, outcome) -> tuple[bool, str]:
+        actual = self.ledger.token_note(self.token_of(args[0]))
+        return actual == args[1].encode(), f"note of {args[0]} is {actual!r}"
+
+    def _assert_bound(self, args, outcome) -> tuple[bool, str]:
+        _, actual = self.ledger.bound_nft_of(self.address_of(args[0]))
+        return actual == int(args[1]), f"bound token of {args[0]} is {actual}"
+
+    def _assert_account(self, args, outcome) -> tuple[bool, str]:
+        actual = self.ledger.account_of(self.token_of(args[0]))
+        return actual == self._maybe_address(args[1]), f"account of {args[0]} is {_shown(actual)}"
+
+    def _assert_balance(self, args, outcome) -> tuple[bool, str]:
+        actual = self.ledger.balance_of(self.address_of(args[0]))
+        return actual == parse_amount(args[1]), f"balance of {args[0]} is {actual}"
+
+    def _assert_stake(self, args, outcome) -> tuple[bool, str]:
+        actual = self.ledger.stake_balance_of(self.address_of(args[0]))
+        return actual == parse_amount(args[1]), f"stake of {args[0]} is {actual}"
+
+    def _assert_staker(self, args, outcome) -> tuple[bool, str]:
+        actual = self.ledger.staker_address_of(self.address_of(args[0]))
+        return actual == self._maybe_address(args[1]), f"staker of {args[0]} is {_shown(actual)}"
+
+
+_ASSERTS = frozenset(kind for kind, form in STEP_KINDS.items() if form.group == "assert")
+
+# step kind, or probe form -> handler(runner, args, outcome). The traced functions
+# handlers call (simulate_drain, diagnostic_lines) are looked up when they run.
+_HANDLERS = {
+    **dict.fromkeys([kind for kind, form in STEP_KINDS.items() if form.group == "tx"]
+                    + ["commit"], ScenarioRunner._run_transaction),
+    "actor": ScenarioRunner._actor, "faucet": ScenarioRunner._faucet,
+    "advance": ScenarioRunner._advance, "queue_report": ScenarioRunner._queue_report,
+    "expect_error": ScenarioRunner._expectation, "expect_tba": ScenarioRunner._expectation,
+    "probe": ScenarioRunner._probe, "binding": ScenarioRunner._probe_binding,
+    "tba_address": ScenarioRunner._probe_tba_address, "locked": ScenarioRunner._probe_locked,
+    "counts": ScenarioRunner._probe_counts,
+    "assert_digest": ScenarioRunner._assert_digest, "assert_event": ScenarioRunner._assert_event,
+    "assert_note": ScenarioRunner._assert_note, "assert_bound": ScenarioRunner._assert_bound,
+    "assert_account": ScenarioRunner._assert_account,
+    "assert_balance": ScenarioRunner._assert_balance,
+    "assert_stake": ScenarioRunner._assert_stake, "assert_staker": ScenarioRunner._assert_staker,
+}
+# once each: every kind the parser emits as a step but `begin`, which `run` takes
+# with its group (a `set` line is config, never a step), and every probe form
+if sorted(_HANDLERS) != sorted([*STEP_KINDS.keys() - {"begin", "set"}, *PROBE_FORMS]):
+    raise RuntimeError("runner handlers do not match STEP_KINDS and PROBE_FORMS")
 
 
 def _failed(outcome: StepOutcome, code: ErrorCode) -> None:
     """A step that raised: not comparable if it has no analog in the lane, else rolled back."""
     outcome.status = NOT_COMPARABLE if code is ErrorCode.NOT_COMPARABLE else ROLLED_BACK
     outcome.code = code.value
+
+
+def _shown(address: Address | None) -> str:
+    """An address as a report shows it, or `none`."""
+    return "none" if address is None else to_hex(address)
 
 
 def _creation_detail(receipt: TxReceipt) -> str:
@@ -552,11 +554,7 @@ class DiffResult(Record):
 
     @property
     def claims(self) -> list[str]:
-        claims: list[str] = []
-        for entry in self.entries:
-            if entry.claim not in claims:
-                claims.append(entry.claim)
-        return claims
+        return list(dict.fromkeys(entry.claim for entry in self.entries))  # first-seen order
 
     def to_text(self) -> str:
         lines = [f"diff scenario={self.name} seed={self.nftaa.seed}"]
@@ -580,7 +578,8 @@ def classify_difference(outcome_a: StepOutcome, outcome_b: StepOutcome) -> str:
         # the gate diverged: one style let the token wander where no caller
         # can ever satisfy it again
         return "self-lock"
-    if kind == "mintnftaa" or "mintnftaa" in outcome_a.group_kinds:
+    if kind == "mintnftaa" or kind == "commit" and any(
+            step.kind == "mintnftaa" for step in outcome_a.group):
         return "creation-atomicity"
     if kind == "probe":
         detail = outcome_a.detail + " " + outcome_b.detail

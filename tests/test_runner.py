@@ -1,6 +1,10 @@
 """Scenario runner: lanes, groups, expectations, reports, differentials."""
 
-from nftaa_sim import EventKind, parse_scenario, run_differential, run_scenario
+from collections import Counter
+
+from nftaa_sim import EventKind, ScenarioRunner, parse_scenario, run_differential, run_scenario
+from nftaa_sim.runner import _HANDLERS
+from nftaa_sim.scenario import PROBE_FORMS, STEP_KINDS
 
 
 def run_text(text, lane="native", seed=None):
@@ -315,3 +319,40 @@ def test_assert_event_requires_the_key():
                       'assert_event Transfer bogus=None\n')
     assert [(v.line, v.passed) for v in report.verdicts] == [(3, True), (4, False)]
     assert report.exit_code == 1
+
+
+def test_every_step_kind_and_probe_form_has_exactly_one_handler():
+    # a `set` line becomes config, never a step, and `run` takes a `begin` with
+    # its group; every other kind the parser emits is a step with a handler
+    script = parse_scenario('set seed 1\nactor a\nbegin\ncommit\n')
+    assert [step.kind for step in script.steps] == ["actor", "begin", "commit"]
+    keys = Counter([*STEP_KINDS.keys() - {"set", "begin"}, *PROBE_FORMS])
+    assert keys == Counter(_HANDLERS.keys())  # a form named like a kind would count twice
+    assert all(getattr(ScenarioRunner, handler.__name__) is handler
+               for handler in _HANDLERS.values())
+
+
+def test_no_analog_is_reported_before_any_label_is_resolved():
+    # the group leaves `t1` unbound in the nftaa lane only (the tba lane
+    # commits its mint); the empty note leaves `n1` unbound in both lanes
+    text = (
+        'actor a\n'
+        'begin\n'
+        'minttoken a t1 "x"\n'
+        'fail\n'
+        'commit\n'
+        'probe binding t1\n'
+        'probe tba_address t1 0\n'
+        'createtba a t1 0 b1\n'
+        'mintnftaa a n1 ""\n'
+        'upgrade a n1 1\n'
+    )
+    nftaa = {o.line: o for o in run_text(text, lane="nftaa").outcomes}
+    tba = {o.line: o for o in run_text(text, lane="tba").outcomes}
+    assert nftaa[6].signature() == "rolled_back:UnknownAccount"  # t1 is unbound
+    assert tba[6].signature() == "ok:binding=none"                # t1 is bound
+    assert nftaa[7].signature() == "not_comparable:NotComparable"
+    assert nftaa[8].signature() == "not_comparable:NotComparable"
+    assert nftaa[10].signature() == "rolled_back:UnknownAccount"  # n1 is unbound
+    assert tba[10].render().endswith(
+        "status=not_comparable code=NotComparable seq=upgrade=NotComparable")
