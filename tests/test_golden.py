@@ -13,12 +13,15 @@ regenerates them and says so in CHANGES.md:
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from nftaa_sim.cli import main
-from tests.corpus import CORPUS, GOLDEN, PINNED, SCRIPTS
+from tests.corpus import CORPUS, GOLDEN, PINNED, ROOT, SCRIPTS
 
 COMMANDS = {"run": ["run", "--seed", "7"], "diff": ["diff", "--seed", "7", "--verbose"]}
 CASES = [(command, path) for path in SCRIPTS for command in COMMANDS]
@@ -45,6 +48,21 @@ def test_corpus_has_eleven_files_with_distinct_names():
 def test_transcript_is_unchanged(command, path):
     expected = _golden_path(command, path).read_bytes()
     assert transcript(command, path).encode() == expected
+
+
+def test_transcripts_do_not_depend_on_the_hash_seed():
+    """The same bytes and exit codes under two string-hash seeds: no output
+    follows the iteration order of a set or dict keyed by strings."""
+    runs = {}
+    for hash_seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(ROOT / "src")}
+        runs[hash_seed] = [
+            subprocess.run([sys.executable, "-m", "nftaa_sim.cli", *arguments,
+                            *map(str, SCRIPTS)], env=env, capture_output=True, timeout=120)
+            for arguments in COMMANDS.values()]
+    first, second = ([(run.returncode, run.stdout) for run in runs[seed]] for seed in runs)
+    assert first == second
+    assert all(run.stdout.count(b"\nexit=") >= len(SCRIPTS) for run in runs["0"])
 
 
 if __name__ == "__main__":
