@@ -43,12 +43,15 @@ class ErrorCode(str, Enum):
 
 
 class LedgerError(Exception):
-    """Raised by any operation that cannot commit; the enclosing transaction rolls back."""
+    """Raised by any operation that cannot commit; the enclosing transaction rolls back.
+
+    Most are caught and reported by code alone, so the text is built when read."""
 
     def __init__(self, code: ErrorCode, message: str = "", **detail: object):
-        self.code = code
-        self.detail = dict(detail)
-        text = code.value if not message else f"{code.value}: {message}"
-        if detail:
-            text += " (" + ", ".join(f"{k}={v}" for k, v in detail.items()) + ")"
-        super().__init__(text)
+        self.code, self.message, self.detail = code, message, detail
+
+    def __str__(self) -> str:
+        text = f"{self.code.value}: {self.message}" if self.message else self.code.value
+        if self.detail:
+            text += " (" + ", ".join(f"{k}={v}" for k, v in self.detail.items()) + ")"
+        return text

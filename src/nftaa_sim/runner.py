@@ -120,12 +120,17 @@ class Verdict(Record):
 
 class RunReport(Record):
     __slots__ = __match_args__ = ("name", "lane", "seed", "outcomes", "verdicts", "events",
-                                  "final_digest")
-    def __init__(self, name: str, lane: str, seed: int):
-        self.name, self.lane, self.seed, self.final_digest = name, lane, seed, ""
+                                  "ledger")
+    def __init__(self, name: str, lane: str, seed: int, ledger: Ledger):
+        self.name, self.lane, self.seed, self.ledger = name, lane, seed, ledger
         self.outcomes: list[StepOutcome] = []
         self.verdicts: list[Verdict] = []
         self.events: list[Event] = []
+
+    @property
+    def final_digest(self) -> str:
+        """The lane's state digest, hashed when read: a plain `diff` never prints it."""
+        return self.ledger.state_digest()
 
     @property
     def exit_code(self) -> int:
@@ -150,7 +155,7 @@ class ScenarioRunner:
         self.lane = lane
         self.config = queue_config(script.config, seed)
         self.ledger = Ledger(self.config)
-        self.report = RunReport(name, lane, self.config.rng_seed)
+        self.report = RunReport(name, lane, self.config.rng_seed, self.ledger)
         # label -> (style, address, token_id); style is "actor", "token", "account" or
         # "tba" (a registry-style account); a token has no address, an actor no token
         self.labels: dict[str, tuple[str, Address | None, int | None]] = {}
@@ -176,6 +181,11 @@ class ScenarioRunner:
 
     def run(self) -> RunReport:
         steps = self.script.steps
+        wanted = "expect_tba" if self.lane == "tba" else "expect_error"
+        # the index after each step this lane expects something of -> its expectation;
+        # one for the other lane may sit between the step and its own
+        expectations = {i - (steps[i - 1].kind in ("expect_error", "expect_tba")): step
+                        for i, step in enumerate(steps) if step.kind == wanted}
         index = 0
         while index < len(steps):
             step, group = steps[index], steps[index:index + 1]
@@ -190,30 +200,18 @@ class ScenarioRunner:
             outcome = self._run_step(step, group)
             self.report.outcomes.append(outcome)
             if step.kind in EXECUTABLE:
-                self._check_expectations(outcome, steps, index)
+                self._check_expectation(outcome, expectations.get(index))
         self.report.events = list(self.ledger.events)
-        self.report.final_digest = self.ledger.state_digest()
         return self.report
 
-    def _expectation_for(self, steps, next_index) -> tuple[str | None, int | None]:
-        """The expectation applicable in this lane, if the step carries one."""
-        wanted = "expect_tba" if self.lane == "tba" else "expect_error"
-        for peek in steps[next_index:next_index + 2]:
-            if peek.kind == wanted:
-                return peek.args[0], peek.line
-            if peek.kind not in ("expect_error", "expect_tba"):
-                break
-        return None, None
-
-    def _check_expectations(self, outcome: StepOutcome, steps, next_index) -> None:
-        expected, line = self._expectation_for(steps, next_index)
-        if expected is None:
+    def _check_expectation(self, outcome: StepOutcome, expectation: Step | None) -> None:
+        if expectation is None:
             if outcome.status in _FAILING:
                 self.report.verdicts.append(Verdict(
                     outcome.line, f"unexpected failure {outcome.code or outcome.status}",
                     False))
             return
-        got = outcome.status
+        expected, line, got = expectation.args[0], expectation.line, outcome.status
         if expected == "ok":
             passed = got in (OK, COMMITTED)
         elif expected == "partial":
@@ -264,7 +262,7 @@ class ScenarioRunner:
         return f"height={self.ledger.advance_blocks(int(args[0]))}"
 
     def _expectation(self, args, outcome) -> None:
-        outcome.status = SKIPPED  # consumed by _check_expectations
+        outcome.status = SKIPPED  # consumed by _check_expectation
 
     def _queue_report(self, args, outcome) -> str:
         if args[1] == "closed":
@@ -357,7 +355,7 @@ class ScenarioRunner:
         collection = state.collection.address
         if kind in ("mintnftaa", "minttoken"):
             actor, note = self.address_of(args[0]), args[2].encode()
-            minted = sum(isinstance(op, (MintNftaa, MintToken)) for op in ahead)
+            minted = sum(isinstance(op, (MintNftaa, MintToken)) for op in ahead) if ahead else 0
             token_id = state.collection.next_id + minted
             pending.append(args[1])
             if kind == "minttoken":
@@ -365,7 +363,8 @@ class ScenarioRunner:
                 return [(kind, MintToken(actor, collection, actor, note))]
             if self.lane != "tba":
                 factory = state.factory
-                nonce = factory.creation_nonce + sum(isinstance(op, MintNftaa) for op in ahead)
+                nonce = factory.creation_nonce + (
+                    sum(isinstance(op, MintNftaa) for op in ahead) if ahead else 0)
                 self.labels[args[1]] = ("account", contract_address(factory.address, nonce),
                                         token_id)
                 return [(kind, MintNftaa(actor, factory.address, note))]
@@ -446,7 +445,7 @@ class ScenarioRunner:
                     for key, value in (pair.split("=", 1) for pair in args[1:])}
         for event in self.ledger.events:
             payload = event.payload
-            if event.kind.value == args[0] and all(
+            if event.kind == args[0] and all(  # a str enum: equal to its value
                     k in payload and str(payload[k]) == v for k, v in criteria.items()):
                 return True, f"event {args[0]} present"
         return False, f"event {args[0]} matching {criteria} not found"
@@ -560,7 +559,8 @@ class DiffResult(Record):
         lines = [f"diff scenario={self.name} seed={self.nftaa.seed}"]
         lines += [entry.render() for entry in self.entries]
         lines.append(f"differences={len(self.entries)}")
-        lines.append(f"claims={','.join(self.claims) if self.claims else 'none'}")
+        claims = self.claims
+        lines.append(f"claims={','.join(claims) if claims else 'none'}")
         lines.append(f"nftaa_exit={self.nftaa.exit_code} tba_exit={self.tba.exit_code}")
         lines.append(f"exit={self.exit_code}")
         return "\n".join(lines) + "\n"
@@ -603,9 +603,11 @@ def run_differential(script: ScenarioScript, name: str = "scenario",
     lane_b = run_scenario(script, name, lane="tba", seed=seed)
     entries = []
     for outcome_a, outcome_b in zip(lane_a.outcomes, lane_b.outcomes):
-        signature_a, signature_b = outcome_a.signature(), outcome_b.signature()
-        if signature_a != signature_b:
+        # the fields signature() joins, compared one by one: only a difference is rendered
+        if (outcome_a.status != outcome_b.status or outcome_a.code != outcome_b.code
+                or outcome_a.tx_count != outcome_b.tx_count
+                or outcome_a.kind == "probe" and outcome_a.detail != outcome_b.detail):
             entries.append(DiffEntry(outcome_a.index, outcome_a.line, outcome_a.kind,
-                                     signature_a, signature_b,
+                                     outcome_a.signature(), outcome_b.signature(),
                                      classify_difference(outcome_a, outcome_b)))
     return DiffResult(name, lane_a, lane_b, entries)

@@ -11,8 +11,10 @@ import pytest
 
 import nftaa_sim
 from nftaa_sim.cli import main
+from nftaa_sim.ledger import Ledger
 from nftaa_sim.scenario import ScenarioParseError, parse_scenario
 from nftaa_sim.staking import MAX_DRAIN_BLOCKS
+from tests.corpus import SCRIPTS
 
 GOOD = (
     'actor alice\n'
@@ -129,6 +131,28 @@ def test_run_digest_mode(scenario_file, capsys):
     name, digest = out.split()
     assert name == "good"
     assert len(digest) == 64
+
+
+def test_the_digest_is_hashed_only_where_it_is_printed(monkeypatch, capsys):
+    calls = []
+    state_digest = Ledger.state_digest
+
+    def counted(ledger):
+        calls.append(ledger)
+        return state_digest(ledger)
+
+    monkeypatch.setattr(Ledger, "state_digest", counted)
+    for path in SCRIPTS:  # no script here has an assert_digest step
+        hashed = {}
+        for argv in (["diff"], ["diff", "--verbose"], ["run"], ["run", "--digest"]):
+            calls.clear()
+            main([*argv, str(path)])
+            hashed[" ".join(argv)] = len(calls)
+            out = capsys.readouterr().out
+            if argv == ["run"]:
+                final = out.split("final_digest=")[1].split()[0]
+        assert hashed == {"diff": 0, "diff --verbose": 2, "run": 1, "run --digest": 1}, path
+        assert out == f"{path.stem} {final}\n"
 
 
 def test_run_writes_event_log(scenario_file, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import copy
 import random
+import re
 
 import pytest
 
@@ -318,6 +319,24 @@ def test_rolled_back_receipt_holds_no_frame(ledger):
     assert caught.value.detail == {"have": 4, "need": 6}
     assert str(caught.value) == "InsufficientBalance (have=4, need=6)"
     assert ledger.balance_of(alice) == 5
+
+
+# the text each constructor form gave when it was formatted on construction
+@pytest.mark.parametrize("code,message,detail,text", [
+    (ErrorCode.ALREADY_STAKING, "", {}, "AlreadyStaking"),
+    (ErrorCode.NOT_NFT_OWNER, "caller is not the owner of the NFT", {},
+     "NotNftOwner: caller is not the owner of the NFT"),
+    (ErrorCode.INSUFFICIENT_BALANCE, "", {"have": 4, "need": 6},
+     "InsufficientBalance (have=4, need=6)"),
+    (ErrorCode.FRAUD_GUARD, "bound NFT already transferred", {"token": 3, "account": "0xab"},
+     "FraudGuard: bound NFT already transferred (token=3, account=0xab)"),
+])
+def test_error_text_is_built_when_read(code, message, detail, text):
+    error = LedgerError(code, message, **detail) if message else LedgerError(code, **detail)
+    assert error.code is code and error.detail == detail
+    assert str(error) == text
+    with pytest.raises(LedgerError, match=f"^{re.escape(text)}$"):
+        raise error
 
 
 # Each case breaks two or more checks at once; the code is the first check's,

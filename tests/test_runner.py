@@ -3,8 +3,10 @@
 from collections import Counter
 
 from nftaa_sim import EventKind, ScenarioRunner, parse_scenario, run_differential, run_scenario
-from nftaa_sim.runner import _HANDLERS
+from nftaa_sim.runner import _HANDLERS, DiffEntry, classify_difference
 from nftaa_sim.scenario import PROBE_FORMS, STEP_KINDS
+from tests.corpus import SCRIPTS
+from tests.perfbench_modules import load
 
 
 def run_text(text, lane="native", seed=None):
@@ -257,6 +259,28 @@ def test_differential_lanes_share_step_count():
     assert len(result.nftaa.outcomes) == len(result.tba.outcomes)
     assert result.exit_code == 0
     assert "upgradeability" in result.claims
+
+
+def _entries_by_signature(result) -> list[DiffEntry]:
+    """The reference comparison: every step whose two lane signatures differ."""
+    return [DiffEntry(a.index, a.line, a.kind, a.signature(), b.signature(),
+                      classify_difference(a, b))
+            for a, b in zip(result.nftaa.outcomes, result.tba.outcomes)
+            if a.signature() != b.signature()]
+
+
+def test_differential_compares_what_the_signatures_compare():
+    gen = load("gen")
+    scripts = {path.name: path.read_text() for path in SCRIPTS}
+    for seed in range(21):
+        scripts[f"fraud_diff-{seed}"] = gen.fraud_diff(seed).text
+        scripts[f"spot-{seed}"] = gen.spot(seed).text
+    compared = 0
+    for name, text in scripts.items():
+        result = run_differential(parse_scenario(text), name=name)
+        assert result.entries == _entries_by_signature(result), name
+        compared += len(result.entries)
+    assert compared > 4_000
 
 
 def test_native_lane_runs_tba_steps_directly():
