@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+from .events import hexed
+
 
 class ErrorCode(str, Enum):
     # ledger
@@ -45,7 +47,8 @@ class ErrorCode(str, Enum):
 class LedgerError(Exception):
     """Raised by any operation that cannot commit; the enclosing transaction rolls back.
 
-    Most are caught and reported by code alone, so the text is built when read."""
+    Most are caught and reported by code alone, so the text is built when read;
+    `detail` keeps the values as raised (an address as `bytes`, shown as hex)."""
 
     def __init__(self, code: ErrorCode, message: str = "", **detail: object):
         self.code, self.message, self.detail = code, message, detail
@@ -53,5 +56,5 @@ class LedgerError(Exception):
     def __str__(self) -> str:
         text = f"{self.code.value}: {self.message}" if self.message else self.code.value
         if self.detail:
-            text += " (" + ", ".join(f"{k}={v}" for k, v in self.detail.items()) + ")"
+            text += " (" + ", ".join(f"{k}={hexed(v)}" for k, v in self.detail.items()) + ")"
         return text

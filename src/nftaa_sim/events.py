@@ -8,10 +8,15 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .addresses import Address, to_hex
+from .addresses import Address
 from .records import Record
 
 SYSTEM_TX_ID = 0  # faucet credits and block-level withdrawal processing
+
+
+def hexed(value: object) -> object:
+    """A value as text shows it: `bytes` as lowercase hex, any other value as it is."""
+    return value.hex() if type(value) is bytes else value
 
 
 class EventKind(str, Enum):
@@ -29,14 +34,22 @@ class EventKind(str, Enum):
 
 
 class Event(Record):
-    __slots__ = __match_args__ = ("kind", "emitter", "payload", "block", "tx_id")
-    def __init__(self, kind: EventKind, emitter: Address, payload: dict, block: int, tx_id: int):
-        self.kind, self.emitter, self.payload = kind, emitter, payload
+    """One log entry. `fields` keeps the payload's values as the ledger had them
+    (addresses and salts as `bytes`); `render` and `payload` show them as text."""
+
+    __slots__ = __match_args__ = ("kind", "emitter", "fields", "block", "tx_id")
+    def __init__(self, kind: EventKind, emitter: Address, fields: dict, block: int, tx_id: int):
+        self.kind, self.emitter, self.fields = kind, emitter, fields
         self.block, self.tx_id = block, tx_id
+
+    @property
+    def payload(self) -> dict:
+        """The fields as the log shows them, built on each read: bytes as hex."""
+        return {key: hexed(value) for key, value in self.fields.items()}
 
     def render(self) -> str:
         parts = [f"block={self.block}", f"tx={self.tx_id}", self.kind.value,
-                 f"emitter={to_hex(self.emitter)}"]
-        for key, value in self.payload.items():
-            parts.append(f"{key}={value}")
+                 f"emitter={self.emitter.hex()}"]
+        for key, value in self.fields.items():
+            parts.append(f"{key}={hexed(value)}")
         return " ".join(parts)

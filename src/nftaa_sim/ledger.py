@@ -21,13 +21,7 @@ import random
 from collections import deque
 from enum import Enum
 
-from .addresses import (
-    Address,
-    ZERO_ADDRESS,
-    contract_address,
-    eoa_address,
-    to_hex,
-)
+from .addresses import Address, ZERO_ADDRESS, contract_address, eoa_address
 from .errors import ErrorCode, LedgerError
 from .events import SYSTEM_TX_ID, Event, EventKind
 from .nftaa import FactoryState, NftaaAccount
@@ -138,13 +132,13 @@ class Ledger:
         if address in self.state.accounts:
             # Two distinct derivations landing on one address is a corpus-level
             # impossibility, not a recoverable protocol error.
-            raise RuntimeError(f"address collision at {to_hex(address)}")
+            raise RuntimeError(f"address collision at {address.hex()}")
         self.state.accounts[address] = Account(code_id)
 
     def _account(self, address: Address) -> Account:
         account = self.state.accounts.get(address)
         if account is None:
-            raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(address))
+            raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, address=address)
         return account
 
     def create_eoa(self, label: str) -> Address:
@@ -163,8 +157,7 @@ class Ledger:
             raise ValueError("amounts are unsigned")
         account.balance += amount
         self.events.append(Event(EventKind.TRANSFER, ZERO_ADDRESS,
-                                 {"from": to_hex(ZERO_ADDRESS), "to": to_hex(to),
-                                  "amount": amount},
+                                 {"from": ZERO_ADDRESS, "to": to, "amount": amount},
                                  self.height, SYSTEM_TX_ID))
 
     def advance_block(self) -> int:
@@ -172,8 +165,7 @@ class Ledger:
         for entry in self.state.queue.process_block(self.config, self.rng):
             self._account(entry.owner).balance += entry.amount
             self.events.append(Event(EventKind.WITHDRAWAL_PROCESSED, entry.owner,
-                                     {"owner": to_hex(entry.owner),
-                                      "amount": entry.amount,
+                                     {"owner": entry.owner, "amount": entry.amount,
                                       "enqueued_at": entry.enqueued_at},
                                      self.height, SYSTEM_TX_ID))
         return self.height
@@ -232,7 +224,7 @@ class Ledger:
         # inside its own account permanently unreachable. Fail is the only
         # operation without a caller.
         if hasattr(op, "caller") and self._account(op.caller).code_id is not None:
-            raise LedgerError(ErrorCode.CALLER_NOT_EOA, address=to_hex(op.caller))
+            raise LedgerError(ErrorCode.CALLER_NOT_EOA, address=op.caller)
         match op:
             case TransferValue():
                 self._move_value(op.caller, op.to, op.amount, ctx)
@@ -269,12 +261,11 @@ class Ledger:
         ctx.write(dest, "balance", dest.balance + amount)
         ctx.value_out.add(frm)
         ctx.events.append(self._event(EventKind.TRANSFER, frm, ctx,
-                                      {"from": to_hex(frm), "to": to_hex(to),
-                                       "amount": amount}))
+                                      {"from": frm, "to": to, "amount": amount}))
 
     def _collection(self, address: Address) -> NftCollection:
         if self.state.collection.address != address:
-            raise LedgerError(ErrorCode.UNKNOWN_COLLECTION, address=to_hex(address))
+            raise LedgerError(ErrorCode.UNKNOWN_COLLECTION, address=address)
         return self.state.collection
 
     def _op_mint_token(self, op: MintToken, ctx: _TxContext) -> None:
@@ -300,13 +291,12 @@ class Ledger:
         ctx.write(record, "owner", op.to)
         ctx.moved_tokens.add((op.collection, op.token_id))
         ctx.events.append(self._event(EventKind.TRANSFER, op.collection, ctx,
-                                      {"from": to_hex(previous), "to": to_hex(op.to),
-                                       "token_id": op.token_id}))
+                                      {"from": previous, "to": op.to, "token_id": op.token_id}))
 
     def _op_mint_nftaa(self, op: MintNftaa, ctx: _TxContext) -> None:
         factory = self.state.factory
         if factory.address != op.factory:
-            raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(op.factory))
+            raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, address=op.factory)
         validate_note(op.note)
         # Account first, then its token, inside the same atomic transaction.
         account = contract_address(factory.address, factory.creation_nonce)
@@ -316,14 +306,13 @@ class Ledger:
         record = self._mint(collection, op.caller, op.note, account, ctx)
         ctx.insert(self.state.nftaas, account, NftaaAccount(collection.address, record.token_id))
         ctx.events.append(self._event(EventKind.NEW_NFTAA, factory.address, ctx,
-                                      {"token_id": record.token_id,
-                                       "account": to_hex(account),
-                                       "creator": to_hex(op.caller)}))
+                                      {"token_id": record.token_id, "account": account,
+                                       "creator": op.caller}))
 
     def _nftaa(self, address: Address) -> NftaaAccount:
         binding = self.state.nftaas.get(address)
         if binding is None:
-            raise LedgerError(ErrorCode.NOT_AN_NFTAA, address=to_hex(address))
+            raise LedgerError(ErrorCode.NOT_AN_NFTAA, address=address)
         return binding
 
     def _require_nft_owner(self, caller: Address, collection: Address, token_id: int) -> None:
@@ -340,8 +329,7 @@ class Ledger:
         self._owned_nftaa(op.caller, op.nftaa)
         self._run_payload(op.nftaa, op.payload, ctx)
         ctx.events.append(self._event(EventKind.PROXY_RESPONSE, op.nftaa, ctx,
-                                      {"nftaa": to_hex(op.nftaa),
-                                       "method": op.payload.method,
+                                      {"nftaa": op.nftaa, "method": op.payload.method,
                                        "success": True}))
 
     def _op_withdraw_assets(self, op: WithdrawAssets, ctx: _TxContext) -> None:
@@ -358,26 +346,24 @@ class Ledger:
     def _op_create_tba(self, op: CreateTba, ctx: _TxContext) -> None:
         registry = self.state.registry
         if registry.address != op.registry:
-            raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, address=to_hex(op.registry))
+            raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, address=op.registry)
         collection = self._collection(op.collection)
         collection.get(op.token_id)  # token must exist; its record stays untouched
         key = (op.collection, op.token_id, op.salt)
         address = registry.compute_address(*key)
         if address in registry.records:
-            raise LedgerError(ErrorCode.ALREADY_DEPLOYED, account=to_hex(address))
+            raise LedgerError(ErrorCode.ALREADY_DEPLOYED, account=address)
         self._new_account(address, CodeId.TBA_ACCOUNT, ctx)
         ctx.insert(registry.records, address,
                    TbaRecord(*key, has_execute=op.has_execute))
         ctx.events.append(self._event(EventKind.TBA_CREATED, registry.address, ctx,
-                                      {"collection": to_hex(op.collection),
-                                       "token_id": op.token_id,
-                                       "salt": op.salt.hex(),
-                                       "account": to_hex(address)}))
+                                      {"collection": op.collection, "token_id": op.token_id,
+                                       "salt": op.salt, "account": address}))
 
     def _op_tba_execute(self, op: TbaExecute, ctx: _TxContext) -> None:
         record = self.state.registry.get_deployed(op.tba)
         if not record.has_execute:
-            raise LedgerError(ErrorCode.NO_EXECUTE, account=to_hex(op.tba))
+            raise LedgerError(ErrorCode.NO_EXECUTE, account=op.tba)
         self._require_nft_owner(op.caller, record.collection, record.token_id)
         # No fraud guard and no self-custody guard on this path; reproducing
         # those hazards is the module's purpose.
@@ -454,13 +440,13 @@ class Ledger:
         ctx.insert(collection.tokens, record.token_id, record)
         ctx.write(collection, "next_id", record.token_id + 1)
         ctx.events.append(self._event(EventKind.TRANSFER, collection.address, ctx,
-                                      {"from": to_hex(ZERO_ADDRESS), "to": to_hex(to),
+                                      {"from": ZERO_ADDRESS, "to": to,
                                        "token_id": record.token_id}))
         return record
 
     def _event(self, kind: EventKind, emitter: Address, ctx: _TxContext,
-               payload: dict) -> Event:
-        return Event(kind, emitter, payload, self.height, ctx.tx_id)
+               fields: dict) -> Event:
+        return Event(kind, emitter, fields, self.height, ctx.tx_id)
 
     # ------------------------------------------------------------------
     # Views

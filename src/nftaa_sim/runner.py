@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from .addresses import Address, contract_address, salt_from_int, to_hex
 from .errors import ErrorCode, LedgerError
-from .events import Event, EventKind
+from .events import Event, EventKind, hexed
 from .ledger import Ledger, TxReceipt
 from .ops import (
     CreateTba,
@@ -125,7 +125,7 @@ class RunReport(Record):
         self.name, self.lane, self.seed, self.ledger = name, lane, seed, ledger
         self.outcomes: list[StepOutcome] = []
         self.verdicts: list[Verdict] = []
-        self.events: list[Event] = []
+        self.events: list[Event] = ledger.events  # the ledger's own log, not a copy
 
     @property
     def final_digest(self) -> str:
@@ -201,7 +201,6 @@ class ScenarioRunner:
             self.report.outcomes.append(outcome)
             if step.kind in EXECUTABLE:
                 self._check_expectation(outcome, expectations.get(index))
-        self.report.events = list(self.ledger.events)
         return self.report
 
     def _check_expectation(self, outcome: StepOutcome, expectation: Step | None) -> None:
@@ -444,9 +443,9 @@ class ScenarioRunner:
         criteria = {key: to_hex(self.address_of(value[1:])) if value.startswith("@") else value
                     for key, value in (pair.split("=", 1) for pair in args[1:])}
         for event in self.ledger.events:
-            payload = event.payload
+            fields = event.fields  # not the `payload` view, which builds a dict per read
             if event.kind == args[0] and all(  # a str enum: equal to its value
-                    k in payload and str(payload[k]) == v for k, v in criteria.items()):
+                    k in fields and str(hexed(fields[k])) == v for k, v in criteria.items()):
                 return True, f"event {args[0]} present"
         return False, f"event {args[0]} matching {criteria} not found"
 
@@ -515,10 +514,10 @@ def _creation_detail(receipt: TxReceipt) -> str:
     parts = []
     for event in receipt.events:
         if event.kind is EventKind.NEW_NFTAA:
-            parts.append(f"token_id={event.payload['token_id']} "
-                         f"account={event.payload['account']}")
+            parts.append(f"token_id={event.fields['token_id']} "
+                         f"account={hexed(event.fields['account'])}")
         elif event.kind is EventKind.TBA_CREATED:
-            parts.append(f"tba={event.payload['account']}")
+            parts.append(f"tba={hexed(event.fields['account'])}")
     return " ".join(parts)
 
 

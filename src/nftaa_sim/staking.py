@@ -75,9 +75,6 @@ class WithdrawalQueue(Record):
     def enqueue(self, owner: Address, amount: int, height: int) -> None:
         self.pending.append(QueueEntry(owner, amount, height))
 
-    def total_amount(self) -> int:
-        return sum(entry.amount for entry in self.pending)
-
     def process_block(self, config: QueueConfig, rng: random.Random) -> list[QueueEntry]:
         """Dequeue up to `per_block_cap` entries for one block, in FIFO order.
 

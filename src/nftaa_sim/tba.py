@@ -41,7 +41,7 @@ class TbaRegistry(Record):
     def get_deployed(self, address: Address) -> TbaRecord:
         record = self.records.get(address)
         if record is None:
-            raise LedgerError(ErrorCode.NOT_DEPLOYED, address=address.hex())
+            raise LedgerError(ErrorCode.NOT_DEPLOYED, address=address)
         return record
 
     def sorted_records(self) -> list[tuple[Address, TbaRecord]]:

@@ -2,10 +2,10 @@
 
 `mint_nftaa` and `create_tba` submit one operation through `Ledger.must` and
 read the new account off the event it emits. `total_conserved` is the sum the
-fuzz driver checks after every transaction.
+fuzz driver checks after every transaction, and `queued_amount` its queue term.
 """
 
-from nftaa_sim import Address, CreateTba, EventKind, Ledger, MintNftaa, from_hex
+from nftaa_sim import Address, CreateTba, EventKind, Ledger, MintNftaa, WithdrawalQueue, from_hex
 
 
 def mint_nftaa(ledger: Ledger, caller: Address, note: bytes) -> tuple[int, Address]:
@@ -30,4 +30,9 @@ def total_conserved(ledger: Ledger) -> int:
     state = ledger.state
     balances = sum(account.balance for account in state.accounts.values())
     staked = sum(position.amount for position in state.stakes.values())
-    return balances + staked + state.queue.total_amount()
+    return balances + staked + queued_amount(state.queue)
+
+
+def queued_amount(queue: WithdrawalQueue) -> int:
+    """The amount of every pending withdrawal."""
+    return sum(entry.amount for entry in queue.pending)

@@ -330,6 +330,8 @@ def test_rolled_back_receipt_holds_no_frame(ledger):
      "InsufficientBalance (have=4, need=6)"),
     (ErrorCode.FRAUD_GUARD, "bound NFT already transferred", {"token": 3, "account": "0xab"},
      "FraudGuard: bound NFT already transferred (token=3, account=0xab)"),
+    (ErrorCode.UNKNOWN_ACCOUNT, "", {"address": b"\xab" * 20},
+     "UnknownAccount (address=" + "ab" * 20 + ")"),
 ])
 def test_error_text_is_built_when_read(code, message, detail, text):
     error = LedgerError(code, message, **detail) if message else LedgerError(code, **detail)

@@ -29,7 +29,7 @@ from nftaa_sim import (
     simulate_saturated_days,
 )
 from nftaa_sim.staking import MAX_DRAIN_BLOCKS, binomial_variate
-from tests.ledger_helpers import mint_nftaa
+from tests.ledger_helpers import mint_nftaa, queued_amount
 
 
 @pytest.fixture
@@ -120,7 +120,7 @@ def test_unstake_boundary_inclusive(staked_world):
     receipt = _proxy(ledger, alice, account, "request_unstake")
     assert receipt.committed
     assert ledger.stake_balance_of(account) == 0
-    assert ledger.state.queue.total_amount() == 32 * ETH
+    assert queued_amount(ledger.state.queue) == 32 * ETH
 
 
 def test_rolled_back_stake_and_add_restore_balance_and_position(staked_world):
