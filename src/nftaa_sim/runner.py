@@ -11,14 +11,15 @@ A script runs against a fresh ledger in one of three lanes:
   plain token, staking and withdrawal go through the account's execute call,
   and ``upgrade`` has no analog.
 
-``_HANDLERS`` maps each step kind, and each ``probe`` form, to the one
-ScenarioRunner method that runs it, and is checked on import against the
-parser's ``STEP_KINDS`` and ``PROBE_FORMS``. The transaction kinds share one
-translation into the lane's named ledger operations (``mint`` and ``account``
-for ``mintnftaa`` in the tba lane). A kind or form with no analog in the lane
-(``_NO_ANALOG``) is NotComparable before any of its labels is resolved. Labels
-a step creates are bound before its transaction is submitted, so later steps
-of a group can name them, and unbound if that transaction does not commit.
+Every lane runs the script's plan (``build_plan``), and ``LANES`` holds what
+differs between lanes. ``_HANDLERS`` maps each step kind, and each ``probe``
+form, to the one ScenarioRunner method that runs it, and is checked on import
+against the parser's ``STEP_KINDS`` and ``PROBE_FORMS``. The transaction kinds
+share one translation into the lane's named ledger operations (``mint`` and
+``account`` for ``mintnftaa`` in the tba lane). A kind or form with no analog
+in the lane is NotComparable before any of its labels is resolved. Labels a
+step creates are bound before its transaction is submitted, so later steps of
+a group can name them, and unbound if that transaction does not commit.
 
 ``begin``/``commit`` groups are one atomic transaction in the native and
 nftaa lanes. The tba lane cannot express that: it submits the operations one
@@ -48,7 +49,7 @@ from .ops import (
     WithdrawAssets,
 )
 from .records import Record
-from .scenario import (EXECUTABLE, PROBE_FORMS, PROXY_FORMS, STEP_KINDS, ScenarioScript, Step,
+from .scenario import (PROBE_FORMS, PROXY_FORMS, STEP_KINDS, ScenarioScript, Step, build_plan,
                        parse_amount, queue_config)
 from .staking import estimate_drain_time, simulate_drain
 from .tba import diagnostic_lines
@@ -64,10 +65,11 @@ NOT_COMPARABLE = "not_comparable"
 
 _FAILING = {ROLLED_BACK, PARTIAL, NOT_COMPARABLE}
 
-# step kinds and probe forms with no analog in a lane's account style
-_NO_ANALOG = {"native": frozenset(),
-              "nftaa": frozenset({"tbacall", "createtba", "tba_address"}),
-              "tba": frozenset({"upgrade"})}
+# lane -> (the step kinds and probe forms it has no analog for, whether it is registry-
+# style: a group's steps go one by one, `mintnftaa` is two transactions, `expect_tba` counts)
+LANES = {"native": (frozenset(), False),
+         "nftaa": (frozenset({"tbacall", "createtba", "tba_address"}), False),
+         "tba": (frozenset({"upgrade"}), True)}
 
 # execute-call steps: the method each calls through the account, None if the step names it
 _EXECUTE_METHOD = {"proxy": None, "tbacall": None, "stake": "stake", "addstake": "add_to_stake",
@@ -151,8 +153,10 @@ class RunReport(Record):
 class ScenarioRunner:
     def __init__(self, script: ScenarioScript, name: str = "scenario",
                  lane: str = "native", seed: int | None = None):
-        self.script = script
-        self.lane = lane
+        if lane not in LANES:
+            raise ValueError(f"unknown lane {lane!r}: expected {', '.join(LANES)}")
+        self.script, self.lane = script, lane
+        self.no_analog, self.registry = LANES[lane]
         self.config = queue_config(script.config, seed)
         self.ledger = Ledger(self.config)
         self.report = RunReport(name, lane, self.config.rng_seed, self.ledger)
@@ -179,28 +183,18 @@ class ScenarioRunner:
             raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, f"label {label!r} is unbound")
         return bound
 
-    def run(self) -> RunReport:
-        steps = self.script.steps
-        wanted = "expect_tba" if self.lane == "tba" else "expect_error"
-        # the index after each step this lane expects something of -> its expectation;
-        # one for the other lane may sit between the step and its own
-        expectations = {i - (steps[i - 1].kind in ("expect_error", "expect_tba")): step
-                        for i, step in enumerate(steps) if step.kind == wanted}
-        index = 0
-        while index < len(steps):
-            step, group = steps[index], steps[index:index + 1]
-            index += 1
-            if step.kind == "begin":  # the group runs, and reports, at its commit
-                end = next(i for i in range(index, len(steps)) if steps[i].kind == "commit")
-                group, step = steps[index:end], steps[end]
+    def run(self, plan: tuple | None = None) -> RunReport:
+        """Run `plan`, built once for every lane, or else the plan of this script's steps."""
+        outcomes = self.report.outcomes
+        for step, group, executable, expect_error, expect_tba in (
+                build_plan(self.script.steps) if plan is None else plan):
+            if step.kind == "commit":  # the group runs, and reports, at its commit
                 for inner in group:
-                    self.report.outcomes.append(StepOutcome(
-                        len(self.report.outcomes) + 1, inner.line, inner.kind, GROUPED))
-                index = end + 1
+                    outcomes.append(StepOutcome(len(outcomes) + 1, inner.line, inner.kind, GROUPED))
             outcome = self._run_step(step, group)
-            self.report.outcomes.append(outcome)
-            if step.kind in EXECUTABLE:
-                self._check_expectation(outcome, expectations.get(index))
+            outcomes.append(outcome)
+            if executable:
+                self._check_expectation(outcome, expect_tba if self.registry else expect_error)
         return self.report
 
     def _check_expectation(self, outcome: StepOutcome, expectation: Step | None) -> None:
@@ -246,7 +240,7 @@ class ScenarioRunner:
 
     def _comparable(self, key: str) -> None:
         """The no-analog rule: a step kind or probe form this lane cannot express."""
-        if key in _NO_ANALOG[self.lane]:
+        if key in self.no_analog:
             raise LedgerError(ErrorCode.NOT_COMPARABLE, f"{key} has no {self.lane} analog")
 
     def _actor(self, args, outcome) -> str:
@@ -283,7 +277,7 @@ class ScenarioRunner:
         group = outcome.group
         pending: list[str] = []  # bound ahead of a transaction not yet committed
         try:
-            if self.lane == "tba":
+            if self.registry:
                 self._run_sequence(group, outcome, pending)
                 return
             operations: list = []
@@ -360,7 +354,7 @@ class ScenarioRunner:
             if kind == "minttoken":
                 self.labels[args[1]] = ("token", None, token_id)
                 return [(kind, MintToken(actor, collection, actor, note))]
-            if self.lane != "tba":
+            if not self.registry:
                 factory = state.factory
                 nonce = factory.creation_nonce + (
                     sum(isinstance(op, MintNftaa) for op in ahead) if ahead else 0)
@@ -577,8 +571,7 @@ def classify_difference(outcome_a: StepOutcome, outcome_b: StepOutcome) -> str:
         # the gate diverged: one style let the token wander where no caller
         # can ever satisfy it again
         return "self-lock"
-    if kind == "mintnftaa" or kind == "commit" and any(
-            step.kind == "mintnftaa" for step in outcome_a.group):
+    if any(step.kind == "mintnftaa" for step in outcome_a.group):  # a lone step is its group
         return "creation-atomicity"
     if kind == "probe":
         detail = outcome_a.detail + " " + outcome_b.detail
@@ -598,8 +591,9 @@ def classify_difference(outcome_a: StepOutcome, outcome_b: StepOutcome) -> str:
 
 def run_differential(script: ScenarioScript, name: str = "scenario",
                      seed: int | None = None) -> DiffResult:
-    lane_a = run_scenario(script, name, lane="nftaa", seed=seed)
-    lane_b = run_scenario(script, name, lane="tba", seed=seed)
+    plan = build_plan(script.steps)
+    lane_a = ScenarioRunner(script, name, "nftaa", seed).run(plan)
+    lane_b = ScenarioRunner(script, name, "tba", seed).run(plan)
     entries = []
     for outcome_a, outcome_b in zip(lane_a.outcomes, lane_b.outcomes):
         # the fields signature() joins, compared one by one: only a difference is rendered

@@ -3,7 +3,8 @@
 Scripts are plain text, one step per line, `#` starts a comment. Amounts are
 integers in the smallest denomination; `<n>eth` is sugar for n * 10^18.
 `begin`/`commit` make the steps between them one atomic transaction, and
-`expect_error CODE` qualifies the step it immediately follows.
+`expect_error CODE` qualifies the step it immediately follows. The parser checks
+both rules, and `build_plan` reads a script's structure, by one function each.
 
 STEP_KINDS is the vocabulary: a row gives one or more step kinds their group
 and the roles of their arguments, each decoded once into the check that the
@@ -180,6 +181,8 @@ STEP_KINDS = _table({
     "queue_report": "control int closed|simulate",
 }, grouped=True, method=PROXY_FORMS, form=PROBE_FORMS)
 EXECUTABLE = frozenset(kind for kind, form in STEP_KINDS.items() if form.group in ("tx", "exec"))
+# an expectation kind -> the other lane's, which may stand between it and its step
+_OTHER_LANE = {"expect_error": "expect_tba", "expect_tba": "expect_error"}
 
 
 class ScenarioParseError(Exception):
@@ -217,6 +220,35 @@ def _scan(line: str) -> tuple[list[str], tuple | set[int]]:
         {position for position, (_, _, bare) in enumerate(found) if not bare}
 
 
+def _qualified(steps, end: int, kind: str) -> int:
+    """The index in `steps` of the step that an expectation of `kind` at `end` qualifies, or
+    -1: the executable step just before it, looking past one expectation for the other lane."""
+    at = end - 2 if end and steps[end - 1].kind == _OTHER_LANE[kind] else end - 1
+    return at if at >= 0 and steps[at].kind in EXECUTABLE else -1
+
+
+def _group_after(kind: str, opened, here):
+    """The group open after the step `here` of `kind`, given the one `opened` before it
+    (None: none): a group runs from its `begin` to the next `commit`."""
+    return here if kind == "begin" else None if kind == "commit" else opened
+
+
+def build_plan(steps: tuple[Step, ...]) -> tuple[tuple, ...]:
+    """What a run executes, built once per script for every lane: a unit per step, or per
+    `begin`...`commit` group at its commit, as (step, group, executable, expect_error,
+    expect_tba). A step's group is the step itself, a commit's the steps it closes."""
+    # each lane's expectations, by the index of the step each qualifies
+    errors, tbas = ({_qualified(steps, index, kind): step for index, step in enumerate(steps)
+                     if step.kind == kind} for kind in ("expect_error", "expect_tba"))
+    units, opened = [], None
+    for index, step in enumerate(steps):
+        began, opened = opened, _group_after(step.kind, opened, index)
+        if opened is None:  # neither a `begin` nor a step of its group
+            group = (step,) if began is None else steps[began + 1:index]
+            units.append((step, group, step.kind in EXECUTABLE, errors.get(index), tbas.get(index)))
+    return tuple(units)
+
+
 class _Parser:
     """Single pass over the lines, tracking label declarations as it goes."""
 
@@ -227,7 +259,7 @@ class _Parser:
 
     def parse(self, text: str) -> ScenarioScript:
         self.labels: dict[str, str] = {}  # name -> actor | account | token
-        self.config, self.steps, self.in_group, self.lines = [], [], False, text.splitlines()
+        self.config, self.steps, self.opened, self.lines = [], [], None, text.splitlines()
         for self.line_no, line in enumerate(self.lines, start=1):
             values, self.quoted = _scan(line)
             if not values:
@@ -236,18 +268,14 @@ class _Parser:
             form = STEP_KINDS.get(kind)
             if form is None:
                 self.fail(0, f"unknown step {kind!r}", code="UnknownStepKind")
-            if self.in_group and form.group != "tx" and kind != "commit":
+            if self.opened is not None and form.group != "tx" and kind != "commit":
                 self.fail(0, f"{kind} cannot appear inside a transaction group")
             if kind == "set" and self.steps:
                 self.fail(0, "set must appear before any step")
-            if kind == "commit" and not self.in_group:
+            if kind == "commit" and self.opened is None:
                 self.fail(0, "commit without begin")
-            if kind in ("expect_error", "expect_tba"):
-                # the step it qualifies, looking past an expectation for the other lane
-                other = "expect_tba" if kind == "expect_error" else "expect_error"
-                recent = [step.kind for step in self.steps[-2:] if step.kind != other]
-                if not recent or recent[-1] not in EXECUTABLE:
-                    self.fail(0, f"{kind} must immediately follow an executable step")
+            if kind in _OTHER_LANE and _qualified(self.steps, len(self.steps), kind) < 0:
+                self.fail(0, f"{kind} must immediately follow an executable step")
             self.match(values, 1, form)
             if kind == "set":
                 try:
@@ -261,11 +289,10 @@ class _Parser:
                     check_drain_size(int(values[1]), queue_config(self.config))
                 except ValueError as bad:
                     self.fail(1, f"queue_report simulate: {bad}")
-            self.in_group = kind == "begin" or (self.in_group and kind != "commit")
+            self.opened = _group_after(kind, self.opened, self.line_no)
             self.steps.append(Step(kind, tuple(values[1:]), self.line_no))
-        if self.in_group:
-            opened = next(s.line for s in reversed(self.steps) if s.kind == "begin")
-            raise ScenarioParseError(opened, 1, "begin without matching commit")
+        if self.opened is not None:
+            raise ScenarioParseError(self.opened, 1, "begin without matching commit")
         return ScenarioScript(tuple(self.config), tuple(self.steps))
 
     def match(self, values: list[str], start: int, form: _Form):

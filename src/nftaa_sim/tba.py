@@ -76,13 +76,15 @@ def detect_locked_nfts(state) -> list[tuple[Address, int]]:
 
 
 def detect_stranded_tbas(state) -> list[tuple[Address, int]]:
-    """Deployed accounts without an execute function that are holding funds."""
+    """Deployed accounts without an execute function that are holding funds, in
+    (collection, token_id, salt) order: only the records without one are sorted."""
     stranded = []
-    for address, record in state.registry.sorted_records():
-        if not record.has_execute:
-            account = state.accounts.get(address)
-            if account is not None and account.balance > 0:
-                stranded.append((address, account.balance))
+    for *_, address in sorted((record.collection, record.token_id, record.salt, address)
+                              for address, record in state.registry.records.items()
+                              if not record.has_execute):
+        account = state.accounts.get(address)
+        if account is not None and account.balance > 0:
+            stranded.append((address, account.balance))
     return stranded
 
 

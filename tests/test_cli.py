@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nftaa_sim
+from nftaa_sim import runner
 from nftaa_sim.cli import main
 from nftaa_sim.ledger import Ledger
 from nftaa_sim.scenario import ScenarioParseError, parse_scenario
@@ -153,6 +154,24 @@ def test_the_digest_is_hashed_only_where_it_is_printed(monkeypatch, capsys):
                 final = out.split("final_digest=")[1].split()[0]
         assert hashed == {"diff": 0, "diff --verbose": 2, "run": 1, "run --digest": 1}, path
         assert out == f"{path.stem} {final}\n"
+
+
+def test_the_plan_is_built_once_per_command(monkeypatch, capsys):
+    # both lanes of a `diff` run one plan; `run` builds its own
+    built = []
+    build_plan = runner.build_plan
+
+    def counted(steps):
+        built.append(steps)
+        return build_plan(steps)
+
+    monkeypatch.setattr(runner, "build_plan", counted)
+    for path in SCRIPTS:
+        for command in ("diff", "run"):
+            built.clear()
+            main([command, str(path)])
+            assert len(built) == 1, (command, path)
+    capsys.readouterr()
 
 
 def test_run_writes_event_log(scenario_file, tmp_path, capsys):

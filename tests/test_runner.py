@@ -2,6 +2,8 @@
 
 from collections import Counter
 
+import pytest
+
 from nftaa_sim import EventKind, ScenarioRunner, parse_scenario, run_differential, run_scenario
 from nftaa_sim.runner import _HANDLERS, DiffEntry, classify_difference
 from nftaa_sim.scenario import PROBE_FORMS, STEP_KINDS
@@ -122,6 +124,14 @@ def test_reports_are_byte_identical_across_runs():
     one = run_text(text).to_text().encode()
     two = run_text(text).to_text().encode()
     assert one == two
+
+
+def test_an_unknown_lane_is_refused_before_any_step_runs():
+    # a script with no transaction used to run to exit=0 under `bogus`, and one with
+    # a transaction to raise a bare KeyError at that step
+    for text in ('actor alice\nassert_balance alice 0\n', 'actor alice\nmintnftaa alice n1 "x"\n'):
+        with pytest.raises(ValueError, match="expected native, nftaa, tba"):
+            run_scenario(parse_scenario(text), lane="bogus")
 
 
 def test_seed_override_changes_the_report_header():

@@ -241,6 +241,35 @@ def test_stranded_funds_in_no_execute_account(world):
     assert lines == [f"stranded tba={tba.hex()} balance={3 * ETH}"]
 
 
+def _stranded_by_sorted_walk(state):
+    """The stranded-account diagnostic as first written: every deployed record, sorted,
+    then those without an execute function."""
+    stranded = []
+    for address, record in state.registry.sorted_records():
+        if not record.has_execute:
+            account = state.accounts.get(address)
+            if account is not None and account.balance > 0:
+                stranded.append((address, account.balance))
+    return stranded
+
+
+def test_stranded_accounts_come_in_key_order_whatever_the_deployment_order(world):
+    ledger, alice, _, first = world
+    collection = ledger.state.collection.address
+    second = ledger.must(MintToken(alice, collection, alice, b"two")).events[0].payload["token_id"]
+    # deployed against (collection, token_id, salt) order, with one funded account that
+    # has an execute function and one unfunded account that has none in between
+    keys = [(second, 0, False), (first, 7, False), (first, 9, True), (first, 3, False),
+            (second, 1, False)]
+    for funded, (token_id, salt, has_execute) in enumerate(keys):
+        account = create_tba(ledger, alice, token_id, salt_from_int(salt), has_execute)
+        if funded != 4:
+            ledger.faucet(account, (funded + 1) * ETH)
+    stranded = detect_stranded_tbas(ledger.state)
+    assert stranded == _stranded_by_sorted_walk(ledger.state)
+    assert [balance // ETH for _, balance in stranded] == [4, 2, 1]
+
+
 def test_tba_event_shape(world):
     ledger, alice, _, token_id = world
     receipt = ledger.must(CreateTba(alice, ledger.state.registry.address,
