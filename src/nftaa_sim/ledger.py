@@ -83,11 +83,13 @@ class WorldState(Record):
 
 
 class _TxContext:
-    __slots__ = ("tx_id", "events", "moved_tokens", "value_out", "journal")
+    __slots__ = ("tx_id", "events", "sold", "value_out", "journal")
     def __init__(self, tx_id: int):
         self.tx_id = tx_id
         self.events: list[Event] = []
-        self.moved_tokens: set[tuple[Address, int]] = set()
+        # the fraud guard's two sets: the proxy accounts whose bound NFT this
+        # transaction transferred, and every account it moved value out of
+        self.sold: set[Address] = set()
         self.value_out: set[Address] = set()
         # one (undo function, *arguments) entry per write, replayed in reverse on rollback
         self.journal: list[tuple] = []
@@ -225,36 +227,22 @@ class Ledger:
         # operation without a caller.
         if hasattr(op, "caller") and self._account(op.caller).code_id is not None:
             raise LedgerError(ErrorCode.CALLER_NOT_EOA, address=op.caller)
-        match op:
-            case TransferValue():
-                self._move_value(op.caller, op.to, op.amount, ctx)
-            case MintToken():
-                self._op_mint_token(op, ctx)
-            case TransferToken():
-                self._op_transfer_token(op, ctx)
-            case MintNftaa():
-                self._op_mint_nftaa(op, ctx)
-            case ProxyExecute():
-                self._op_proxy_execute(op, ctx)
-            case WithdrawAssets():
-                self._op_withdraw_assets(op, ctx)
-            case UpgradeAccount():
-                self._op_upgrade_account(op, ctx)
-            case CreateTba():
-                self._op_create_tba(op, ctx)
-            case TbaExecute():
-                self._op_tba_execute(op, ctx)
-            case Fail():
-                raise LedgerError(ErrorCode.INJECTED_FAILURE, op.message)
-            case _:
-                raise TypeError(f"unknown operation {op!r}")
+        run = _OPERATIONS.get(type(op))
+        if run is None:
+            raise TypeError(f"unknown operation {op!r}")
+        run(self, op, ctx)
+
+    def _op_transfer_value(self, op: TransferValue, ctx: _TxContext) -> None:
+        self._move_value(op.caller, op.to, op.amount, ctx)
+
+    def _op_fail(self, op: Fail, ctx: _TxContext) -> None:
+        raise LedgerError(ErrorCode.INJECTED_FAILURE, op.message)
 
     def _move_value(self, frm: Address, to: Address, amount: int, ctx: _TxContext) -> None:
         amount = _unsigned(amount)
         source = self._account(frm)
         dest = self._account(to)
-        binding = self.state.nftaas.get(frm)
-        if binding is not None and binding.bound_nft in ctx.moved_tokens:
+        if frm in ctx.sold:
             raise LedgerError(ErrorCode.FRAUD_GUARD,
                               "bound NFT already transferred in this transaction")
         _debit(source, amount, ctx)
@@ -287,9 +275,9 @@ class Ledger:
             if record.bound_account in ctx.value_out:
                 raise LedgerError(ErrorCode.FRAUD_GUARD,
                                   "account was drained in this transaction")
+            ctx.sold.add(record.bound_account)
         previous = record.owner
         ctx.write(record, "owner", op.to)
-        ctx.moved_tokens.add((op.collection, op.token_id))
         ctx.events.append(self._event(EventKind.TRANSFER, op.collection, ctx,
                                       {"from": previous, "to": op.to, "token_id": op.token_id}))
 
@@ -521,6 +509,14 @@ class Ledger:
         _section(out, b"height")
         _fields(out, _uint(self.height))
         return bytes(out)
+
+
+# operation class -> the Ledger method that runs it, once `_execute` has checked its caller
+_OPERATIONS = {TransferValue: Ledger._op_transfer_value, MintToken: Ledger._op_mint_token,
+               TransferToken: Ledger._op_transfer_token, MintNftaa: Ledger._op_mint_nftaa,
+               ProxyExecute: Ledger._op_proxy_execute, WithdrawAssets: Ledger._op_withdraw_assets,
+               UpgradeAccount: Ledger._op_upgrade_account, CreateTba: Ledger._op_create_tba,
+               TbaExecute: Ledger._op_tba_execute, Fail: Ledger._op_fail}
 
 
 def _debit(account: Account, amount: int, ctx: _TxContext) -> None:

@@ -186,15 +186,14 @@ class ScenarioRunner:
     def run(self, plan: tuple | None = None) -> RunReport:
         """Run `plan`, built once for every lane, or else the plan of this script's steps."""
         outcomes = self.report.outcomes
-        for step, group, executable, expect_error, expect_tba in (
+        for step, group, expect_error, expect_tba in (
                 build_plan(self.script.steps) if plan is None else plan):
             if step.kind == "commit":  # the group runs, and reports, at its commit
                 for inner in group:
                     outcomes.append(StepOutcome(len(outcomes) + 1, inner.line, inner.kind, GROUPED))
             outcome = self._run_step(step, group)
             outcomes.append(outcome)
-            if executable:
-                self._check_expectation(outcome, expect_tba if self.registry else expect_error)
+            self._check_expectation(outcome, expect_tba if self.registry else expect_error)
         return self.report
 
     def _check_expectation(self, outcome: StepOutcome, expectation: Step | None) -> None:
@@ -281,8 +280,9 @@ class ScenarioRunner:
                 self._run_sequence(group, outcome, pending)
                 return
             operations: list = []
+            minted = [0, 0]  # tokens and proxy accounts minted by the group's steps so far
             for step in group:
-                operations += [op for _, op in self._translate(step, operations, pending)]
+                operations += [op for _, op in self._translate(step, pending, minted)]
             outcome.tx_count = 1
             receipt = self.ledger.must(*operations)
             pending.clear()
@@ -311,7 +311,7 @@ class ScenarioRunner:
                 continue
             name, parts, done = step.kind, [], 0
             try:
-                parts = self._translate(step, [], pending)
+                parts = self._translate(step, pending, [0, 0])  # the ledger counted earlier mints
                 for name, op in parts:
                     outcome.tx_count += 1  # submitted, or interrupted in the seam
                     if done and rest and rest[0].kind == "interrupt":
@@ -334,13 +334,15 @@ class ScenarioRunner:
             if committed or len(seq) > 1:
                 outcome.status = PARTIAL if committed else ROLLED_BACK
 
-    def _translate(self, step: Step, ahead: list, pending: list[str]) -> list[tuple[str, object]]:
+    def _translate(self, step: Step, pending: list[str],
+                   minted: list[int]) -> list[tuple[str, object]]:
         """The named ledger operations of one step in this lane.
 
-        `ahead` holds the operations translated before this step for the same
-        transaction. Labels the step creates are bound before it is submitted,
-        from the deterministic address and id sequences, so that later steps
-        in the transaction can name them; they are appended to `pending`.
+        `minted` is [tokens, proxy accounts] that earlier steps of the same
+        transaction mint; the step adds its own mints. Labels the step creates are
+        bound before it is submitted, from the deterministic address and id
+        sequences, so that later steps in the transaction can name them; they are
+        appended to `pending`.
         """
         kind, args = step.kind, step.args
         self._comparable(kind)  # before any label is resolved
@@ -348,16 +350,16 @@ class ScenarioRunner:
         collection = state.collection.address
         if kind in ("mintnftaa", "minttoken"):
             actor, note = self.address_of(args[0]), args[2].encode()
-            minted = sum(isinstance(op, (MintNftaa, MintToken)) for op in ahead) if ahead else 0
-            token_id = state.collection.next_id + minted
+            token_id = state.collection.next_id + minted[0]
+            minted[0] += 1
             pending.append(args[1])
             if kind == "minttoken":
                 self.labels[args[1]] = ("token", None, token_id)
                 return [(kind, MintToken(actor, collection, actor, note))]
             if not self.registry:
                 factory = state.factory
-                nonce = factory.creation_nonce + (
-                    sum(isinstance(op, MintNftaa) for op in ahead) if ahead else 0)
+                nonce = factory.creation_nonce + minted[1]
+                minted[1] += 1
                 self.labels[args[1]] = ("account", contract_address(factory.address, nonce),
                                         token_id)
                 return [(kind, MintNftaa(actor, factory.address, note))]
@@ -371,12 +373,23 @@ class ScenarioRunner:
         if kind in ("transfernftaa", "transfertoken"):
             op = TransferToken(self.address_of(args[0]), collection, self.token_of(args[1]),
                                self.address_of(args[2]))
-        elif kind in _EXECUTE_METHOD:
+        elif kind in _EXECUTE_METHOD:  # an execute call: the method's roles give the payload
             actor, account, *rest = args
-            op = self._execute_call(actor, account, _EXECUTE_METHOD[kind] or rest.pop(0), *rest)
-            if kind == "withdraw" and isinstance(op, ProxyExecute):
-                # a proxy account has its own withdraw operation
-                op = WithdrawAssets(op.caller, op.nftaa, op.payload.to, op.payload.amount)
+            method = _EXECUTE_METHOD[kind] or rest.pop(0)
+            caller, target = self.address_of(actor), self.address_of(account)
+            fields: dict[str, object] = {}
+            for role, value in zip(PROXY_FORMS[method].roles, rest):
+                if role == "amount":
+                    fields["amount"] = parse_amount(value)
+                else:
+                    fields["to"] = self.address_of(value)
+            # the style the step that bound `account` gave it, not the ledger's
+            if self._bound(account)[0] == "tba":
+                op = TbaExecute(caller, target, ProxyPayload(method, **fields))
+            elif kind == "withdraw":  # a proxy account has its own withdraw operation
+                op = WithdrawAssets(caller, target, fields["to"], fields["amount"])
+            else:
+                op = ProxyExecute(caller, target, ProxyPayload(method, **fields))
         elif kind == "upgrade":
             op = UpgradeAccount(self.address_of(args[0]), self.address_of(args[1]), int(args[2]))
         elif kind == "createtba":
@@ -390,20 +403,6 @@ class ScenarioRunner:
         else:  # fail, interrupt
             op = Fail("interrupted" if kind == "interrupt" else "injected")
         return [(kind, op)]
-
-    def _execute_call(self, actor: str, account: str, method: str, *rest: str):
-        """An execute call of `method` through `account`, in the account's style; the
-        method's roles give the payload: an amount, or a recipient label."""
-        caller, target = self.address_of(actor), self.address_of(account)
-        fields: dict[str, object] = {}
-        for role, value in zip(PROXY_FORMS[method].roles, rest):
-            if role == "amount":
-                fields["amount"] = parse_amount(value)
-            else:
-                fields["to"] = self.address_of(value)
-        # the style the step that bound `account` gave it, not the ledger's
-        execute = TbaExecute if self._bound(account)[0] == "tba" else ProxyExecute
-        return execute(caller, target, ProxyPayload(method, **fields))
 
     def _probe(self, args, outcome) -> str:
         self._comparable(args[0])

@@ -83,6 +83,8 @@ def _declare(types: tuple[str, ...]):
             parser.fail(position, f"label {value!r} already declared")
         if not _LABEL.fullmatch(value):
             parser.fail(position, f"bad label {value!r}")
+        if value == "none":  # an `@account|none` slot reads this word as no address
+            parser.fail(position, "label 'none' is reserved")
         parser.labels[value] = types[0]
     return check
 
@@ -235,8 +237,8 @@ def _group_after(kind: str, opened, here):
 
 def build_plan(steps: tuple[Step, ...]) -> tuple[tuple, ...]:
     """What a run executes, built once per script for every lane: a unit per step, or per
-    `begin`...`commit` group at its commit, as (step, group, executable, expect_error,
-    expect_tba). A step's group is the step itself, a commit's the steps it closes."""
+    `begin`...`commit` group at its commit, as (step, group, expect_error, expect_tba). A
+    step's group is the step itself, a commit's the steps it closes."""
     # each lane's expectations, by the index of the step each qualifies
     errors, tbas = ({_qualified(steps, index, kind): step for index, step in enumerate(steps)
                      if step.kind == kind} for kind in ("expect_error", "expect_tba"))
@@ -245,7 +247,7 @@ def build_plan(steps: tuple[Step, ...]) -> tuple[tuple, ...]:
         began, opened = opened, _group_after(step.kind, opened, index)
         if opened is None:  # neither a `begin` nor a step of its group
             group = (step,) if began is None else steps[began + 1:index]
-            units.append((step, group, step.kind in EXECUTABLE, errors.get(index), tbas.get(index)))
+            units.append((step, group, errors.get(index), tbas.get(index)))
     return tuple(units)
 
 

@@ -24,8 +24,10 @@ from nftaa_sim import (
     UpgradeAccount,
     WithdrawAssets,
     eoa_address,
+    ops,
     salt_from_int,
 )
+from nftaa_sim.ledger import _OPERATIONS
 from tests.ledger_helpers import create_tba, mint_nftaa
 
 
@@ -269,6 +271,21 @@ def test_unexpected_exception_rolls_back_then_propagates(ledger, monkeypatch):
         ledger.apply_transaction(TransferValue(alice, bob, 5), TransferValue(alice, bob, 1))
     assert ledger.state_digest() == digest
     assert ledger.balance_of(bob) == 0
+
+
+def test_each_operation_class_has_one_table_entry(ledger):
+    operations = {cls for cls in vars(ops).values()
+                  if isinstance(cls, type) and cls.__module__ == ops.__name__} - {ProxyPayload}
+    assert set(_OPERATIONS) == operations
+    # each entry is its own Ledger method, so no class runs another's rule
+    assert all(getattr(Ledger, run.__name__) is run for run in _OPERATIONS.values())
+    assert len(set(_OPERATIONS.values())) == len(_OPERATIONS)
+    alice = ledger.create_eoa("alice")
+    digest = ledger.state_digest()
+    with pytest.raises(TypeError):  # a defect, not a protocol failure: it is raised
+        ledger.apply_transaction(MintToken(alice, ledger.state.collection.address, alice, b"x"),
+                                 object())
+    assert ledger.state_digest() == digest
 
 
 def test_rolled_back_grouped_mint_restores_the_id_counters(ledger):

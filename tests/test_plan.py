@@ -38,8 +38,8 @@ def _walked(steps, wanted: str) -> list[tuple]:
 def _planned(steps, wanted: str) -> list[tuple]:
     """The same, read from the plan as `run` reads it."""
     return [(step, group, step.kind == "commit",
-             (expect_tba if wanted == "expect_tba" else expect_error) if executable else None)
-            for step, group, executable, expect_error, expect_tba in build_plan(steps)]
+             expect_tba if wanted == "expect_tba" else expect_error)
+            for step, group, expect_error, expect_tba in build_plan(steps)]
 
 
 def _positions(steps, units) -> list[tuple]:

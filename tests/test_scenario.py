@@ -48,6 +48,18 @@ def test_duplicate_label_declaration():
         parse_scenario("actor alice\nactor alice\n")
 
 
+@pytest.mark.parametrize("line", ["actor none", 'mintnftaa a none "x"', 'minttoken a none "x"',
+                                  "createtba a t 0 none"])
+def test_none_is_reserved_as_a_label(line):
+    # an `@account|none` slot reads the bare word as no address, so a label
+    # `none` could never be named there
+    with pytest.raises(ScenarioParseError) as caught:
+        parse_scenario(f'actor a\nminttoken a t "x"\n{line}\n')
+    error = caught.value
+    assert (error.code, error.line, error.column) == ("ParseError", 3, line.index("none") + 1)
+    assert error.message == "label 'none' is reserved"
+
+
 def test_label_type_checked():
     with pytest.raises(ScenarioParseError) as caught:
         parse_scenario("actor alice\nmintnftaa alice n1 \"x\"\nstake n1 n1 32eth\n")
