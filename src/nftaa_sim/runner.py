@@ -160,23 +160,17 @@ class ScenarioRunner:
         self.config = queue_config(script.config, seed)
         self.ledger = Ledger(self.config)
         self.report = RunReport(name, lane, self.config.rng_seed, self.ledger)
-        # label -> (style, address, token_id); style is "actor", "token", "account" or
-        # "tba" (a registry-style account); a token has no address, an actor no token
-        self.labels: dict[str, tuple[str, Address | None, int | None]] = {}
+        # label -> (address, token_id, registry-style); a token has no address and an
+        # actor no token, and the parser gives each role only labels of a kind that has it
+        self.labels: dict[str, tuple[Address | None, int | None, bool]] = {}
 
     def address_of(self, label: str) -> Address:
-        address = self._bound(label)[1]
-        if address is None:
-            raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, f"label {label!r} names a token")
-        return address
+        return self._bound(label)[0]
 
     def token_of(self, label: str) -> int:
-        token_id = self._bound(label)[2]
-        if token_id is None:
-            raise LedgerError(ErrorCode.UNKNOWN_TOKEN, f"label {label!r} has no token")
-        return token_id
+        return self._bound(label)[1]
 
-    def _bound(self, label: str) -> tuple[str, Address | None, int | None]:
+    def _bound(self, label: str) -> tuple[Address | None, int | None, bool]:
         bound = self.labels.get(label)
         if bound is None:
             # declared at parse time but its creating step never committed
@@ -244,7 +238,7 @@ class ScenarioRunner:
 
     def _actor(self, args, outcome) -> str:
         address = self.ledger.create_eoa(args[0])
-        self.labels[args[0]] = ("actor", address, None)
+        self.labels[args[0]] = (address, None, False)
         return f"address={to_hex(address)}"
 
     def _faucet(self, args, outcome) -> None:
@@ -354,19 +348,19 @@ class ScenarioRunner:
             minted[0] += 1
             pending.append(args[1])
             if kind == "minttoken":
-                self.labels[args[1]] = ("token", None, token_id)
+                self.labels[args[1]] = (None, token_id, False)
                 return [(kind, MintToken(actor, collection, actor, note))]
             if not self.registry:
                 factory = state.factory
                 nonce = factory.creation_nonce + minted[1]
                 minted[1] += 1
-                self.labels[args[1]] = ("account", contract_address(factory.address, nonce),
-                                        token_id)
+                self.labels[args[1]] = (contract_address(factory.address, nonce), token_id,
+                                        False)
                 return [(kind, MintNftaa(actor, factory.address, note))]
             # registry style: a plain mint, then the account as a second transaction
             salt = salt_from_int(0)
-            self.labels[args[1]] = ("tba", self.ledger.compute_tba_address(token_id, salt),
-                                    token_id)
+            self.labels[args[1]] = (self.ledger.compute_tba_address(token_id, salt), token_id,
+                                    True)
             return [("mint", MintToken(actor, collection, actor, note)),
                     ("account", CreateTba(actor, state.registry.address, collection,
                                           token_id, salt))]
@@ -384,7 +378,7 @@ class ScenarioRunner:
                 else:
                     fields["to"] = self.address_of(value)
             # the style the step that bound `account` gave it, not the ledger's
-            if self._bound(account)[0] == "tba":
+            if self._bound(account)[2]:
                 op = TbaExecute(caller, target, ProxyPayload(method, **fields))
             elif kind == "withdraw":  # a proxy account has its own withdraw operation
                 op = WithdrawAssets(caller, target, fields["to"], fields["amount"])
@@ -395,8 +389,8 @@ class ScenarioRunner:
         elif kind == "createtba":
             actor, token_id = self.address_of(args[0]), self.token_of(args[1])
             salt = salt_from_int(int(args[2]))
-            self.labels[args[3]] = ("tba", self.ledger.compute_tba_address(token_id, salt),
-                                    token_id)
+            self.labels[args[3]] = (self.ledger.compute_tba_address(token_id, salt), token_id,
+                                    True)
             pending.append(args[3])
             op = CreateTba(actor, state.registry.address, collection, token_id, salt,
                            has_execute="noexec" not in args[4:])
@@ -558,34 +552,32 @@ class DiffResult(Record):
         return "\n".join(lines) + "\n"
 
 
+# error code, step kind or probe form -> the design difference a diverging step that
+# shows it evidences; the first key in this order that the step shows names it
+_CLAIMS = {
+    "FraudGuard": "fraud-guard", "SelfCustodyHazard": "self-lock",
+    # shown by an execute call only: the owner gate diverged, because one style let
+    # the token wander where no caller can ever satisfy it again
+    "NotNftOwner": "self-lock",
+    "mintnftaa": "creation-atomicity",  # shown by a group that holds one, too
+    "binding": "binding-visibility", "locked": "self-lock", "counts": "creation-atomicity",
+    "tba_address": "counterfactual-address", "createtba": "counterfactual-address",
+    "tbacall": "counterfactual-address", "upgrade": "upgradeability",
+}
+
+
 def classify_difference(outcome_a: StepOutcome, outcome_b: StepOutcome) -> str:
-    """Name the documented design difference a diverging step evidences."""
-    codes = {outcome_a.code, outcome_b.code}
-    if ErrorCode.FRAUD_GUARD.value in codes:
-        return "fraud-guard"
-    if ErrorCode.SELF_CUSTODY_HAZARD.value in codes:
-        return "self-lock"
-    kind = outcome_a.kind
-    if kind in ("proxy", "tbacall") and ErrorCode.NOT_NFT_OWNER.value in codes:
-        # the gate diverged: one style let the token wander where no caller
-        # can ever satisfy it again
-        return "self-lock"
-    if any(step.kind == "mintnftaa" for step in outcome_a.group):  # a lone step is its group
-        return "creation-atomicity"
+    """Name the documented design difference a diverging step evidences (`_CLAIMS`)."""
+    kind, group = outcome_a.kind, outcome_a.group
+    shown = {outcome_a.code, outcome_b.code, kind}
+    if kind not in ("proxy", "tbacall"):
+        shown.discard(ErrorCode.NOT_NFT_OWNER.value)
     if kind == "probe":
-        detail = outcome_a.detail + " " + outcome_b.detail
-        if "binding=" in detail:
-            return "binding-visibility"
-        if "diagnostics=" in detail:
-            return "self-lock"
-        if "tokens=" in detail:
-            return "creation-atomicity"
-        return "counterfactual-address"
-    if kind in ("createtba", "tbacall"):
-        return "counterfactual-address"
-    if kind == "upgrade":
-        return "upgradeability"
-    return "behavioral-difference"
+        shown.add(group[0].args[0])  # its form
+    elif any(step.kind == "mintnftaa" for step in group):  # a lone step is its group
+        shown.add("mintnftaa")
+    return next((claim for key, claim in _CLAIMS.items() if key in shown),
+                "behavioral-difference")
 
 
 def run_differential(script: ScenarioScript, name: str = "scenario",

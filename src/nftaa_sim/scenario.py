@@ -8,11 +8,12 @@ both rules, and `build_plan` reads a script's structure, by one function each.
 
 STEP_KINDS is the vocabulary: a row gives one or more step kinds their group
 and the roles of their arguments, each decoded once into the check that the
-matcher calls per argument. Roles: `@type` references a label declared earlier
-(`@` any type; type `none` also takes that bare word), `+type` declares one,
-`amount`, `int`, a quoted `note`, `hex64`, `key=value` (an `@label` value must
-be declared), `code` (an ErrorCode value, ok or partial), any `word`, a literal
-set `a|b`, the `method`/`form` sub-tables, and `?`/`*` for optional/repeated roles.
+matcher calls per argument. Roles: `@type` references a label of that type
+declared earlier (`@a|b` one of either; type `none` also takes that bare word),
+`+type` declares one, `amount`, `int`, a quoted `note`, `hex64`, `key=value`
+(an `@label` value must be a declared actor or account), `code` (an ErrorCode
+value, ok or partial), any `word`, a literal set `a|b`, the `method`/`form`
+sub-tables, and `?`/`*` for optional/repeated roles.
 """
 
 from __future__ import annotations
@@ -64,14 +65,14 @@ def _converts(convert, value: str) -> bool:
 
 
 def _use(types: tuple[str, ...]):
-    """The check of a label reference: declared earlier and, given `types`, of one of them."""
+    """The check of a label reference: declared earlier, as one of `types`."""
     def check(parser, value, position):
         if value == "none" and "none" in types:
             return
         declared = parser.labels.get(value)
         if declared is None:
             parser.fail(position, f"label {value!r} not declared", "UnknownLabel")
-        if types and declared not in types:
+        if declared not in types:
             parser.fail(position, f"label {value!r} is {declared}, expected {' or '.join(types)}")
     return check
 
@@ -93,7 +94,7 @@ def _key_value(parser, value: str, position: int):
     _, equals, target = value.partition("=")
     equals or parser.fail(position, "expected key=value")
     if target.startswith("@"):
-        _use(())(parser, target[1:], position)
+        _use(("actor", "account"))(parser, target[1:], position)
 
 
 # role -> check(parser, value, position): returns if `value`, at `position` of
@@ -146,7 +147,7 @@ def _table(rows: dict[str, str], grouped: bool = False, **subtables: dict) -> di
 
 
 PROXY_FORMS = _table({"noop request_unstake": "", "stake add_to_stake": "amount",
-                      "transfer_value": "@ amount"})
+                      "transfer_value": "@actor|account amount"})
 PROBE_FORMS = _table({"binding": "@account|token", "tba_address": "@token int",
                       "locked counts": ""})
 
@@ -155,17 +156,17 @@ PROBE_FORMS = _table({"binding": "@account|token", "tba_address": "@token int",
 STEP_KINDS = _table({
     "mintnftaa": "tx @actor +account note",
     "minttoken": "tx @actor +token note",
-    "transfernftaa": "tx @actor @account @",
-    "transfertoken": "tx @actor @token @",
+    "transfernftaa": "tx @actor @account @actor|account",
+    "transfertoken": "tx @actor @token @actor|account",
     "proxy tbacall": "tx @actor @account method",
     "stake addstake": "tx @actor @account amount",
     "unstake": "tx @actor @account",
-    "withdraw": "tx @actor @account @ amount",
+    "withdraw": "tx @actor @account @actor|account amount",
     "upgrade": "tx @actor @account int",
     "createtba": "tx @actor @token int +account noexec?",
     "fail interrupt": "tx",
     "actor": "exec +actor",
-    "faucet": "exec @ amount",
+    "faucet": "exec @actor|account amount",
     "advance": "exec int",
     "commit": "exec",
     "probe": "exec form",
@@ -174,7 +175,7 @@ STEP_KINDS = _table({
     "assert_note": "assert @account|token note",
     "assert_bound": "assert @account int",
     "assert_account": "assert @account|token @account|none",
-    "assert_balance": "assert @ amount",
+    "assert_balance": "assert @actor|account amount",
     "assert_stake": "assert @account amount",
     "assert_staker": "assert @account @account|none",
     "begin": "control",

@@ -80,6 +80,13 @@ def test_salt_length_enforced():
         deterministic_address(eoa_address("d"), b"\x00" * 31, "TbaAccount")
 
 
+def test_negative_nonce_and_salt_rejected():
+    with pytest.raises(ValueError):
+        contract_address(eoa_address("c"), -1)
+    with pytest.raises(ValueError):
+        salt_from_int(-1)
+
+
 def test_hex_round_trip():
     address = eoa_address("round")
     assert from_hex(to_hex(address)) == address

@@ -50,6 +50,11 @@ def test_create_eoa_rejects_the_system_label(ledger):
     assert caught.value.code is ErrorCode.DUPLICATE_LABEL
 
 
+def test_create_eoa_rejects_the_empty_label(ledger):
+    with pytest.raises(ValueError):
+        ledger.create_eoa("")
+
+
 def test_create_eoa_distinct_labels(ledger):
     assert ledger.create_eoa("alice") != ledger.create_eoa("bob")
 
@@ -133,6 +138,21 @@ def test_unknown_caller_fails_the_call_itself(ledger):
     bob = ledger.create_eoa("bob")
     digest = ledger.state_digest()
     receipt = ledger.apply_transaction(TransferValue(eoa_address("ghost"), bob, 0))
+    assert receipt.error.code is ErrorCode.UNKNOWN_ACCOUNT
+    assert ledger.state_digest() == digest
+
+
+@pytest.mark.parametrize("kind", ["MintNftaa", "CreateTba"])
+def test_a_wrong_factory_or_registry_is_an_unknown_account(ledger, kind):
+    # each names the other system contract: an account, but not the one the op needs
+    alice = ledger.create_eoa("alice")
+    token_id, _ = mint_nftaa(ledger, alice, b"n")
+    state = ledger.state
+    digest = ledger.state_digest()
+    op = MintNftaa(alice, state.registry.address, b"m") if kind == "MintNftaa" else \
+        CreateTba(alice, state.factory.address, state.collection.address, token_id,
+                  salt_from_int(0))
+    receipt = ledger.apply_transaction(op)
     assert receipt.error.code is ErrorCode.UNKNOWN_ACCOUNT
     assert ledger.state_digest() == digest
 

@@ -66,6 +66,14 @@ CASES = [
     P + 'assert_stake\t"a"\t1\n',
     "actor a\nactor a\n",
     P + 'mintnftaa a t "z"\n',
+    # a token where an address is expected: every role that takes an actor or account
+    P + "faucet t 5\n",
+    P + "transfernftaa a n\tt\n",
+    P + "transfertoken a t t\n",
+    P + 'withdraw a "n" t 1\n',
+    P + "assert_balance\tt 0\n",
+    P + "tbacall a n transfer_value t 5\n",
+    P + 'assert_event "Transfer # x" from=@a to=@t\n',
     "actor 9lives\n",
     'actor "a b"\n',
     'actor ""\n',

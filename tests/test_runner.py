@@ -6,11 +6,11 @@ from collections import Counter
 
 import pytest
 
-from nftaa_sim import (ZERO_ADDRESS, EventKind, ScenarioRunner, parse_scenario, run_differential,
-                       run_scenario)
-from nftaa_sim.runner import _HANDLERS, DiffEntry, classify_difference
-from nftaa_sim.scenario import PROBE_FORMS, STEP_KINDS
-from tests.corpus import SCRIPTS
+from nftaa_sim import (ZERO_ADDRESS, ErrorCode, EventKind, ScenarioRunner, parse_scenario,
+                       run_differential, run_scenario)
+from nftaa_sim.runner import _CLAIMS, _HANDLERS, LANES, DiffEntry
+from nftaa_sim.scenario import PROBE_FORMS, STEP_KINDS, build_plan
+from tests.corpus import ROOT, SCRIPTS
 from tests.perfbench_modules import load
 
 
@@ -323,15 +323,47 @@ def test_differential_lanes_share_step_count():
     assert "upgradeability" in result.claims
 
 
+def _claim_from_detail_text(outcome_a, outcome_b) -> str:
+    """The reference classification: one rule after another, a probe's form read off
+    the text of its readback."""
+    codes = {outcome_a.code, outcome_b.code}
+    if ErrorCode.FRAUD_GUARD.value in codes:
+        return "fraud-guard"
+    if ErrorCode.SELF_CUSTODY_HAZARD.value in codes:
+        return "self-lock"
+    kind = outcome_a.kind
+    if kind in ("proxy", "tbacall") and ErrorCode.NOT_NFT_OWNER.value in codes:
+        return "self-lock"
+    if any(step.kind == "mintnftaa" for step in outcome_a.group):
+        return "creation-atomicity"
+    if kind == "probe":
+        detail = outcome_a.detail + " " + outcome_b.detail
+        if "binding=" in detail:
+            return "binding-visibility"
+        if "diagnostics=" in detail:
+            return "self-lock"
+        if "tokens=" in detail:
+            return "creation-atomicity"
+        return "counterfactual-address"
+    if kind in ("createtba", "tbacall"):
+        return "counterfactual-address"
+    if kind == "upgrade":
+        return "upgradeability"
+    return "behavioral-difference"
+
+
 def _entries_by_signature(result) -> list[DiffEntry]:
-    """The reference comparison: every step whose two lane signatures differ."""
+    """The reference comparison: every step whose two lane signatures differ, with the
+    reference claim."""
     return [DiffEntry(a.index, a.line, a.kind, a.signature(), b.signature(),
-                      classify_difference(a, b))
+                      _claim_from_detail_text(a, b))
             for a, b in zip(result.nftaa.outcomes, result.tba.outcomes)
             if a.signature() != b.signature()]
 
 
 def test_differential_compares_what_the_signatures_compare():
+    """The same entries as the reference, claims included: the `_CLAIMS` table gives
+    every diverging step the claim that `_claim_from_detail_text` gives it."""
     gen = load("gen")
     scripts = {path.name: path.read_text() for path in SCRIPTS}
     for seed in range(21):
@@ -442,3 +474,45 @@ def test_no_analog_is_reported_before_any_label_is_resolved():
     assert nftaa[10].signature() == "rolled_back:UnknownAccount"  # n1 is unbound
     assert tba[10].render().endswith(
         "status=not_comparable code=NotComparable seq=upgrade=NotComparable")
+
+
+def test_every_claim_key_is_a_code_kind_or_form_and_every_claim_is_documented():
+    keys = {*STEP_KINDS, *PROBE_FORMS, *(code.value for code in ErrorCode)}
+    assert set(_CLAIMS) <= keys
+    readme = (ROOT / "README.md").read_text()
+    assert all(f"`{claim}`" in readme for claim in _CLAIMS.values())
+
+
+class _CheckedRunner(ScenarioRunner):
+    """A runner that fails if a label ever resolves to no address or no token: the
+    parser gives each role only labels of a kind that has one."""
+
+    def address_of(self, label):
+        address = super().address_of(label)
+        if address is None:
+            raise AssertionError(f"{label!r} resolved to no address")
+        return address
+
+    def token_of(self, label):
+        token_id = super().token_of(label)
+        if token_id is None:
+            raise AssertionError(f"{label!r} resolved to no token")
+        return token_id
+
+
+def test_typed_roles_never_resolve_a_label_to_nothing():
+    gen = load("gen")
+    scripts = {path.name: path.read_text() for path in SCRIPTS}
+    for seed in range(5):
+        scripts[f"fraud_diff-{seed}"] = gen.fraud_diff(seed).text
+        scripts[f"spot-{seed}"] = gen.spot(seed).text
+        scripts[f"nftaa_world-{seed}"] = gen.nftaa_world(seed, actors=40, ops=120).text
+    scripts["queue_drain-0"] = gen.queue_drain(0).text
+    steps = 0
+    for name, text in scripts.items():
+        script = parse_scenario(text)
+        plan = build_plan(script.steps)
+        for lane in LANES:
+            report = _CheckedRunner(script, name, lane).run(plan)
+            steps += len(report.outcomes)
+    assert steps > 10_000
