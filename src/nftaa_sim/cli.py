@@ -93,6 +93,15 @@ def _replay(args) -> int:
     return worst
 
 
+def _shared_stem(files: list[Path]) -> str | None:
+    """The first name stem that two different files share, or None."""
+    owners = {}
+    for path in files:
+        if owners.setdefault(path.stem, path.resolve()) != path.resolve():
+            return path.stem
+    return None
+
+
 def _cmd_queue(args, config: QueueConfig) -> int:
     print(f"mode={'simulate' if args.simulate else 'closed'} "
           f"pending={args.pending} per_block_cap={config.per_block_cap} "
@@ -111,6 +120,10 @@ def _cmd_queue(args, config: QueueConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run" and args.events is not None and len(args.files) > 1:
+        stem = _shared_stem(args.files)
+        if stem is not None:
+            parser.error(f"argument --events: two files would write {stem}.events")  # exits 2
     if args.command != "queue":
         return _replay(args)
     if args.pending < 0:

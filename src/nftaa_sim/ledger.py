@@ -24,7 +24,7 @@ from enum import Enum
 from .addresses import Address, ZERO_ADDRESS, contract_address, eoa_address
 from .errors import ErrorCode, LedgerError
 from .events import SYSTEM_TX_ID, Event, EventKind
-from .nftaa import FactoryState, NftaaAccount
+from .nftaa import NftaaAccount
 from .ops import (
     CreateTba,
     Fail,
@@ -73,7 +73,7 @@ class TxReceipt(Record):
 class WorldState(Record):
     __slots__ = __match_args__ = ("collection", "factory", "registry", "accounts", "nftaas",
                                   "stakes", "queue")
-    def __init__(self, collection: NftCollection, factory: FactoryState, registry: TbaRegistry):
+    def __init__(self, collection: NftCollection, factory: Address, registry: TbaRegistry):
         self.collection, self.factory, self.registry = collection, factory, registry
         self.accounts: dict[Address, Account] = {}
         self.nftaas: dict[Address, NftaaAccount] = {}
@@ -119,8 +119,7 @@ class Ledger:
         self.events: list[Event] = []
         self.next_tx_id = 1
         collection, factory, registry = (contract_address(SYSTEM_ADDRESS, n) for n in range(3))
-        self.state = WorldState(NftCollection(collection),
-                                FactoryState(factory), TbaRegistry(registry))
+        self.state = WorldState(NftCollection(collection), factory, TbaRegistry(registry))
         self._create_account(SYSTEM_ADDRESS, None)
         self._create_account(collection, CodeId.NFT_COLLECTION)
         self._create_account(factory, CodeId.NFTAA_FACTORY)
@@ -282,19 +281,16 @@ class Ledger:
                                       {"from": previous, "to": op.to, "token_id": op.token_id}))
 
     def _op_mint_nftaa(self, op: MintNftaa, ctx: _TxContext) -> None:
-        factory = self.state.factory
-        if factory.address != op.factory:
+        if self.state.factory != op.factory:
             raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, address=op.factory)
         validate_note(op.note)
         # Account first, then its token, inside the same atomic transaction.
-        account = contract_address(factory.address, factory.creation_nonce)
+        account = self.compute_nftaa_address()
         self._new_account(account, CodeId.NFTAA_ACCOUNT, ctx)
-        ctx.write(factory, "creation_nonce", factory.creation_nonce + 1)
-        collection = self.state.collection
-        record = self._mint(collection, op.caller, op.note, account, ctx)
-        ctx.insert(self.state.nftaas, account, NftaaAccount(collection.address, record.token_id))
-        ctx.events.append(self._event(EventKind.NEW_NFTAA, factory.address, ctx,
-                                      {"token_id": record.token_id, "account": account,
+        token_id = self._mint(self.state.collection, op.caller, op.note, account, ctx)
+        ctx.insert(self.state.nftaas, account, NftaaAccount(token_id))
+        ctx.events.append(self._event(EventKind.NEW_NFTAA, op.factory, ctx,
+                                      {"token_id": token_id, "account": account,
                                        "creator": op.caller}))
 
     def _nftaa(self, address: Address) -> NftaaAccount:
@@ -303,14 +299,14 @@ class Ledger:
             raise LedgerError(ErrorCode.NOT_AN_NFTAA, address=address)
         return binding
 
-    def _require_nft_owner(self, caller: Address, collection: Address, token_id: int) -> None:
-        if self._collection(collection).owner_of(token_id) != caller:
+    def _require_nft_owner(self, caller: Address, token_id: int) -> None:
+        if self.state.collection.owner_of(token_id) != caller:
             raise LedgerError(ErrorCode.NOT_NFT_OWNER, "caller is not the owner of the NFT")
 
     def _owned_nftaa(self, caller: Address, address: Address) -> NftaaAccount:
         """The binding of proxy account `address`, once `caller` owns its bound NFT."""
         binding = self._nftaa(address)
-        self._require_nft_owner(caller, *binding.bound_nft)
+        self._require_nft_owner(caller, binding.bound_token_id)
         return binding
 
     def _op_proxy_execute(self, op: ProxyExecute, ctx: _TxContext) -> None:
@@ -335,15 +331,12 @@ class Ledger:
         registry = self.state.registry
         if registry.address != op.registry:
             raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, address=op.registry)
-        collection = self._collection(op.collection)
-        collection.get(op.token_id)  # token must exist; its record stays untouched
-        key = (op.collection, op.token_id, op.salt)
-        address = registry.compute_address(*key)
+        self._collection(op.collection).get(op.token_id)  # token must exist; it stays untouched
+        address = registry.compute_address(op.collection, op.token_id, op.salt)
         if address in registry.records:
             raise LedgerError(ErrorCode.ALREADY_DEPLOYED, account=address)
         self._new_account(address, CodeId.TBA_ACCOUNT, ctx)
-        ctx.insert(registry.records, address,
-                   TbaRecord(*key, has_execute=op.has_execute))
+        ctx.insert(registry.records, address, TbaRecord(op.token_id, op.salt, op.has_execute))
         ctx.events.append(self._event(EventKind.TBA_CREATED, registry.address, ctx,
                                       {"collection": op.collection, "token_id": op.token_id,
                                        "salt": op.salt, "account": address}))
@@ -352,7 +345,7 @@ class Ledger:
         record = self.state.registry.get_deployed(op.tba)
         if not record.has_execute:
             raise LedgerError(ErrorCode.NO_EXECUTE, account=op.tba)
-        self._require_nft_owner(op.caller, record.collection, record.token_id)
+        self._require_nft_owner(op.caller, record.token_id)
         # No fraud guard and no self-custody guard on this path; reproducing
         # those hazards is the module's purpose.
         self._run_payload(op.tba, op.payload, ctx)
@@ -423,14 +416,13 @@ class Ledger:
         ctx.journal.append((dict.pop, self.state.accounts, address))
 
     def _mint(self, collection: NftCollection, to: Address, note: bytes,
-              bound_account: Address | None, ctx: _TxContext) -> NftRecord:
-        record = NftRecord(collection.next_id, to, note, bound_account)
-        ctx.insert(collection.tokens, record.token_id, record)
-        ctx.write(collection, "next_id", record.token_id + 1)
+              bound_account: Address | None, ctx: _TxContext) -> int:
+        """Mint the next token to `to`, returning its id."""
+        token_id = collection.next_id
+        ctx.insert(collection.tokens, token_id, NftRecord(to, note, bound_account))
         ctx.events.append(self._event(EventKind.TRANSFER, collection.address, ctx,
-                                      {"from": ZERO_ADDRESS, "to": to,
-                                       "token_id": record.token_id}))
-        return record
+                                      {"from": ZERO_ADDRESS, "to": to, "token_id": token_id}))
+        return token_id
 
     def _event(self, kind: EventKind, emitter: Address, ctx: _TxContext,
                fields: dict) -> Event:
@@ -448,7 +440,7 @@ class Ledger:
         return self.state.collection.get(token_id).bound_account
 
     def bound_nft_of(self, nftaa: Address) -> tuple[Address, int]:
-        return self._nftaa(nftaa).bound_nft
+        return (self.state.collection.address, self._nftaa(nftaa).bound_token_id)
 
     def balance_of(self, address: Address) -> int:
         return self._account(address).balance
@@ -463,6 +455,10 @@ class Ledger:
     def compute_tba_address(self, token_id: int, salt: bytes) -> Address:
         return self.state.registry.compute_address(self.state.collection.address,
                                                    token_id, salt)
+
+    def compute_nftaa_address(self, ahead: int = 0) -> Address:
+        """The proxy account the factory creates `ahead` mints from now."""
+        return contract_address(self.state.factory, len(self.state.nftaas) + ahead)
 
     # ------------------------------------------------------------------
     # Canonical digest
@@ -497,15 +493,14 @@ class Ledger:
         _section(out, b"bindings")
         for address in sorted(state.nftaas):
             binding = state.nftaas[address]
-            _fields(out, address, binding.bound_collection,
+            _fields(out, address, collection.address,
                     _uint(binding.bound_token_id), _uint(binding.upgrade_version))
         _section(out, b"tbas")
         for address, record in state.registry.sorted_records():
-            _fields(out, record.collection, _uint(record.token_id), record.salt,
+            _fields(out, collection.address, _uint(record.token_id), record.salt,
                     address, _uint(int(record.has_execute)))
         _section(out, b"factory")
-        _fields(out, state.factory.address, state.collection.address,
-                _uint(state.factory.creation_nonce))
+        _fields(out, state.factory, collection.address, _uint(len(state.nftaas)))
         _section(out, b"height")
         _fields(out, _uint(self.height))
         return bytes(out)

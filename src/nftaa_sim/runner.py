@@ -32,7 +32,7 @@ script and seed.
 
 from __future__ import annotations
 
-from .addresses import Address, contract_address, salt_from_int, to_hex
+from .addresses import Address, salt_from_int, to_hex
 from .errors import ErrorCode, LedgerError
 from .events import Event, EventKind, hexed
 from .ledger import Ledger, TxReceipt
@@ -351,12 +351,10 @@ class ScenarioRunner:
                 self.labels[args[1]] = (None, token_id, False)
                 return [(kind, MintToken(actor, collection, actor, note))]
             if not self.registry:
-                factory = state.factory
-                nonce = factory.creation_nonce + minted[1]
+                account = self.ledger.compute_nftaa_address(minted[1])
                 minted[1] += 1
-                self.labels[args[1]] = (contract_address(factory.address, nonce), token_id,
-                                        False)
-                return [(kind, MintNftaa(actor, factory.address, note))]
+                self.labels[args[1]] = (account, token_id, False)
+                return [(kind, MintNftaa(actor, state.factory, note))]
             # registry style: a plain mint, then the account as a second transaction
             salt = salt_from_int(0)
             self.labels[args[1]] = (self.ledger.compute_tba_address(token_id, salt), token_id,
@@ -427,14 +425,16 @@ class ScenarioRunner:
         return actual == args[0], f"digest expected {args[0][:12]}.. got {actual[:12]}.."
 
     def _assert_event(self, args, outcome) -> tuple[bool, str]:
-        criteria = {key: to_hex(self.address_of(value[1:])) if value.startswith("@") else value
-                    for key, value in (pair.split("=", 1) for pair in args[1:])}
+        # a list, not a dict: one event must match every pair, a repeated key too
+        criteria = [(key, to_hex(self.address_of(value[1:])) if value.startswith("@") else value)
+                    for key, value in (pair.split("=", 1) for pair in args[1:])]
         for event in self.ledger.events:
             fields = event.fields  # not the `payload` view, which builds a dict per read
             if event.kind == args[0] and all(  # a str enum: equal to its value
-                    k in fields and str(hexed(fields[k])) == v for k, v in criteria.items()):
+                    k in fields and str(hexed(fields[k])) == v for k, v in criteria):
                 return True, f"event {args[0]} present"
-        return False, f"event {args[0]} matching {criteria} not found"
+        shown = ", ".join(f"{k!r}: {v!r}" for k, v in criteria)  # a dict's repr, keys repeated
+        return False, f"event {args[0]} matching {{{shown}}} not found"
 
     def _assert_note(self, args, outcome) -> tuple[bool, str]:
         actual = self.ledger.token_note(self.token_of(args[0]))

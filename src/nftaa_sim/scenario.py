@@ -277,6 +277,8 @@ class _Parser:
                 self.fail(0, "set must appear before any step")
             if kind == "commit" and self.opened is None:
                 self.fail(0, "commit without begin")
+            if kind == "commit" and self.steps[-1].kind == "begin":
+                self.fail(0, "commit closes an empty group")
             if kind in _OTHER_LANE and _qualified(self.steps, len(self.steps), kind) < 0:
                 self.fail(0, f"{kind} must immediately follow an executable step")
             self.match(values, 1, form)

@@ -22,9 +22,11 @@ from .records import Record
 
 
 class TbaRecord(Record):
-    __slots__ = __match_args__ = ("collection", "token_id", "salt", "has_execute")
-    def __init__(self, collection: Address, token_id: int, salt: bytes, has_execute: bool):
-        self.collection, self.token_id, self.salt = collection, token_id, salt
+    """A deployed account of a token in the world's one collection."""
+
+    __slots__ = __match_args__ = ("token_id", "salt", "has_execute")
+    def __init__(self, token_id: int, salt: bytes, has_execute: bool):
+        self.token_id, self.salt = token_id, salt
         self.has_execute = has_execute  # badly developed account variant when False
 
 
@@ -45,9 +47,8 @@ class TbaRegistry(Record):
         return record
 
     def sorted_records(self) -> list[tuple[Address, TbaRecord]]:
-        """Deployed (address, record) pairs in (collection, token_id, salt) order."""
-        return sorted(self.records.items(),
-                      key=lambda item: (item[1].collection, item[1].token_id, item[1].salt))
+        """Deployed (address, record) pairs in (token_id, salt) order."""
+        return sorted(self.records.items(), key=lambda item: (item[1].token_id, item[1].salt))
 
 
 def _mix(collection: Address, token_id: int, salt: bytes) -> bytes:
@@ -72,14 +73,14 @@ def detect_locked_nfts(state) -> list[tuple[Address, int]]:
     collection, tokens = state.collection.address, state.collection.tokens
     return sorted((collection, record.token_id)
                   for address, record in state.registry.records.items()
-                  if record.collection == collection and tokens[record.token_id].owner == address)
+                  if tokens[record.token_id].owner == address)
 
 
 def detect_stranded_tbas(state) -> list[tuple[Address, int]]:
     """Deployed accounts without an execute function that are holding funds, in
-    (collection, token_id, salt) order: only the records without one are sorted."""
+    (token_id, salt) order: only the records without one are sorted."""
     stranded = []
-    for *_, address in sorted((record.collection, record.token_id, record.salt, address)
+    for *_, address in sorted((record.token_id, record.salt, address)
                               for address, record in state.registry.records.items()
                               if not record.has_execute):
         account = state.accounts.get(address)

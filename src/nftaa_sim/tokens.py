@@ -1,7 +1,8 @@
 """Minimal NFT collection: sequential ids, single ownership, per-token note.
 
 Just enough of the usual NFT surface to host account-binding metadata. No
-approvals, no burning, no metadata URIs.
+approvals, no burning, no metadata URIs. Ids run from 1 and none is burned,
+so the next id is always one past the number of tokens.
 """
 
 from __future__ import annotations
@@ -15,18 +16,24 @@ NOTE_MAX_LEN = 256  # reject anything larger as "excessively large"
 
 
 class NftRecord(Record):
-    __slots__ = __match_args__ = ("token_id", "owner", "note", "bound_account")
-    def __init__(self, token_id: int, owner: Address, note: bytes, bound_account: Address | None):
-        self.token_id, self.owner, self.note = token_id, owner, note
+    """One token; its id is its key in `NftCollection.tokens`."""
+
+    __slots__ = __match_args__ = ("owner", "note", "bound_account")
+    def __init__(self, owner: Address, note: bytes, bound_account: Address | None):
+        self.owner, self.note = owner, note
         # Set once at mint when the token fronts a proxy account; immutable afterwards.
         self.bound_account = bound_account
 
 
 class NftCollection(Record):
-    __slots__ = __match_args__ = ("address", "tokens", "next_id")
+    __slots__ = __match_args__ = ("address", "tokens")
     def __init__(self, address: Address):
-        self.address, self.next_id = address, 1
+        self.address = address
         self.tokens: dict[int, NftRecord] = {}
+
+    @property
+    def next_id(self) -> int:
+        return len(self.tokens) + 1
 
     def get(self, token_id: int) -> NftRecord:
         record = self.tokens.get(token_id)

@@ -66,9 +66,9 @@ def check_binding_bijection(ledger: Ledger) -> None:
         record = ledger.state.collection.tokens.get(binding.bound_token_id)
         assert record is not None, "binding points at an unminted token"
         assert record.bound_account == address, "token does not point back"
-        assert binding.bound_nft not in forward.values(), "two accounts share a token"
-        forward[address] = binding.bound_nft
-    bound_tokens = [r.token_id for r in ledger.state.collection.tokens.values()
+        assert binding.bound_token_id not in forward.values(), "two accounts share a token"
+        forward[address] = binding.bound_token_id
+    bound_tokens = [token_id for token_id, r in ledger.state.collection.tokens.items()
                     if r.bound_account is not None]
     assert len(bound_tokens) == len(forward), "account and token counts diverge"
 
@@ -168,7 +168,7 @@ class FuzzDriver:
 
     def _gen_mint(self):
         note = self.rng.choice(NOTE_CHOICES)
-        return [MintNftaa(self.actor(), self.ledger.state.factory.address, note)]
+        return [MintNftaa(self.actor(), self.ledger.state.factory, note)]
 
     def _gen_transfer_value(self):
         return [TransferValue(self.actor(), self.any_address(), self.amount())]
@@ -259,14 +259,14 @@ class FuzzDriver:
         buyer = self.actor()
         ops = [WithdrawAssets(caller, nftaa, caller,
                               self.ledger.balance_of(nftaa)),
-               TransferToken(caller, binding.bound_collection,
+               TransferToken(caller, self.ledger.state.collection.address,
                              binding.bound_token_id, buyer)]
         if self.rng.random() < 0.5:
             ops.reverse()
         return ops
 
     def _gen_grouped_mint_failure(self):
-        return [MintNftaa(self.actor(), self.ledger.state.factory.address, b"doomed"),
+        return [MintNftaa(self.actor(), self.ledger.state.factory, b"doomed"),
                 Fail()]
 
     def _gen_stake_flow(self):

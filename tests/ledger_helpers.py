@@ -10,7 +10,7 @@ from nftaa_sim import Address, CreateTba, EventKind, Ledger, MintNftaa, Withdraw
 
 def mint_nftaa(ledger: Ledger, caller: Address, note: bytes) -> tuple[int, Address]:
     """Mint a proxy account; its token id and account address."""
-    receipt = ledger.must(MintNftaa(caller, ledger.state.factory.address, note))
+    receipt = ledger.must(MintNftaa(caller, ledger.state.factory, note))
     created = next(e for e in receipt.events if e.kind is EventKind.NEW_NFTAA)
     return created.payload["token_id"], from_hex(created.payload["account"])
 

@@ -194,6 +194,23 @@ def test_run_multiple_files_parallel(tmp_path, capsys):
         ["s0.events", "s1.events", "s2.events"]
 
 
+def test_events_of_two_files_with_one_stem_are_refused(tmp_path, capsys):
+    # both would write x.events: the run is refused before any file runs
+    paths = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        paths.append(tmp_path / name / "x.scn")
+        paths[-1].write_text(GOOD)
+    events = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", *map(str, paths), "--events", str(events)])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "two files would write x.events" in captured.err
+    assert not events.exists()
+
+
 def test_events_into_a_directory_exits_two(scenario_file, tmp_path, capsys):
     # one script: --events names the log file itself, here an existing directory
     assert main(["run", str(scenario_file), "--events", str(tmp_path)]) == 2

@@ -150,7 +150,7 @@ def test_a_wrong_factory_or_registry_is_an_unknown_account(ledger, kind):
     state = ledger.state
     digest = ledger.state_digest()
     op = MintNftaa(alice, state.registry.address, b"m") if kind == "MintNftaa" else \
-        CreateTba(alice, state.factory.address, state.collection.address, token_id,
+        CreateTba(alice, state.factory, state.collection.address, token_id,
                   salt_from_int(0))
     receipt = ledger.apply_transaction(op)
     assert receipt.error.code is ErrorCode.UNKNOWN_ACCOUNT
@@ -185,7 +185,7 @@ def test_contract_caller_rejected(ledger, kind):
         "TransferValue": TransferValue(nftaa, tba, 0),
         "MintToken": MintToken(nftaa, collection, nftaa, b"n"),
         "TransferToken": TransferToken(nftaa, collection, token_id, tba),
-        "MintNftaa": MintNftaa(nftaa, ledger.state.factory.address, b"n"),
+        "MintNftaa": MintNftaa(nftaa, ledger.state.factory, b"n"),
         "ProxyExecute": ProxyExecute(nftaa, nftaa, ProxyPayload("noop")),
         "WithdrawAssets": WithdrawAssets(nftaa, nftaa, tba, 0),
         "UpgradeAccount": UpgradeAccount(nftaa, nftaa, 1),
@@ -310,10 +310,10 @@ def test_each_operation_class_has_one_table_entry(ledger):
 
 def test_rolled_back_grouped_mint_restores_the_id_counters(ledger):
     def counters():
-        return ledger.state.collection.next_id, ledger.state.factory.creation_nonce
+        return ledger.state.collection.next_id, ledger.compute_nftaa_address()
 
     alice = ledger.create_eoa("alice")
-    factory = ledger.state.factory.address
+    factory = ledger.state.factory
     ledger.must(MintNftaa(alice, factory, b"kept"))
     next_id, nonce = counters()
     receipt = ledger.apply_transaction(MintNftaa(alice, factory, b"doomed"), Fail())

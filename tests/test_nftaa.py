@@ -46,7 +46,7 @@ def test_mint_empty_note_leaves_no_residue(world):
     ledger, alice, _ = world
     digest = ledger.state_digest()
     events = len(ledger.events)
-    receipt = ledger.apply_transaction(MintNftaa(alice, ledger.state.factory.address, b""))
+    receipt = ledger.apply_transaction(MintNftaa(alice, ledger.state.factory, b""))
     assert receipt.error.code is ErrorCode.EMPTY_NOTE
     assert ledger.state_digest() == digest
     assert len(ledger.events) == events
@@ -57,7 +57,7 @@ def test_mint_empty_note_leaves_no_residue(world):
 def test_mint_oversize_note_leaves_no_residue(world):
     ledger, alice, _ = world
     digest = ledger.state_digest()
-    receipt = ledger.apply_transaction(MintNftaa(alice, ledger.state.factory.address, b"x" * 257))
+    receipt = ledger.apply_transaction(MintNftaa(alice, ledger.state.factory, b"x" * 257))
     assert receipt.error.code is ErrorCode.NOTE_TOO_LARGE
     assert ledger.state_digest() == digest
 
@@ -96,11 +96,11 @@ def test_binding_bijection_over_many_accounts(world):
         mint_nftaa(ledger, alice if i % 2 else bob, f"acct{i}".encode())
     for address, binding in ledger.state.nftaas.items():
         assert ledger.account_of(binding.bound_token_id) == address
-    bound = [r for r in ledger.state.collection.tokens.values()
-             if r.bound_account is not None]
+    bound = {token_id: r for token_id, r in ledger.state.collection.tokens.items()
+             if r.bound_account is not None}
     assert len(bound) == len(ledger.state.nftaas)
-    for record in bound:
-        assert ledger.bound_nft_of(record.bound_account)[1] == record.token_id
+    for token_id, record in bound.items():
+        assert ledger.bound_nft_of(record.bound_account)[1] == token_id
 
 
 def test_proxy_noop_emits_response(world):
@@ -256,7 +256,7 @@ def test_creation_atomicity_under_injected_failures(world):
     """With failures injected into creation transactions, the account count
     always equals the bound-token count."""
     ledger, alice, _ = world
-    factory = ledger.state.factory.address
+    factory = ledger.state.factory
     attempts = [
         (b"good", False), (b"", False), (b"ok", True), (b"x" * 300, False),
         (b"fine", False), (b"also fine", True),

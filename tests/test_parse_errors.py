@@ -28,10 +28,12 @@ CASES = [
     "actor a\nbegin\n\tadvance 5\ncommit\n",
     "begin\nbegin\n",
     "actor a\nbegin\nfail\nexpect_error InjectedFailure\ncommit\n",
-    # `set` after a step, `commit` without `begin`, `begin` without `commit`
+    # `set` after a step, `commit` without `begin` or closing an empty group, `begin`
+    # without `commit`
     "actor a\nset seed 4\n",
     "commit\n",
     "actor a\n  commit # done\n",
+    "actor alice\nbegin\ncommit\n",
     "actor a\nbegin\nfail\n",
     "actor a\nbegin\nfail\ncommit\nbegin\ninterrupt\n",
     # misplaced expectations

@@ -22,7 +22,7 @@ def test_any_legal_note_round_trips(note):
 def test_creation_note_bounds(note):
     ledger = Ledger()
     alice = ledger.create_eoa("alice")
-    receipt = ledger.apply_transaction(MintNftaa(alice, ledger.state.factory.address, note))
+    receipt = ledger.apply_transaction(MintNftaa(alice, ledger.state.factory, note))
     assert receipt.committed == (1 <= len(note) <= 256)
 
 

@@ -40,7 +40,6 @@ KINDS = {
     "NftCollection": lambda state: state.collection,
     "NftRecord": lambda state: next(iter(state.collection.tokens.values())),
     "NftaaAccount": lambda state: next(iter(state.nftaas.values())),
-    "FactoryState": lambda state: state.factory,
     "StakePosition": lambda state: next(iter(state.stakes.values())),
     "WithdrawalQueue": lambda state: state.queue,
     "QueueEntry": lambda state: state.queue.pending[0],

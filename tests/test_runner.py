@@ -439,11 +439,22 @@ def test_assert_event_requires_the_key():
     assert report.exit_code == 1
 
 
+@pytest.mark.parametrize("pairs", ["amount=7 amount=5", "to=@b to=@a"])
+def test_assert_event_requires_every_pair_of_a_repeated_key(pairs):
+    # the one Transfer has amount 5 and goes to a: no event matches both values
+    report = run_text(f'actor a\nactor b\nfaucet a 5\nassert_event Transfer {pairs}\n')
+    assert [verdict.passed for verdict in report.verdicts] == [False]
+    assert report.exit_code == 1
+    if pairs.startswith("amount"):  # written as a dict's repr would be, the key twice
+        assert report.verdicts[0].description == \
+            "event Transfer matching {'amount': '7', 'amount': '5'} not found"
+
+
 def test_every_step_kind_and_probe_form_has_exactly_one_handler():
     # a `set` line becomes config, never a step, and `run` takes a `begin` with
     # its group; every other kind the parser emits is a step with a handler
-    script = parse_scenario('set seed 1\nactor a\nbegin\ncommit\n')
-    assert [step.kind for step in script.steps] == ["actor", "begin", "commit"]
+    script = parse_scenario('set seed 1\nactor a\nbegin\nfail\ncommit\n')
+    assert [step.kind for step in script.steps] == ["actor", "begin", "fail", "commit"]
     keys = Counter([*STEP_KINDS.keys() - {"set", "begin"}, *PROBE_FORMS])
     assert keys == Counter(_HANDLERS.keys())  # a form named like a kind would count twice
     assert all(getattr(ScenarioRunner, handler.__name__) is handler

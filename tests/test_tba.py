@@ -187,8 +187,7 @@ def _locked_by_token_scan(state):
     collection = state.collection
     for token_id in sorted(collection.tokens):
         owner = state.registry.records.get(collection.tokens[token_id].owner)
-        if owner is not None and owner.collection == collection.address \
-                and owner.token_id == token_id:
+        if owner is not None and owner.token_id == token_id:
             locked.append((collection.address, token_id))
     return locked
 
