@@ -63,9 +63,9 @@ def _sha256(text: str) -> str:
 def benchmark_pin(name: str, directory: Path) -> str:
     """`<file> <script sha256> <transcript sha256>` for one benchmark script."""
     generator, command = BENCHMARK_SCRIPTS[name]
-    path = directory / name
-    path.write_text(getattr(load("gen"), generator)(11).text)
-    return f"{name} {_sha256(path.read_text())} {_sha256(_stdout(command + [str(path)]))}"
+    text, path = getattr(load("gen"), generator)(11).text, directory / name
+    path.write_text(text)
+    return f"{name} {_sha256(text)} {_sha256(_stdout(command + [str(path)]))}"
 
 
 def test_corpus_has_eleven_files_with_distinct_names():

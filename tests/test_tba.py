@@ -112,6 +112,18 @@ def test_create_for_unminted_token(world):
     assert receipt.error.code is ErrorCode.UNKNOWN_TOKEN
 
 
+def test_create_for_another_collection_stores_nothing(world):
+    # a record names only its token id, so one for another collection must never be stored
+    ledger, alice, _, token_id = world
+    digest = ledger.state_digest()
+    receipt = ledger.apply_transaction(CreateTba(alice, ledger.state.registry.address,
+                                                 ledger.state.registry.address,
+                                                 token_id, salt_from_int(0)))
+    assert receipt.error.code is ErrorCode.UNKNOWN_COLLECTION
+    assert ledger.state.registry.records == {}
+    assert ledger.state_digest() == digest
+
+
 def test_execute_gated_by_token_owner(world):
     ledger, alice, bob, token_id = world
     tba = create_tba(ledger, alice, token_id, salt_from_int(0))
