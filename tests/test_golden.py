@@ -108,7 +108,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for command, path in CASES:
         _golden_path(command, path).write_bytes(transcript(command, path).encode())
-    with tempfile.TemporaryDirectory() as scratch:
-        BENCHMARK_PINS.write_text("".join(benchmark_pin(name, Path(scratch)) + "\n"
+    with tempfile.TemporaryDirectory() as directory:
+        BENCHMARK_PINS.write_text("".join(benchmark_pin(name, Path(directory)) + "\n"
                                           for name in BENCHMARK_SCRIPTS))
     print(f"wrote {len(CASES)} transcripts and {len(BENCHMARK_SCRIPTS)} benchmark pins to {GOLDEN}")
