@@ -16,7 +16,6 @@ class ErrorCode(str, Enum):
     INJECTED_FAILURE = "InjectedFailure"
     NEGATIVE_AMOUNT = "NegativeAmount"
     # token standard
-    UNKNOWN_COLLECTION = "UnknownCollection"
     UNKNOWN_TOKEN = "UnknownToken"
     NOT_OWNER = "NotOwner"
     # nftaa protocol

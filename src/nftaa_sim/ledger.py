@@ -250,18 +250,12 @@ class Ledger:
         ctx.events.append(self._event(EventKind.TRANSFER, frm, ctx,
                                       {"from": frm, "to": to, "amount": amount}))
 
-    def _collection(self, address: Address) -> NftCollection:
-        if self.state.collection.address != address:
-            raise LedgerError(ErrorCode.UNKNOWN_COLLECTION, address=address)
-        return self.state.collection
-
     def _op_mint_token(self, op: MintToken, ctx: _TxContext) -> None:
-        collection = self._collection(op.collection)
         self._account(op.to)
-        self._mint(collection, op.to, op.note, None, ctx)
+        self._mint(op.to, op.note, None, ctx)
 
     def _op_transfer_token(self, op: TransferToken, ctx: _TxContext) -> None:
-        collection = self._collection(op.collection)
+        collection = self.state.collection
         record = collection.get(op.token_id)
         if record.owner != op.caller:
             raise LedgerError(ErrorCode.NOT_OWNER, token=op.token_id)
@@ -277,19 +271,17 @@ class Ledger:
             ctx.sold.add(record.bound_account)
         previous = record.owner
         ctx.write(record, "owner", op.to)
-        ctx.events.append(self._event(EventKind.TRANSFER, op.collection, ctx,
+        ctx.events.append(self._event(EventKind.TRANSFER, collection.address, ctx,
                                       {"from": previous, "to": op.to, "token_id": op.token_id}))
 
     def _op_mint_nftaa(self, op: MintNftaa, ctx: _TxContext) -> None:
-        if self.state.factory != op.factory:
-            raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, address=op.factory)
         validate_note(op.note)
         # Account first, then its token, inside the same atomic transaction.
         account = self.compute_nftaa_address()
         self._new_account(account, CodeId.NFTAA_ACCOUNT, ctx)
-        token_id = self._mint(self.state.collection, op.caller, op.note, account, ctx)
+        token_id = self._mint(op.caller, op.note, account, ctx)
         ctx.insert(self.state.nftaas, account, NftaaAccount(token_id))
-        ctx.events.append(self._event(EventKind.NEW_NFTAA, op.factory, ctx,
+        ctx.events.append(self._event(EventKind.NEW_NFTAA, self.state.factory, ctx,
                                       {"token_id": token_id, "account": account,
                                        "creator": op.caller}))
 
@@ -328,17 +320,15 @@ class Ledger:
         ctx.write(binding, "upgrade_version", op.new_version)
 
     def _op_create_tba(self, op: CreateTba, ctx: _TxContext) -> None:
-        registry = self.state.registry
-        if registry.address != op.registry:
-            raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, address=op.registry)
-        self._collection(op.collection).get(op.token_id)  # token must exist; it stays untouched
-        address = registry.compute_address(op.collection, op.token_id, op.salt)
+        registry, collection = self.state.registry, self.state.collection
+        collection.get(op.token_id)  # token must exist; it stays untouched
+        address = self.compute_tba_address(op.token_id, op.salt)
         if address in registry.records:
             raise LedgerError(ErrorCode.ALREADY_DEPLOYED, account=address)
         self._new_account(address, CodeId.TBA_ACCOUNT, ctx)
         ctx.insert(registry.records, address, TbaRecord(op.token_id, op.salt, op.has_execute))
         ctx.events.append(self._event(EventKind.TBA_CREATED, registry.address, ctx,
-                                      {"collection": op.collection, "token_id": op.token_id,
+                                      {"collection": collection.address, "token_id": op.token_id,
                                        "salt": op.salt, "account": address}))
 
     def _op_tba_execute(self, op: TbaExecute, ctx: _TxContext) -> None:
@@ -415,9 +405,10 @@ class Ledger:
         self._create_account(address, code_id)
         ctx.journal.append((dict.pop, self.state.accounts, address))
 
-    def _mint(self, collection: NftCollection, to: Address, note: bytes,
-              bound_account: Address | None, ctx: _TxContext) -> int:
-        """Mint the next token to `to`, returning its id."""
+    def _mint(self, to: Address, note: bytes, bound_account: Address | None,
+              ctx: _TxContext) -> int:
+        """Mint the world's next token to `to`, returning its id."""
+        collection = self.state.collection
         token_id = collection.next_id
         ctx.insert(collection.tokens, token_id, NftRecord(to, note, bound_account))
         ctx.events.append(self._event(EventKind.TRANSFER, collection.address, ctx,
@@ -439,8 +430,9 @@ class Ledger:
         """The bound-account address readable straight off the token, if any."""
         return self.state.collection.get(token_id).bound_account
 
-    def bound_nft_of(self, nftaa: Address) -> tuple[Address, int]:
-        return (self.state.collection.address, self._nftaa(nftaa).bound_token_id)
+    def bound_nft_of(self, nftaa: Address) -> int:
+        """The id of the token bound to proxy account `nftaa`."""
+        return self._nftaa(nftaa).bound_token_id
 
     def balance_of(self, address: Address) -> int:
         return self._account(address).balance

@@ -2,7 +2,8 @@
 
 A transaction is an ordered list of these records applied atomically by the
 ledger. Each record carries its own caller, and authorization is evaluated
-per operation: a transaction has no caller of its own.
+per operation: a transaction has no caller of its own. No operation names a
+system contract, since the world has one collection, factory and registry.
 """
 
 from __future__ import annotations
@@ -36,23 +37,23 @@ class TransferValue(Record):
 class MintToken(Record):
     """Plain NFT mint, no account attached (the token-bound-account starting point)."""
 
-    __slots__ = __match_args__ = ("caller", "collection", "to", "note")
-    def __init__(self, caller: Address, collection: Address, to: Address, note: bytes):
-        self.caller, self.collection, self.to, self.note = caller, collection, to, note
+    __slots__ = __match_args__ = ("caller", "to", "note")
+    def __init__(self, caller: Address, to: Address, note: bytes):
+        self.caller, self.to, self.note = caller, to, note
 
 
 class TransferToken(Record):
-    __slots__ = __match_args__ = ("caller", "collection", "token_id", "to")
-    def __init__(self, caller: Address, collection: Address, token_id: int, to: Address):
-        self.caller, self.collection, self.token_id, self.to = caller, collection, token_id, to
+    __slots__ = __match_args__ = ("caller", "token_id", "to")
+    def __init__(self, caller: Address, token_id: int, to: Address):
+        self.caller, self.token_id, self.to = caller, token_id, to
 
 
 class MintNftaa(Record):
     """Atomically create a proxy account plus its bound NFT."""
 
-    __slots__ = __match_args__ = ("caller", "factory", "note")
-    def __init__(self, caller: Address, factory: Address, note: bytes):
-        self.caller, self.factory, self.note = caller, factory, note
+    __slots__ = __match_args__ = ("caller", "note")
+    def __init__(self, caller: Address, note: bytes):
+        self.caller, self.note = caller, note
 
 
 class ProxyExecute(Record):
@@ -74,12 +75,10 @@ class UpgradeAccount(Record):
 
 
 class CreateTba(Record):
-    __slots__ = __match_args__ = ("caller", "registry", "collection", "token_id", "salt",
-                                  "has_execute")
-    def __init__(self, caller: Address, registry: Address, collection: Address,
-                 token_id: int, salt: bytes, has_execute: bool = True):
-        self.caller, self.registry, self.collection = caller, registry, collection
-        self.token_id, self.salt, self.has_execute = token_id, salt, has_execute
+    __slots__ = __match_args__ = ("caller", "token_id", "salt", "has_execute")
+    def __init__(self, caller: Address, token_id: int, salt: bytes, has_execute: bool = True):
+        self.caller, self.token_id, self.salt = caller, token_id, salt
+        self.has_execute = has_execute
 
 
 class TbaExecute(Record):

@@ -340,30 +340,27 @@ class ScenarioRunner:
         """
         kind, args = step.kind, step.args
         self._comparable(kind)  # before any label is resolved
-        state = self.ledger.state
-        collection = state.collection.address
         if kind in ("mintnftaa", "minttoken"):
             actor, note = self.address_of(args[0]), args[2].encode()
-            token_id = state.collection.next_id + minted[0]
+            token_id = self.ledger.state.collection.next_id + minted[0]
             minted[0] += 1
             pending.append(args[1])
             if kind == "minttoken":
                 self.labels[args[1]] = (None, token_id, False)
-                return [(kind, MintToken(actor, collection, actor, note))]
+                return [(kind, MintToken(actor, actor, note))]
             if not self.registry:
                 account = self.ledger.compute_nftaa_address(minted[1])
                 minted[1] += 1
                 self.labels[args[1]] = (account, token_id, False)
-                return [(kind, MintNftaa(actor, state.factory, note))]
+                return [(kind, MintNftaa(actor, note))]
             # registry style: a plain mint, then the account as a second transaction
             salt = salt_from_int(0)
             self.labels[args[1]] = (self.ledger.compute_tba_address(token_id, salt), token_id,
                                     True)
-            return [("mint", MintToken(actor, collection, actor, note)),
-                    ("account", CreateTba(actor, state.registry.address, collection,
-                                          token_id, salt))]
+            return [("mint", MintToken(actor, actor, note)),
+                    ("account", CreateTba(actor, token_id, salt))]
         if kind in ("transfernftaa", "transfertoken"):
-            op = TransferToken(self.address_of(args[0]), collection, self.token_of(args[1]),
+            op = TransferToken(self.address_of(args[0]), self.token_of(args[1]),
                                self.address_of(args[2]))
         elif kind in _EXECUTE_METHOD:  # an execute call: the method's roles give the payload
             actor, account, *rest = args
@@ -390,8 +387,7 @@ class ScenarioRunner:
             self.labels[args[3]] = (self.ledger.compute_tba_address(token_id, salt), token_id,
                                     True)
             pending.append(args[3])
-            op = CreateTba(actor, state.registry.address, collection, token_id, salt,
-                           has_execute="noexec" not in args[4:])
+            op = CreateTba(actor, token_id, salt, has_execute="noexec" not in args[4:])
         else:  # fail, interrupt
             op = Fail("interrupted" if kind == "interrupt" else "injected")
         return [(kind, op)]
@@ -441,7 +437,7 @@ class ScenarioRunner:
         return actual == args[1].encode(), f"note of {args[0]} is {actual!r}"
 
     def _assert_bound(self, args, outcome) -> tuple[bool, str]:
-        _, actual = self.ledger.bound_nft_of(self.address_of(args[0]))
+        actual = self.ledger.bound_nft_of(self.address_of(args[0]))
         return actual == int(args[1]), f"bound token of {args[0]} is {actual}"
 
     def _assert_account(self, args, outcome) -> tuple[bool, str]:

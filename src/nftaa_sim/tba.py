@@ -60,19 +60,18 @@ def _mix(collection: Address, token_id: int, salt: bytes) -> bytes:
 # Diagnostics for the hazards this account style permits
 # ---------------------------------------------------------------------------
 
-def detect_locked_nfts(state) -> list[tuple[Address, int]]:
-    """Minted tokens owned by an account derived from themselves.
+def detect_locked_nfts(state) -> list[int]:
+    """The ids of the minted tokens owned by an account derived from themselves.
 
     Such a token can never satisfy its own owner gate again: the only party
     that could act is the account, and accounts do not originate calls.
     A token can only be sent to an existing account, so its owner is one of
     its own accounts exactly when the owner is a deployed record of it. So
     the walk is over the deployed records (each made for a minted token),
-    not over the tokens; the hits are sorted by token id.
+    not over the tokens; the ids are sorted.
     """
-    collection, tokens = state.collection.address, state.collection.tokens
-    return sorted((collection, record.token_id)
-                  for address, record in state.registry.records.items()
+    tokens = state.collection.tokens
+    return sorted(record.token_id for address, record in state.registry.records.items()
                   if tokens[record.token_id].owner == address)
 
 
@@ -91,9 +90,10 @@ def detect_stranded_tbas(state) -> list[tuple[Address, int]]:
 
 def diagnostic_lines(state) -> list[str]:
     lines = []
-    for collection, token_id in detect_locked_nfts(state):
-        owner = state.collection.tokens[token_id].owner
-        lines.append(f"locked nft={collection.hex()}:{token_id} owner={owner.hex()}")
+    collection = state.collection
+    for token_id in detect_locked_nfts(state):
+        owner = collection.tokens[token_id].owner
+        lines.append(f"locked nft={collection.address.hex()}:{token_id} owner={owner.hex()}")
     for address, balance in detect_stranded_tbas(state):
         lines.append(f"stranded tba={address.hex()} balance={balance}")
     return lines

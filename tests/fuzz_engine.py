@@ -80,7 +80,7 @@ def check_lock_diagnostic(ledger: Ledger) -> list:
     for token_id in sorted(collection.tokens):
         derived = {ledger.compute_tba_address(token_id, salt) for salt in SALTS}
         if collection.tokens[token_id].owner in derived:
-            expected.append((collection.address, token_id))
+            expected.append(token_id)
     locked = detect_locked_nfts(ledger.state)
     assert locked == expected, f"lock diagnostic {locked} != brute force {expected}"
     return locked
@@ -168,7 +168,7 @@ class FuzzDriver:
 
     def _gen_mint(self):
         note = self.rng.choice(NOTE_CHOICES)
-        return [MintNftaa(self.actor(), self.ledger.state.factory, note)]
+        return [MintNftaa(self.actor(), note)]
 
     def _gen_transfer_value(self):
         return [TransferValue(self.actor(), self.any_address(), self.amount())]
@@ -179,8 +179,7 @@ class FuzzDriver:
             return None
         token = self.rng.choice(tokens)
         to = self.any_address()
-        return [TransferToken(self.actor(), self.ledger.state.collection.address,
-                              token, to)]
+        return [TransferToken(self.actor(), token, to)]
 
     def _gen_proxy(self):
         accounts = self.nftaas()
@@ -216,9 +215,7 @@ class FuzzDriver:
         tokens = self.tokens()
         if not tokens:
             return None
-        return [CreateTba(self.actor(), self.ledger.state.registry.address,
-                          self.ledger.state.collection.address,
-                          self.rng.choice(tokens), self.rng.choice(SALTS),
+        return [CreateTba(self.actor(), self.rng.choice(tokens), self.rng.choice(SALTS),
                           has_execute=self.rng.random() > 0.2)]
 
     def _gen_self_lock(self):
@@ -233,7 +230,7 @@ class FuzzDriver:
         to = self.ledger.compute_tba_address(token, self.rng.choice(SALTS))
         if self.tbas() and self.rng.random() < 0.25:
             to = self.rng.choice(self.tbas())
-        return [TransferToken(caller, self.ledger.state.collection.address, token, to)]
+        return [TransferToken(caller, token, to)]
 
     def _gen_tba_execute(self):
         tbas = self.tbas()
@@ -259,15 +256,13 @@ class FuzzDriver:
         buyer = self.actor()
         ops = [WithdrawAssets(caller, nftaa, caller,
                               self.ledger.balance_of(nftaa)),
-               TransferToken(caller, self.ledger.state.collection.address,
-                             binding.bound_token_id, buyer)]
+               TransferToken(caller, binding.bound_token_id, buyer)]
         if self.rng.random() < 0.5:
             ops.reverse()
         return ops
 
     def _gen_grouped_mint_failure(self):
-        return [MintNftaa(self.actor(), self.ledger.state.factory, b"doomed"),
-                Fail()]
+        return [MintNftaa(self.actor(), b"doomed"), Fail()]
 
     def _gen_stake_flow(self):
         """Owner-driven staking call so the lifecycle actually progresses."""

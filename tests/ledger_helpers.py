@@ -10,7 +10,7 @@ from nftaa_sim import Address, CreateTba, EventKind, Ledger, MintNftaa, Withdraw
 
 def mint_nftaa(ledger: Ledger, caller: Address, note: bytes) -> tuple[int, Address]:
     """Mint a proxy account; its token id and account address."""
-    receipt = ledger.must(MintNftaa(caller, ledger.state.factory, note))
+    receipt = ledger.must(MintNftaa(caller, note))
     created = next(e for e in receipt.events if e.kind is EventKind.NEW_NFTAA)
     return created.payload["token_id"], from_hex(created.payload["account"])
 
@@ -18,9 +18,7 @@ def mint_nftaa(ledger: Ledger, caller: Address, note: bytes) -> tuple[int, Addre
 def create_tba(ledger: Ledger, caller: Address, token_id: int, salt: bytes,
                has_execute: bool = True) -> Address:
     """Deploy a registry account for `token_id`; its address."""
-    state = ledger.state
-    receipt = ledger.must(CreateTba(caller, state.registry.address, state.collection.address,
-                                    token_id, salt, has_execute))
+    receipt = ledger.must(CreateTba(caller, token_id, salt, has_execute))
     created = next(e for e in receipt.events if e.kind is EventKind.TBA_CREATED)
     return from_hex(created.payload["account"])
 

@@ -142,21 +142,6 @@ def test_unknown_caller_fails_the_call_itself(ledger):
     assert ledger.state_digest() == digest
 
 
-@pytest.mark.parametrize("kind", ["MintNftaa", "CreateTba"])
-def test_a_wrong_factory_or_registry_is_an_unknown_account(ledger, kind):
-    # each names the other system contract: an account, but not the one the op needs
-    alice = ledger.create_eoa("alice")
-    token_id, _ = mint_nftaa(ledger, alice, b"n")
-    state = ledger.state
-    digest = ledger.state_digest()
-    op = MintNftaa(alice, state.registry.address, b"m") if kind == "MintNftaa" else \
-        CreateTba(alice, state.factory, state.collection.address, token_id,
-                  salt_from_int(0))
-    receipt = ledger.apply_transaction(op)
-    assert receipt.error.code is ErrorCode.UNKNOWN_ACCOUNT
-    assert ledger.state_digest() == digest
-
-
 def test_rolled_back_events_never_reach_the_log(ledger):
     alice = ledger.create_eoa("alice")
     ledger.faucet(alice, 10)
@@ -179,18 +164,16 @@ def test_contract_caller_rejected(ledger, kind):
     alice = ledger.create_eoa("alice")
     token_id, nftaa = mint_nftaa(ledger, alice, b"n")
     tba = create_tba(ledger, alice, token_id, salt_from_int(0))
-    collection = ledger.state.collection.address
     # each operation issued by the proxy account, with arguments an owner could use
     op = {
         "TransferValue": TransferValue(nftaa, tba, 0),
-        "MintToken": MintToken(nftaa, collection, nftaa, b"n"),
-        "TransferToken": TransferToken(nftaa, collection, token_id, tba),
-        "MintNftaa": MintNftaa(nftaa, ledger.state.factory, b"n"),
+        "MintToken": MintToken(nftaa, nftaa, b"n"),
+        "TransferToken": TransferToken(nftaa, token_id, tba),
+        "MintNftaa": MintNftaa(nftaa, b"n"),
         "ProxyExecute": ProxyExecute(nftaa, nftaa, ProxyPayload("noop")),
         "WithdrawAssets": WithdrawAssets(nftaa, nftaa, tba, 0),
         "UpgradeAccount": UpgradeAccount(nftaa, nftaa, 1),
-        "CreateTba": CreateTba(nftaa, ledger.state.registry.address, collection,
-                               token_id, salt_from_int(1)),
+        "CreateTba": CreateTba(nftaa, token_id, salt_from_int(1)),
         "TbaExecute": TbaExecute(nftaa, tba, ProxyPayload("noop")),
     }[kind]
     digest = ledger.state_digest()
@@ -303,8 +286,7 @@ def test_each_operation_class_has_one_table_entry(ledger):
     alice = ledger.create_eoa("alice")
     digest = ledger.state_digest()
     with pytest.raises(TypeError):  # a defect, not a protocol failure: it is raised
-        ledger.apply_transaction(MintToken(alice, ledger.state.collection.address, alice, b"x"),
-                                 object())
+        ledger.apply_transaction(MintToken(alice, alice, b"x"), object())
     assert ledger.state_digest() == digest
 
 
@@ -313,10 +295,9 @@ def test_rolled_back_grouped_mint_restores_the_id_counters(ledger):
         return ledger.state.collection.next_id, ledger.compute_nftaa_address()
 
     alice = ledger.create_eoa("alice")
-    factory = ledger.state.factory
-    ledger.must(MintNftaa(alice, factory, b"kept"))
+    ledger.must(MintNftaa(alice, b"kept"))
     next_id, nonce = counters()
-    receipt = ledger.apply_transaction(MintNftaa(alice, factory, b"doomed"), Fail())
+    receipt = ledger.apply_transaction(MintNftaa(alice, b"doomed"), Fail())
     assert not receipt.committed
     assert counters() == (next_id, nonce)
     assert mint_nftaa(ledger, alice, b"next")[0] == next_id

@@ -36,7 +36,7 @@ def test_mint_binds_both_directions(world):
     assert token_id == 1
     assert ledger.state.collection.owner_of(token_id) == alice
     assert ledger.account_of(token_id) == account
-    assert ledger.bound_nft_of(account) == (ledger.state.collection.address, token_id)
+    assert ledger.bound_nft_of(account) == token_id
     created = [e for e in ledger.events if e.kind is EventKind.NEW_NFTAA]
     assert len(created) == 1
     assert created[0].payload["token_id"] == token_id
@@ -46,7 +46,7 @@ def test_mint_empty_note_leaves_no_residue(world):
     ledger, alice, _ = world
     digest = ledger.state_digest()
     events = len(ledger.events)
-    receipt = ledger.apply_transaction(MintNftaa(alice, ledger.state.factory, b""))
+    receipt = ledger.apply_transaction(MintNftaa(alice, b""))
     assert receipt.error.code is ErrorCode.EMPTY_NOTE
     assert ledger.state_digest() == digest
     assert len(ledger.events) == events
@@ -57,7 +57,7 @@ def test_mint_empty_note_leaves_no_residue(world):
 def test_mint_oversize_note_leaves_no_residue(world):
     ledger, alice, _ = world
     digest = ledger.state_digest()
-    receipt = ledger.apply_transaction(MintNftaa(alice, ledger.state.factory, b"x" * 257))
+    receipt = ledger.apply_transaction(MintNftaa(alice, b"x" * 257))
     assert receipt.error.code is ErrorCode.NOTE_TOO_LARGE
     assert ledger.state_digest() == digest
 
@@ -70,7 +70,7 @@ def test_mint_boundary_note_lengths(world):
 
 def test_account_of_plain_token_is_none(world):
     ledger, alice, _ = world
-    ledger.must(MintToken(alice, ledger.state.collection.address, alice, b"plain"))
+    ledger.must(MintToken(alice, alice, b"plain"))
     assert ledger.account_of(1) is None
 
 
@@ -100,7 +100,7 @@ def test_binding_bijection_over_many_accounts(world):
              if r.bound_account is not None}
     assert len(bound) == len(ledger.state.nftaas)
     for token_id, record in bound.items():
-        assert ledger.bound_nft_of(record.bound_account)[1] == token_id
+        assert ledger.bound_nft_of(record.bound_account) == token_id
 
 
 def test_proxy_noop_emits_response(world):
@@ -132,7 +132,6 @@ def test_authorization_follows_nft(world):
     re-checks owner_of at each step over all two-owner sequences."""
     ledger, alice, bob = world
     token_id, account = mint_nftaa(ledger, alice, b"n")
-    collection = ledger.state.collection.address
     for flips in range(5):
         owner = ledger.state.collection.owner_of(token_id)
         outsider = bob if owner == alice else alice
@@ -140,7 +139,7 @@ def test_authorization_follows_nft(world):
         assert ok.committed
         bad = ledger.apply_transaction(ProxyExecute(outsider, account, ProxyPayload("noop")))
         assert bad.error.code is ErrorCode.NOT_NFT_OWNER
-        ledger.must(TransferToken(owner, collection, token_id, outsider))
+        ledger.must(TransferToken(owner, token_id, outsider))
 
 
 def test_proxy_acts_as_the_account(world):
@@ -180,12 +179,11 @@ def test_fraud_guard_both_orders(world):
     ledger, alice, bob = world
     token_id, account = mint_nftaa(ledger, alice, b"n")
     ledger.must(TransferValue(alice, account, 10 * ETH))
-    collection = ledger.state.collection.address
     digest = ledger.state_digest()
     orderings = [
         [WithdrawAssets(alice, account, alice, ETH),
-         TransferToken(alice, collection, token_id, bob)],
-        [TransferToken(alice, collection, token_id, bob),
+         TransferToken(alice, token_id, bob)],
+        [TransferToken(alice, token_id, bob),
          WithdrawAssets(bob, account, bob, ETH)],
     ]
     for ops in orderings:
@@ -194,7 +192,7 @@ def test_fraud_guard_both_orders(world):
         assert ledger.state_digest() == digest
     # separated into two transactions the same intent is legitimate
     ledger.must(WithdrawAssets(alice, account, alice, ETH))
-    ledger.must(TransferToken(alice, collection, token_id, bob))
+    ledger.must(TransferToken(alice, token_id, bob))
     assert ledger.state.collection.owner_of(token_id) == bob
 
 
@@ -202,19 +200,17 @@ def test_fraud_guard_covers_proxy_drain(world):
     ledger, alice, bob = world
     token_id, account = mint_nftaa(ledger, alice, b"n")
     ledger.must(TransferValue(alice, account, 10 * ETH))
-    collection = ledger.state.collection.address
     receipt = ledger.apply_transaction(
                    ProxyExecute(alice, account, ProxyPayload("transfer_value", amount=ETH,
                                                              to=alice)),
-                   TransferToken(alice, collection, token_id, bob))
+                   TransferToken(alice, token_id, bob))
     assert receipt.error.code is ErrorCode.FRAUD_GUARD
 
 
 def test_self_custody_hazard_rejected(world):
     ledger, alice, _ = world
     token_id, account = mint_nftaa(ledger, alice, b"n")
-    receipt = ledger.apply_transaction(TransferToken(alice, ledger.state.collection.address,
-                                                     token_id, account))
+    receipt = ledger.apply_transaction(TransferToken(alice, token_id, account))
     assert receipt.error.code is ErrorCode.SELF_CUSTODY_HAZARD
     assert ledger.state.collection.owner_of(token_id) == alice
 
@@ -249,20 +245,19 @@ def test_upgrade_preserves_balance_and_stake(world):
     ledger.must(UpgradeAccount(alice, account, 2))
     assert ledger.balance_of(account) == 8 * ETH
     assert ledger.stake_balance_of(account) == 32 * ETH
-    assert ledger.bound_nft_of(account)[1] == 1
+    assert ledger.bound_nft_of(account) == 1
 
 
 def test_creation_atomicity_under_injected_failures(world):
     """With failures injected into creation transactions, the account count
     always equals the bound-token count."""
     ledger, alice, _ = world
-    factory = ledger.state.factory
     attempts = [
         (b"good", False), (b"", False), (b"ok", True), (b"x" * 300, False),
         (b"fine", False), (b"also fine", True),
     ]
     for note, inject in attempts:
-        ops = [MintNftaa(alice, factory, note)]
+        ops = [MintNftaa(alice, note)]
         if inject:
             ops.append(Fail())
         ledger.apply_transaction(*ops)

@@ -94,6 +94,7 @@ CASES = [
     'assert_event Transfer "a b" nokey\n',
     'assert_event "Kind # x" k=v bad\n',
     "actor a\nfaucet a 5\nexpect_error NoSuchCode\n",
+    "actor a\nfaucet a 5\nexpect_error UnknownCollection\n",  # a code no operation raises
     'actor a\nfaucet a 5\nexpect_tba\t"ok "\n',
     "set gravity 10\n",
     "queue_report 5 open\n",

@@ -12,8 +12,7 @@ from tests.fuzz_engine import run_sequence
 def test_any_legal_note_round_trips(note):
     ledger = Ledger()
     alice = ledger.create_eoa("alice")
-    receipt = ledger.must(MintToken(alice, ledger.state.collection.address,
-                                    alice, note))
+    receipt = ledger.must(MintToken(alice, alice, note))
     token_id = receipt.events[0].payload["token_id"]
     assert ledger.token_note(token_id) == note
 
@@ -22,7 +21,7 @@ def test_any_legal_note_round_trips(note):
 def test_creation_note_bounds(note):
     ledger = Ledger()
     alice = ledger.create_eoa("alice")
-    receipt = ledger.apply_transaction(MintNftaa(alice, ledger.state.factory, note))
+    receipt = ledger.apply_transaction(MintNftaa(alice, note))
     assert receipt.committed == (1 <= len(note) <= 256)
 
 

@@ -181,9 +181,9 @@ def test_staker_address_decoupled_from_owner(staked_world):
     bob = ledger.create_eoa("bob")
     _proxy(ledger, alice, account, "stake", amount=32 * ETH)
     assert ledger.staker_address_of(account) == account
-    token_id = ledger.bound_nft_of(account)[1]
+    token_id = ledger.bound_nft_of(account)
     from nftaa_sim import TransferToken
-    ledger.must(TransferToken(alice, ledger.state.collection.address, token_id, bob))
+    ledger.must(TransferToken(alice, token_id, bob))
     assert ledger.staker_address_of(account) == account  # stake follows the account
     assert ledger.stake_balance_of(account) == 32 * ETH
 

@@ -33,8 +33,7 @@ def world():
     ledger = Ledger()
     alice = ledger.create_eoa("alice")
     bob = ledger.create_eoa("bob")
-    receipt = ledger.must(MintToken(alice, ledger.state.collection.address,
-                                    alice, b"plain"))
+    receipt = ledger.must(MintToken(alice, alice, b"plain"))
     token_id = receipt.events[0].payload["token_id"]
     return ledger, alice, bob, token_id
 
@@ -84,9 +83,7 @@ def test_create_leaves_the_token_silent(world):
 def test_create_twice_same_salt(world):
     ledger, alice, _, token_id = world
     create_tba(ledger, alice, token_id, salt_from_int(0))
-    receipt = ledger.apply_transaction(CreateTba(alice, ledger.state.registry.address,
-                                                 ledger.state.collection.address,
-                                                 token_id, salt_from_int(0)))
+    receipt = ledger.apply_transaction(CreateTba(alice, token_id, salt_from_int(0)))
     assert receipt.error.code is ErrorCode.ALREADY_DEPLOYED
 
 
@@ -95,10 +92,7 @@ def test_rolled_back_create_leaves_no_record(world):
     ledger.compute_tba_address(token_id, salt_from_int(0))
     before = copy.deepcopy(ledger.state)
     for salt in (salt_from_int(0), salt_from_int(5)):  # a key probed before, and a new one
-        receipt = ledger.apply_transaction(CreateTba(alice, ledger.state.registry.address,
-                                                     ledger.state.collection.address,
-                                                     token_id, salt),
-                                           Fail())
+        receipt = ledger.apply_transaction(CreateTba(alice, token_id, salt), Fail())
         assert not receipt.committed
         assert ledger.state == before
     assert ledger.state.registry.records == {}
@@ -106,22 +100,8 @@ def test_rolled_back_create_leaves_no_record(world):
 
 def test_create_for_unminted_token(world):
     ledger, alice, _, _ = world
-    receipt = ledger.apply_transaction(CreateTba(alice, ledger.state.registry.address,
-                                                 ledger.state.collection.address,
-                                                 42, salt_from_int(0)))
+    receipt = ledger.apply_transaction(CreateTba(alice, 42, salt_from_int(0)))
     assert receipt.error.code is ErrorCode.UNKNOWN_TOKEN
-
-
-def test_create_for_another_collection_stores_nothing(world):
-    # a record names only its token id, so one for another collection must never be stored
-    ledger, alice, _, token_id = world
-    digest = ledger.state_digest()
-    receipt = ledger.apply_transaction(CreateTba(alice, ledger.state.registry.address,
-                                                 ledger.state.registry.address,
-                                                 token_id, salt_from_int(0)))
-    assert receipt.error.code is ErrorCode.UNKNOWN_COLLECTION
-    assert ledger.state.registry.records == {}
-    assert ledger.state_digest() == digest
 
 
 def test_execute_gated_by_token_owner(world):
@@ -143,7 +123,7 @@ def test_drain_and_sell_commits_here(world):
     receipt = ledger.apply_transaction(
                    TbaExecute(alice, tba, ProxyPayload("transfer_value", amount=10 * ETH,
                                                        to=alice)),
-                   TransferToken(alice, ledger.state.collection.address, token_id, bob))
+                   TransferToken(alice, token_id, bob))
     assert receipt.committed
     assert ledger.state.collection.owner_of(token_id) == bob
     assert ledger.balance_of(tba) == 0  # buyer got an empty account
@@ -153,9 +133,9 @@ def test_self_send_locks_and_is_detected(world):
     ledger, alice, _, token_id = world
     tba = create_tba(ledger, alice, token_id, salt_from_int(0))
     assert detect_locked_nfts(ledger.state) == []
-    ledger.must(TransferToken(alice, ledger.state.collection.address, token_id, tba))
+    ledger.must(TransferToken(alice, token_id, tba))
     locked = detect_locked_nfts(ledger.state)
-    assert locked == [(ledger.state.collection.address, token_id)]
+    assert locked == [token_id]
     # exhaustive: no existing account can pass the owner gate anymore
     for caller in list(ledger.state.accounts):
         receipt = ledger.apply_transaction(TbaExecute(caller, tba, ProxyPayload("noop")))
@@ -164,12 +144,10 @@ def test_self_send_locks_and_is_detected(world):
 
 def test_transfer_to_another_tokens_tba_is_not_a_self_lock(world):
     ledger, alice, _, token_id = world
-    receipt = ledger.must(MintToken(alice, ledger.state.collection.address,
-                                    alice, b"other"))
+    receipt = ledger.must(MintToken(alice, alice, b"other"))
     other_token = receipt.events[0].payload["token_id"]
     other_tba = create_tba(ledger, alice, other_token, salt_from_int(0))
-    ledger.must(TransferToken(alice, ledger.state.collection.address,
-                              token_id, other_tba))
+    ledger.must(TransferToken(alice, token_id, other_tba))
     assert detect_locked_nfts(ledger.state) == []
     # the ownership chain still roots at a live owner: alice owns other_token,
     # which gates other_tba, which owns token_id
@@ -186,8 +164,7 @@ def test_computing_an_address_writes_nothing(world):
     assert ledger.state == before
     assert ledger.state_digest() == digest
     receipt = ledger.apply_transaction(
-        TransferToken(alice, ledger.state.collection.address, token_id,
-                      ledger.compute_tba_address(token_id, salt_from_int(9))))
+        TransferToken(alice, token_id, ledger.compute_tba_address(token_id, salt_from_int(9))))
     assert receipt.error.code is ErrorCode.UNKNOWN_ACCOUNT
     assert detect_locked_nfts(ledger.state) == []
 
@@ -200,7 +177,7 @@ def _locked_by_token_scan(state):
     for token_id in sorted(collection.tokens):
         owner = state.registry.records.get(collection.tokens[token_id].owner)
         if owner is not None and owner.token_id == token_id:
-            locked.append((collection.address, token_id))
+            locked.append(token_id)
     return locked
 
 
@@ -222,14 +199,13 @@ def test_lock_diagnostic_walks_the_registry_like_the_token_scan(world):
     in the other order, and every lane of generated `fraud_diff` scripts,
     whose self-sends lock several tokens at once."""
     ledger, alice, _, first = world
-    collection = ledger.state.collection.address
-    second = ledger.must(MintToken(alice, collection, alice, b"two")).events[0].payload["token_id"]
+    second = ledger.must(MintToken(alice, alice, b"two")).events[0].payload["token_id"]
     accounts = {token_id: create_tba(ledger, alice, token_id, salt_from_int(0))
                 for token_id in (second, first)}
     for token_id, account in accounts.items():
-        ledger.must(TransferToken(alice, collection, token_id, account))
+        ledger.must(TransferToken(alice, token_id, account))
     assert detect_locked_nfts(ledger.state) == _locked_by_token_scan(ledger.state) \
-        == [(collection, first), (collection, second)]
+        == [first, second]
     most_locked = 0
     for seed in (11, 12):
         script = parse_scenario(load("gen").fraud_diff(seed).text)
@@ -266,8 +242,7 @@ def _stranded_by_sorted_walk(state):
 
 def test_stranded_accounts_come_in_key_order_whatever_the_deployment_order(world):
     ledger, alice, _, first = world
-    collection = ledger.state.collection.address
-    second = ledger.must(MintToken(alice, collection, alice, b"two")).events[0].payload["token_id"]
+    second = ledger.must(MintToken(alice, alice, b"two")).events[0].payload["token_id"]
     # deployed against (collection, token_id, salt) order, with one funded account that
     # has an execute function and one unfunded account that has none in between
     keys = [(second, 0, False), (first, 7, False), (first, 9, True), (first, 3, False),
@@ -283,9 +258,7 @@ def test_stranded_accounts_come_in_key_order_whatever_the_deployment_order(world
 
 def test_tba_event_shape(world):
     ledger, alice, _, token_id = world
-    receipt = ledger.must(CreateTba(alice, ledger.state.registry.address,
-                                    ledger.state.collection.address,
-                                    token_id, salt_from_int(5)))
+    receipt = ledger.must(CreateTba(alice, token_id, salt_from_int(5)))
     event = receipt.events[0]
     assert event.kind is EventKind.TBA_CREATED
     assert event.payload["token_id"] == token_id

@@ -25,7 +25,7 @@ def world():
 
 
 def _mint(ledger, caller, to, note=b"n"):
-    receipt = ledger.must(MintToken(caller, ledger.state.collection.address, to, note))
+    receipt = ledger.must(MintToken(caller, to, note))
     event = receipt.events[0]
     assert event.kind is EventKind.TRANSFER
     assert event.payload["from"] == ZERO_ADDRESS.hex()
@@ -55,15 +55,14 @@ def test_owner_of_unminted(world):
 def test_transfer_changes_owner(world):
     ledger, alice, bob = world
     token = _mint(ledger, alice, alice)
-    ledger.must(TransferToken(alice, ledger.state.collection.address, token, bob))
+    ledger.must(TransferToken(alice, token, bob))
     assert ledger.state.collection.owner_of(token) == bob
 
 
 def test_transfer_to_self_emits_event(world):
     ledger, alice, _ = world
     token = _mint(ledger, alice, alice)
-    receipt = ledger.must(TransferToken(alice, ledger.state.collection.address,
-                                        token, alice))
+    receipt = ledger.must(TransferToken(alice, token, alice))
     assert ledger.state.collection.owner_of(token) == alice
     assert len(receipt.events) == 1
 
@@ -72,8 +71,7 @@ def test_non_owner_transfer_rejected(world):
     ledger, alice, bob = world
     token = _mint(ledger, alice, alice)
     digest = ledger.state_digest()
-    receipt = ledger.apply_transaction(TransferToken(bob, ledger.state.collection.address,
-                                                     token, bob))
+    receipt = ledger.apply_transaction(TransferToken(bob, token, bob))
     assert receipt.error.code is ErrorCode.NOT_OWNER
     assert ledger.state_digest() == digest
 
@@ -82,9 +80,8 @@ def test_transfer_chain(world):
     ledger, alice, bob = world
     carol = ledger.create_eoa("carol")
     token = _mint(ledger, alice, alice)
-    collection = ledger.state.collection.address
-    ledger.must(TransferToken(alice, collection, token, bob))
-    ledger.must(TransferToken(bob, collection, token, carol))
+    ledger.must(TransferToken(alice, token, bob))
+    ledger.must(TransferToken(bob, token, carol))
     assert ledger.state.collection.owner_of(token) == carol
 
 
@@ -118,11 +115,10 @@ def test_bound_account_survives_every_transfer_order(world):
     carol = ledger.create_eoa("carol")
     actors = [alice, bob, carol]
     token, target = mint_nftaa(ledger, alice, b"n")
-    collection = ledger.state.collection.address
     for recipients in itertools.product(actors, repeat=3):
         for to in recipients:
             owner = ledger.state.collection.owner_of(token)
-            ledger.must(TransferToken(owner, collection, token, to))
+            ledger.must(TransferToken(owner, token, to))
             assert ledger.account_of(token) == target
 
 
@@ -132,21 +128,14 @@ def test_plain_mint_cannot_bind_an_account(world):
     ledger, alice, _ = world
     account = mint_nftaa(ledger, alice, b"n")[1]
     with pytest.raises(TypeError):
-        MintToken(alice, ledger.state.collection.address, alice, b"f", bound_account=account)
+        MintToken(alice, alice, b"f", bound_account=account)
 
 
 def test_mint_to_unknown_account(world):
     ledger, alice, _ = world
     from nftaa_sim import eoa_address
-    receipt = ledger.apply_transaction(MintToken(alice, ledger.state.collection.address,
-                                                 eoa_address("ghost"), b"n"))
+    receipt = ledger.apply_transaction(MintToken(alice, eoa_address("ghost"), b"n"))
     assert receipt.error.code is ErrorCode.UNKNOWN_ACCOUNT
-
-
-def test_unknown_collection(world):
-    ledger, alice, _ = world
-    receipt = ledger.apply_transaction(MintToken(alice, ZERO_ADDRESS, alice, b"n"))
-    assert receipt.error.code is ErrorCode.UNKNOWN_COLLECTION
 
 
 def test_only_owner_called_transfers_commit(world):
@@ -154,14 +143,13 @@ def test_only_owner_called_transfers_commit(world):
     ledger, alice, bob = world
     carol = ledger.create_eoa("carol")
     actors = [alice, bob, carol]
-    collection = ledger.state.collection.address
     tokens = [_mint(ledger, alice, random.Random(1).choice(actors)) for _ in range(3)]
     rng = random.Random(99)
     for _ in range(200):
         caller, to = rng.choice(actors), rng.choice(actors)
         token = rng.choice(tokens)
         owner_before = ledger.state.collection.owner_of(token)
-        receipt = ledger.apply_transaction(TransferToken(caller, collection, token, to))
+        receipt = ledger.apply_transaction(TransferToken(caller, token, to))
         if receipt.committed:
             assert caller == owner_before
             assert ledger.state.collection.owner_of(token) == to
