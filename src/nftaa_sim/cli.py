@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .runner import run_differential, run_scenario
 from .scenario import ScenarioParseError, parse_scenario
-from .staking import QueueConfig, check_drain_size, estimate_drain_time, simulate_drain
+from .staking import WORD, QueueConfig, check_drain_size, estimate_drain_time, simulate_drain
 
 
 @functools.cache  # one parser per process: each build costs time and leaves cycles
@@ -126,8 +126,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"argument --events: two files would write {stem}.events")  # exits 2
     if args.command != "queue":
         return _replay(args)
-    if args.pending < 0:
-        parser.error(f"argument --pending: must be >= 0, got {args.pending}")  # exits 2
+    if not 0 <= args.pending < WORD:  # the bound of a script queue_report count; exits 2
+        parser.error(f"argument --pending: must be >= 0 and below 2**256, got {args.pending}")
     try:
         config = QueueConfig(missed_slot_probability=args.missed_prob, rng_seed=args.seed)
     except ValueError as bad:

@@ -50,7 +50,7 @@ from .ops import (
 )
 from .records import Record
 from .scenario import (PROBE_FORMS, PROXY_FORMS, STEP_KINDS, ScenarioScript, Step, build_plan,
-                       parse_amount, queue_config)
+                       queue_config)
 from .staking import estimate_drain_time, simulate_drain
 from .tba import diagnostic_lines
 
@@ -93,21 +93,16 @@ class StepOutcome(Record):
             text += f" {self.detail}"
         return text
 
-    def signature(self) -> str:
-        """Lane-comparable receipt: status, error code, and transaction shape.
+    def receipt(self) -> tuple:
+        """What the lanes compare: status, error code, transaction count, and a probe's
+        readback (the behavior under comparison); no other detail text, since addresses
+        legitimately differ between account styles."""
+        return self.status, self.code, self.tx_count, self.detail if self.kind == "probe" else ""
 
-        Probe observations are part of the signature (the readback is the
-        behavior under comparison); other detail text is not, since addresses
-        legitimately differ between account styles.
-        """
-        parts = [self.status]
-        if self.code:
-            parts.append(self.code)
-        if self.tx_count:
-            parts.append(f"txs={self.tx_count}")
-        if self.kind == "probe" and self.detail:
-            parts.append(self.detail)
-        return ":".join(parts)
+    def signature(self) -> str:
+        """The receipt as a diff shows it: its fields that are set, joined by `:`."""
+        status, code, txs, readback = self.receipt()
+        return ":".join(filter(None, (status, code, txs and f"txs={txs}", readback)))
 
 
 class Verdict(Record):
@@ -242,18 +237,18 @@ class ScenarioRunner:
         return f"address={to_hex(address)}"
 
     def _faucet(self, args, outcome) -> None:
-        self.ledger.faucet(self.address_of(args[0]), parse_amount(args[1]))
+        self.ledger.faucet(self.address_of(args[0]), args[1])
 
     def _advance(self, args, outcome) -> str:
-        return f"height={self.ledger.advance_blocks(int(args[0]))}"
+        return f"height={self.ledger.advance_blocks(args[0])}"
 
     def _expectation(self, args, outcome) -> None:
         outcome.status = SKIPPED  # consumed by _check_expectation
 
     def _queue_report(self, args, outcome) -> str:
         if args[1] == "closed":
-            return estimate_drain_time(int(args[0]), self.config).summary_line()
-        return simulate_drain(int(args[0]), self.config, trace=False).summary_line()
+            return estimate_drain_time(args[0], self.config).summary_line()
+        return simulate_drain(args[0], self.config, trace=False).summary_line()
 
     # ------------------------------------------------------------------
     # Transactions: one translation, atomic or sequential submission
@@ -369,7 +364,7 @@ class ScenarioRunner:
             fields: dict[str, object] = {}
             for role, value in zip(PROXY_FORMS[method].roles, rest):
                 if role == "amount":
-                    fields["amount"] = parse_amount(value)
+                    fields["amount"] = value
                 else:
                     fields["to"] = self.address_of(value)
             # the style the step that bound `account` gave it, not the ledger's
@@ -380,10 +375,10 @@ class ScenarioRunner:
             else:
                 op = ProxyExecute(caller, target, ProxyPayload(method, **fields))
         elif kind == "upgrade":
-            op = UpgradeAccount(self.address_of(args[0]), self.address_of(args[1]), int(args[2]))
+            op = UpgradeAccount(self.address_of(args[0]), self.address_of(args[1]), args[2])
         elif kind == "createtba":
             actor, token_id = self.address_of(args[0]), self.token_of(args[1])
-            salt = salt_from_int(int(args[2]))
+            salt = salt_from_int(args[2])
             self.labels[args[3]] = (self.ledger.compute_tba_address(token_id, salt), token_id,
                                     True)
             pending.append(args[3])
@@ -400,7 +395,7 @@ class ScenarioRunner:
         return f"binding={_shown(self.ledger.account_of(self.token_of(args[0])))}"
 
     def _probe_tba_address(self, args, outcome) -> str:
-        token_id, salt = self.token_of(args[0]), salt_from_int(int(args[1]))
+        token_id, salt = self.token_of(args[0]), salt_from_int(args[1])
         return f"tba_address={to_hex(self.ledger.compute_tba_address(token_id, salt))}"
 
     def _probe_locked(self, args, outcome) -> str:
@@ -438,7 +433,7 @@ class ScenarioRunner:
 
     def _assert_bound(self, args, outcome) -> tuple[bool, str]:
         actual = self.ledger.bound_nft_of(self.address_of(args[0]))
-        return actual == int(args[1]), f"bound token of {args[0]} is {actual}"
+        return actual == args[1], f"bound token of {args[0]} is {actual}"
 
     def _assert_account(self, args, outcome) -> tuple[bool, str]:
         actual = self.ledger.account_of(self.token_of(args[0]))
@@ -446,11 +441,11 @@ class ScenarioRunner:
 
     def _assert_balance(self, args, outcome) -> tuple[bool, str]:
         actual = self.ledger.balance_of(self.address_of(args[0]))
-        return actual == parse_amount(args[1]), f"balance of {args[0]} is {actual}"
+        return actual == args[1], f"balance of {args[0]} is {actual}"
 
     def _assert_stake(self, args, outcome) -> tuple[bool, str]:
         actual = self.ledger.stake_balance_of(self.address_of(args[0]))
-        return actual == parse_amount(args[1]), f"stake of {args[0]} is {actual}"
+        return actual == args[1], f"stake of {args[0]} is {actual}"
 
     def _assert_staker(self, args, outcome) -> tuple[bool, str]:
         actual = self.ledger.staker_address_of(self.address_of(args[0]))
@@ -583,10 +578,7 @@ def run_differential(script: ScenarioScript, name: str = "scenario",
     lane_b = ScenarioRunner(script, name, "tba", seed).run(plan)
     entries = []
     for outcome_a, outcome_b in zip(lane_a.outcomes, lane_b.outcomes):
-        # the fields signature() joins, compared one by one: only a difference is rendered
-        if (outcome_a.status != outcome_b.status or outcome_a.code != outcome_b.code
-                or outcome_a.tx_count != outcome_b.tx_count
-                or outcome_a.kind == "probe" and outcome_a.detail != outcome_b.detail):
+        if outcome_a.receipt() != outcome_b.receipt():  # only a difference is rendered
             entries.append(DiffEntry(outcome_a.index, outcome_a.line, outcome_a.kind,
                                      outcome_a.signature(), outcome_b.signature(),
                                      classify_difference(outcome_a, outcome_b)))

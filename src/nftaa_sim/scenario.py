@@ -8,7 +8,9 @@ both rules, and `build_plan` reads a script's structure, by one function each.
 
 STEP_KINDS is the vocabulary: a row gives one or more step kinds their group
 and the roles of their arguments, each decoded once into the check that the
-matcher calls per argument. Roles: `@type` references a label of that type
+matcher calls per argument. A check returns the argument it accepted, and
+`Step.args` holds those values: an `int` for an `amount` or `int` role, the
+text for any other. Roles: `@type` references a label of that type
 declared earlier (`@a|b` one of either; type `none` also takes that bare word),
 `+type` declares one, `amount`, `int`, a quoted `note`, `hex64`, `key=value`
 (an `@label` value must be a declared actor or account), `code` (an ErrorCode
@@ -21,17 +23,14 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .addresses import SALT_LEN
 from .errors import ErrorCode
 from .records import Record
-from .staking import ETH, QueueConfig, check_drain_size
+from .staking import ETH, WORD, QueueConfig, check_drain_size
 
 _SCAN = re.compile(r'"([^"]*)"|(#.*)|(\S+)')  # quoted value, comment to line end, word
 _AMOUNT = re.compile(r"^(\d+)(eth)?$")
 _LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 _CODES = frozenset(code.value for code in ErrorCode) | {"ok", "partial"}
-_WORD = 1 << 8 * SALT_LEN  # int and amount values fit one 256-bit word, as a salt does
-_SHORT = len(str(_WORD)) - 1  # a number of at most this many digits is below _WORD
 
 
 def parse_amount(token: str) -> int:
@@ -56,24 +55,27 @@ def queue_config(pairs, seed: int | None = None) -> QueueConfig:
     return QueueConfig(**kwargs)
 
 
-def _converts(convert, value: str) -> bool:
-    """Whether the runner's converter for a role accepts `value` and gives a word."""
-    try:
-        return convert(value) < _WORD
-    except ValueError:
-        return False
+def _number(message: str, eth: bool = False):
+    """The check of a number role: its decimal digits, or with `eth` also `<n>eth`, as an
+    int below 2**256."""
+    def check(parser, value, position):
+        try:
+            number = int(value) if value.isdecimal() else parse_amount(value) if eth else WORD
+        except ValueError:  # not an amount, or more digits than int() converts
+            number = WORD
+        return number if number < WORD else parser.fail(position, message.format(value))
+    return check
 
 
 def _use(types: tuple[str, ...]):
     """The check of a label reference: declared earlier, as one of `types`."""
     def check(parser, value, position):
-        if value == "none" and "none" in types:
-            return
-        declared = parser.labels.get(value)
+        declared = "none" if value == "none" and "none" in types else parser.labels.get(value)
         if declared is None:
             parser.fail(position, f"label {value!r} not declared", "UnknownLabel")
         if declared not in types:
             parser.fail(position, f"label {value!r} is {declared}, expected {' or '.join(types)}")
+        return value
     return check
 
 
@@ -87,6 +89,7 @@ def _declare(types: tuple[str, ...]):
         if value == "none":  # an `@account|none` slot reads this word as no address
             parser.fail(position, "label 'none' is reserved")
         parser.labels[value] = types[0]
+        return value
     return check
 
 
@@ -95,24 +98,23 @@ def _key_value(parser, value: str, position: int):
     equals or parser.fail(position, "expected key=value")
     if target.startswith("@"):
         _use(("actor", "account"))(parser, target[1:], position)
+    return value
 
 
-# role -> check(parser, value, position): returns if `value`, at `position` of
-# its line, fills the role, and raises through parser.fail if it does not
+# role -> check(parser, value, position): the argument `value`, at `position` of its line,
+# gives the role (an int for `amount` and `int`, else `value`), or parser.fail raises
 _CHECKS = {
-    "amount": lambda p, v, i: len(v) <= _SHORT and v.isdecimal() or _converts(parse_amount, v)
-    or p.fail(i, f"bad amount {v!r} (at most 2**256 - 1)"),
-    "int": lambda p, v, i: v.isdigit() and _converts(int, v)
-    or p.fail(i, f"expected integer below 2**256, got {v!r}"),
-    "note": lambda p, v, i: i in p.quoted or p.fail(i, "note must be quoted"),
-    "hex64": lambda p, v, i: re.fullmatch("[0-9a-f]{64}", v)
-    or p.fail(i, "expected 64 lowercase hex"),
+    "amount": _number("bad amount {!r} (at most 2**256 - 1)", eth=True),
+    "int": _number("expected integer below 2**256, got {!r}"),
+    "note": lambda p, v, i: v if i in p.quoted else p.fail(i, "note must be quoted"),
+    "hex64": lambda p, v, i: v if re.fullmatch("[0-9a-f]{64}", v)
+    else p.fail(i, "expected 64 lowercase hex"),
     "key=value": _key_value,
-    "code": lambda p, v, i: v in _CODES or p.fail(i, f"unknown error code {v!r}"),
-    "word": lambda p, v, i: None,
+    "code": lambda p, v, i: v if v in _CODES else p.fail(i, f"unknown error code {v!r}"),
+    "word": lambda p, v, i: v,
 }
-_BUILT = {"@": _use, "+": _declare, "literal": lambda words: lambda p, v, i: v in words
-          or p.fail(i, f"expected {' or '.join(words)}, got {v!r}")}  # role -> words -> check
+_BUILT = {"@": _use, "+": _declare, "literal": lambda words: lambda p, v, i: v if v in words
+          else p.fail(i, f"expected {' or '.join(words)}, got {v!r}")}  # role -> words -> check
 
 
 class _Form(NamedTuple):
@@ -195,10 +197,11 @@ class ScenarioParseError(Exception):
 
 
 class Step(Record):
-    """A step kind and its arguments; `line`, where the step was written, is not compared."""
+    """A step kind and its arguments as its checks gave them, an int for each `amount` or `int`
+    role and text for the rest; `line`, where the step was written, is not compared."""
 
     __slots__ = __match_args__ = ("kind", "args", "line")
-    def __init__(self, kind: str, args: tuple[str, ...], line: int = 0):
+    def __init__(self, kind: str, args: tuple[str | int, ...], line: int = 0):
         self.kind, self.args, self.line = kind, args, line
 
     def __eq__(self, other):
@@ -281,7 +284,7 @@ class _Parser:
                 self.fail(0, "commit closes an empty group")
             if kind in _OTHER_LANE and _qualified(self.steps, len(self.steps), kind) < 0:
                 self.fail(0, f"{kind} must immediately follow an executable step")
-            self.match(values, 1, form)
+            args = self.match(values, 1, form)
             if kind == "set":
                 try:
                     queue_config([values[1:]])
@@ -291,17 +294,18 @@ class _Parser:
                 continue
             if kind == "queue_report" and values[2] == "simulate":
                 try:  # every `set` line has been seen: they lead the file
-                    check_drain_size(int(values[1]), queue_config(self.config))
+                    check_drain_size(args[0], queue_config(self.config))
                 except ValueError as bad:
                     self.fail(1, f"queue_report simulate: {bad}")
             self.opened = _group_after(kind, self.opened, self.line_no)
-            self.steps.append(Step(kind, tuple(values[1:]), self.line_no))
+            self.steps.append(Step(kind, tuple(args), self.line_no))
         if self.opened is not None:
             raise ScenarioParseError(self.opened, 1, "begin without matching commit")
         return ScenarioScript(tuple(self.config), tuple(self.steps))
 
-    def match(self, values: list[str], start: int, form: _Form):
-        """Check values[start:] against the roles of `form`, which values[start - 1] names."""
+    def match(self, values: list, start: int, form: _Form) -> list:
+        """The arguments values[start:] give the roles of `form`, which values[start - 1]
+        names: each value is replaced, in place, by what its check returns."""
         _, roles, checks, low, high, table = form
         given = len(values) - start
         if not low <= given <= (given if high is None else high):
@@ -312,13 +316,14 @@ class _Parser:
         elif given > len(checks) and table is None:  # a last `*` role repeats
             checks += checks[-1:] * (given - len(checks))
         for position, check in enumerate(checks, start):
-            check(self, values[position], position)
+            values[position] = check(self, values[position], position)
         if table is not None:
             position = start + len(checks) - 1
             sub = values[position]
             if sub not in table:
                 self.fail(position, f"unknown {values[start - 1]} {roles[-1]} {sub!r}")
             self.match(values, position + 1, table[sub])
+        return values[start:]
 
 
 def parse_scenario(text: str) -> ScenarioScript:
@@ -335,6 +340,6 @@ def serialize_scenario(script: ScenarioScript) -> str:
     for step in script.steps:
         roles = STEP_KINDS[step.kind].roles
         lines.append(" ".join([step.kind] + [
-            _quote(arg, position < len(roles) and roles[position] == "note")
+            _quote(str(arg), position < len(roles) and roles[position] == "note")
             for position, arg in enumerate(step.args)]))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -30,6 +30,7 @@ MIN_STAKE = 32 * ETH  # validator entry threshold
 PER_BLOCK_CAP = 16
 BLOCKS_PER_DAY = 7_200  # 115,200 withdrawals/day at 16 per block
 MAX_DRAIN_BLOCKS = 10**7  # longest simulated drain: about 1,389 days at 7,200 blocks a day
+WORD = 1 << 256  # every script integer, and every integer of a QueueConfig, is below one word
 _TRACE_ROW = "%%03d processed=%d remaining=%%%%d\n"  # formatted by `_trace_rows`
 
 
@@ -48,6 +49,8 @@ class QueueConfig(Record):
             raise ValueError("missed_slot_probability must be in [0, 1)")
         if unlock_delay < 0:
             raise ValueError("unlock_delay must be >= 0")
+        if max(per_block_cap, blocks_per_day, unlock_delay, min_stake) >= WORD:
+            raise ValueError("integers must be below 2**256")
         self.per_block_cap, self.blocks_per_day = per_block_cap, blocks_per_day
         # abs: -0.0 passes the range check, and would print as -0.000
         self.missed_slot_probability, self.unlock_delay = abs(missed_slot_probability), unlock_delay
@@ -104,10 +107,11 @@ class DrainEstimate(Record):
 def estimate_drain_time(pending_count: int, config: QueueConfig) -> DrainEstimate:
     """Expected drain time: ceil(pending / cap) busy blocks, stretched by 1/(1-p).
 
-    This is the mean of the simulated distribution; at p=0 it is exact.
+    This is the mean of the simulated distribution; at p=0 it is exact, in integers.
     """
     busy_blocks = -(-pending_count // config.per_block_cap)  # ceil division
-    expected = busy_blocks / (1.0 - config.missed_slot_probability)
+    missed = config.missed_slot_probability
+    expected = busy_blocks / (1.0 - missed) if missed else busy_blocks
     return DrainEstimate(math.ceil(expected), expected / config.blocks_per_day)
 
 

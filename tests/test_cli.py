@@ -308,7 +308,9 @@ def test_queue_closed_form(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--pending", "10", "--missed-prob", "1.0"], "missed_slot_probability must be in [0, 1)"),
     (["--pending", "-5"], "argument --pending: must be >= 0"),
-], ids=["missed-prob 1.0", "pending -5"])
+    (["--pending", "1" + "0" * 400], "argument --pending: must be >= 0 and below 2**256"),
+    (["--pending", "1" + "0" * 400, "--simulate"], "must be >= 0 and below 2**256"),
+], ids=["missed-prob 1.0", "pending -5", "pending 10**400", "simulate pending 10**400"])
 def test_queue_exit_two_on_bad_missed_prob(argv, message, capsys):
     with pytest.raises(SystemExit) as caught:
         main(["queue", *argv])

@@ -32,10 +32,10 @@ def _split_advances(script, rng):
         if step.kind != "advance":
             steps.append(step)
             continue
-        total = int(step.args[0])
+        total = step.args[0]
         cuts = sorted(rng.randint(0, total if rng.random() < 0.5 else min(total, 4))
                       for _ in range(rng.randint(0, 3)))
-        steps += [Step("advance", (str(end - start),), step.line)
+        steps += [Step("advance", (end - start,), step.line)
                   for start, end in zip([0] + cuts, cuts + [total])]
     return script._replace(steps=tuple(steps))
 

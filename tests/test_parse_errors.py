@@ -109,6 +109,9 @@ CASES = [
     "set missed_prob 1.0\n",
     "set per_block_cap 0\n",
     "set blocks_per_day 0\n",
+    "set blocks_per_day 1" + "0" * 400 + "\nqueue_report 5 closed\n",
+    "set unlock_delay " + str(2**256) + "\n",
+    "set\tmin_stake 1" + "0" * 60 + "eth\n",
     'set\tmin_stake\t"1 eth"\n',
     'set seed "#3"\n',
     "queue_report 1000000000000 simulate\n",

@@ -13,6 +13,8 @@ from nftaa_sim import (
     serialize_scenario,
 )
 from nftaa_sim.scenario import STEP_KINDS, Step, _scan
+from tests import corpus
+from tests.perfbench_modules import load
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -309,6 +311,37 @@ def test_an_error_is_reported_at_the_reference_column(line):
         assert (caught.value.line, caught.value.column) == (1, bad[0] if bad else 1)
     else:
         parse_scenario(text)
+
+
+def _numbers(step: Step) -> list[tuple[bool, object]]:
+    """(inside a sub-table, value) of each argument of `step` that fills an `amount` or
+    `int` role, read off the roles of its kind and of any `method` or `form` it names."""
+    form, args, inside, found = STEP_KINDS[step.kind], step.args, False, []
+    while True:
+        found += [(inside, arg) for role, arg in zip(form.roles, args) if role in ("amount", "int")]
+        if form.table is None:
+            return found
+        last = len(form.roles) - 1
+        form, args, inside = form.table[args[last]], args[last + 1:], True
+
+
+def _decoded_scripts():
+    gen = load("gen")
+    yield from (path.read_text() for path in corpus.SCRIPTS)
+    for seed in (0, 1, 7, 90210):
+        yield gen.fraud_diff(seed, actors=6, nftaas=6, tokens=6, transactions=80).text
+        yield gen.spot(seed).text
+        yield gen.nftaa_world(seed, actors=10, ops=30).text
+        yield gen.queue_drain(seed, stakers=8).text
+
+
+def test_every_number_argument_is_decoded_once_into_a_word():
+    numbers = [number for text in _decoded_scripts()
+               for step in parse_scenario(text).steps for number in _numbers(step)]
+    assert [value for _, value in numbers
+            if type(value) is not int or not 0 <= value < 2**256] == []
+    assert any(inside for inside, _ in numbers)  # a `proxy ... stake` or `probe tba_address`
+    assert len(numbers) > 500
 
 
 def test_steps_compare_ignoring_line_numbers():

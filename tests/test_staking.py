@@ -263,6 +263,20 @@ def test_estimate_examples():
     assert f"{estimate.days:.3f}" == "1.000"
 
 
+def test_estimate_at_p0_is_exact_past_float_precision():
+    estimate = estimate_drain_time(10**76, QueueConfig())
+    assert estimate.blocks == 625 * 10**72
+    assert estimate.summary_line() == f"drained_in_blocks={625 * 10**72} days={625e72 / 7200:.3f}"
+
+
+@pytest.mark.parametrize("field", ["per_block_cap", "blocks_per_day", "unlock_delay",
+                                   "min_stake"])
+def test_config_integers_stay_below_2_256(field):
+    assert getattr(QueueConfig(**{field: 2**256 - 1}), field) == 2**256 - 1
+    with pytest.raises(ValueError, match=r"below 2\*\*256"):
+        QueueConfig(**{field: 2**256})
+
+
 def test_estimate_stretches_by_miss_probability():
     exact = estimate_drain_time(16_000, QueueConfig())
     stretched = estimate_drain_time(16_000, QueueConfig(missed_slot_probability=0.1))

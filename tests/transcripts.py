@@ -1,4 +1,4 @@
-"""Digests of `run` and `diff` output over many scripts, for comparing two versions of the program.
+"""Digests of `run`, `diff` and `queue` output, for comparing two versions of the program.
 
     PYTHONPATH=src python -m tests.transcripts > out.txt
 
@@ -7,15 +7,19 @@ exit code and the sha256 of its stdout (for `run --events`, of the stdout
 followed by the events file). The scripts are the bundled corpus, the scripts
 kept next to the golden transcripts, and the benchmark generator's scripts:
 `fraud_diff` and `spot` at seeds 0-59, 123, 4242 and 90210, `nftaa_world` and
-`queue_drain` at seeds 0-11 and 90210. A change meant to keep behaviour runs
+`queue_drain` at seeds 0-11 and 90210. Then it prints one line per `queue`
+report, in the same form: closed, `--simulate --no-trace` and traced
+`--simulate`, over the pending counts and missed-slot probabilities of `QUEUE`,
+each drain shorter than 2**53 blocks. A change meant to keep behaviour runs
 this once with `PYTHONPATH` at the old `src/` and once at the new one, from the
 same checkout, and diffs the two outputs. It is not a pytest module: the golden
-transcripts pin a few scripts in tier-1, this covers many more in about 15 s.
+transcripts pin a few scripts in tier-1, this covers many more in about 20 s.
 """
 
 import hashlib
 import sys
 import tempfile
+from itertools import product
 from pathlib import Path
 
 from tests.corpus import ROOT, SCRIPTS
@@ -27,6 +31,12 @@ COMMANDS = {"run": ["run"], "run --digest": ["run", "--digest"],
             "diff": ["diff"], "diff --verbose": ["diff", "--verbose"]}
 GENERATED = {"fraud_diff": [*range(60), 123, 4242, 90210], "spot": [*range(60), 123, 4242, 90210],
              "nftaa_world": [*range(12), 90210], "queue_drain": [*range(12), 90210]}
+SIMULATE = {"queue": [], "queue --simulate --no-trace": ["--simulate", "--no-trace"],
+            "queue --simulate": ["--simulate"]}
+# (pending counts, missed-slot probabilities, modes): the closed form alone for the counts
+# too long to simulate
+QUEUE = [((0, 1, 16, 17, 33_333, 800_000), ("0", "0.1", "0.5"), SIMULATE),
+         ((10**12, 16 * 2**51), ("0", "0.1", "0.5"), {"queue": []})]
 
 
 def scripts(directory: Path) -> list[tuple[str, Path]]:
@@ -41,14 +51,27 @@ def scripts(directory: Path) -> list[tuple[str, Path]]:
     return named
 
 
-def line(name: str, command: str, path: Path, events: Path) -> str:
-    argv = COMMANDS[command] + ([str(events)] if command == "run --events" else []) + [str(path)]
+def digest(name: str, command: str, argv: list[str], events: Path | None = None) -> str:
+    """The line of one CLI call: its stdout's sha256, followed by the events file if given."""
     stdout, _, code = _stdout(argv).rpartition("exit=")
     data = stdout.encode()
-    if command == "run --events":
+    if events is not None:
         data += events.read_bytes()
         events.unlink()
     return f"{name} {command!r} exit={code.strip()} {hashlib.sha256(data).hexdigest()}\n"
+
+
+def line(name: str, command: str, path: Path, events: Path) -> str:
+    if command != "run --events":
+        return digest(name, command, COMMANDS[command] + [str(path)])
+    return digest(name, command, COMMANDS[command] + [str(events), str(path)], events)
+
+
+def queue_lines():
+    for counts, probabilities, modes in QUEUE:
+        for pending, missed, mode in product(counts, probabilities, modes):
+            argv = ["queue", "--pending", str(pending), "--missed-prob", missed, "--seed", "7"]
+            yield digest(f"pending={pending} missed_prob={missed}", mode, argv + modes[mode])
 
 
 def main() -> None:
@@ -57,6 +80,7 @@ def main() -> None:
         for name, path in scripts(Path(directory)):
             for command in COMMANDS:
                 sys.stdout.write(line(name, command, path, events))
+    sys.stdout.writelines(queue_lines())
 
 
 if __name__ == "__main__":
