@@ -9,11 +9,14 @@ kept next to the golden transcripts, and the benchmark generator's scripts:
 `fraud_diff` and `spot` at seeds 0-59, 123, 4242 and 90210, `nftaa_world` and
 `queue_drain` at seeds 0-11 and 90210. Then it prints one line per `queue`
 report, in the same form: closed, `--simulate --no-trace` and traced
-`--simulate`, over the pending counts and missed-slot probabilities of `QUEUE`,
-each drain shorter than 2**53 blocks. A change meant to keep behaviour runs
-this once with `PYTHONPATH` at the old `src/` and once at the new one, from the
-same checkout, and diffs the two outputs. It is not a pytest module: the golden
-transcripts pin a few scripts in tier-1, this covers many more in about 20 s.
+`--simulate`, over the pending counts, missed-slot probabilities and seeds of
+`QUEUE`, each drain shorter than 2**53 blocks: seed 7 in every mode, miss-heavy
+drains at p = 0.9 among them, and traced drains at a second seed, 90210, so
+the miss rows of two generator streams are covered. A change meant to keep
+behaviour runs this once with `PYTHONPATH` at the old `src/` and once at the
+new one, from the same checkout, and diffs the two outputs. It is not a pytest
+module: the golden transcripts pin a few scripts in tier-1, this covers many
+more in about 25 s.
 """
 
 import hashlib
@@ -33,10 +36,12 @@ GENERATED = {"fraud_diff": [*range(60), 123, 4242, 90210], "spot": [*range(60), 
              "nftaa_world": [*range(12), 90210], "queue_drain": [*range(12), 90210]}
 SIMULATE = {"queue": [], "queue --simulate --no-trace": ["--simulate", "--no-trace"],
             "queue --simulate": ["--simulate"]}
-# (pending counts, missed-slot probabilities, modes): the closed form alone for the counts
-# too long to simulate
-QUEUE = [((0, 1, 16, 17, 33_333, 800_000), ("0", "0.1", "0.5"), SIMULATE),
-         ((10**12, 16 * 2**51), ("0", "0.1", "0.5"), {"queue": []})]
+# (pending counts, missed-slot probabilities, seeds, modes): the closed form alone for the
+# counts too long to simulate; a second seed and miss-heavy drains for the traced reports
+COUNTS = (0, 1, 16, 17, 33_333, 800_000)
+QUEUE = [(COUNTS, ("0", "0.1", "0.5", "0.9"), ("7",), SIMULATE),
+         (COUNTS, ("0.1", "0.5", "0.9"), ("90210",), {"queue --simulate": ["--simulate"]}),
+         ((10**12, 16 * 2**51), ("0", "0.1", "0.5"), ("7",), {"queue": []})]
 
 
 def scripts(directory: Path) -> list[tuple[str, Path]]:
@@ -68,10 +73,11 @@ def line(name: str, command: str, path: Path, events: Path) -> str:
 
 
 def queue_lines():
-    for counts, probabilities, modes in QUEUE:
-        for pending, missed, mode in product(counts, probabilities, modes):
-            argv = ["queue", "--pending", str(pending), "--missed-prob", missed, "--seed", "7"]
-            yield digest(f"pending={pending} missed_prob={missed}", mode, argv + modes[mode])
+    for counts, probabilities, seeds, modes in QUEUE:
+        for pending, missed, seed, mode in product(counts, probabilities, seeds, modes):
+            argv = ["queue", "--pending", str(pending), "--missed-prob", missed, "--seed", seed]
+            name = f"pending={pending} missed_prob={missed} seed={seed}"
+            yield digest(name, mode, argv + modes[mode])
 
 
 def main() -> None:
