@@ -124,6 +124,8 @@ def main(argv: list[str] | None = None) -> int:
         stem = _shared_stem(args.files)
         if stem is not None:
             parser.error(f"argument --events: two files would write {stem}.events")  # exits 2
+    if args.seed is not None and args.seed < 0:  # random.Random would seed by abs(seed)
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")  # exits 2
     if args.command != "queue":
         return _replay(args)
     if not 0 <= args.pending < WORD:  # the bound of a script queue_report count; exits 2

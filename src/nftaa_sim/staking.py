@@ -8,9 +8,12 @@ seeded generator), in which case the block processes nothing and the backlog
 slips proportionally. `WithdrawalQueue.process_block` is that rule for the
 ledger's queue, one block at a time. The standalone drain applies the same
 rule one batch at a time: it needs only the count, so it never builds an
-entry, and it draws the missed slots of many blocks in one pass, consuming
-the generator exactly as the block-at-a-time rule would. A simulated drain is capped at
-`MAX_DRAIN_BLOCKS` expected blocks: a traced one keeps a list slot per block.
+entry. It takes the missed-slot draws of up to `DRAW_BATCH` blocks from one
+`getrandbits` call and decides them by the word, most by one byte, consuming
+the generator exactly as the block-at-a-time rule would. A drain is one byte
+per block, 1 if the block processed entries and 0 if its slot was missed, and
+its trace is formatted as bytes. A simulated drain is capped at
+`MAX_DRAIN_BLOCKS` expected blocks: a traced one keeps a byte per block.
 """
 
 from __future__ import annotations
@@ -18,9 +21,6 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from contextlib import suppress
-from itertools import accumulate, islice, repeat, starmap
-from operator import ge, sub
 
 from .addresses import Address
 from .records import Record
@@ -30,8 +30,10 @@ MIN_STAKE = 32 * ETH  # validator entry threshold
 PER_BLOCK_CAP = 16
 BLOCKS_PER_DAY = 7_200  # 115,200 withdrawals/day at 16 per block
 MAX_DRAIN_BLOCKS = 10**7  # longest simulated drain: about 1,389 days at 7,200 blocks a day
+DRAW_BATCH = 1 << 14  # missed-slot draws per getrandbits call: 128 KiB of words
 WORD = 1 << 256  # every script integer, and every integer of a QueueConfig, is below one word
-_TRACE_ROW = "%%03d processed=%d remaining=%%%%d\n"  # formatted by `_trace_rows`
+_TRACE_ROW = b"%03d processed=%d remaining=%d\n"
+_HIT_ROW = b"%%03d processed=%d remaining=%%%%d\n"  # formatted by `_hit_rows`
 
 
 class QueueConfig(Record):
@@ -51,6 +53,8 @@ class QueueConfig(Record):
             raise ValueError("unlock_delay must be >= 0")
         if max(per_block_cap, blocks_per_day, unlock_delay, min_stake) >= WORD:
             raise ValueError("integers must be below 2**256")
+        if rng_seed < 0:  # random.Random seeds an int by its absolute value
+            raise ValueError("rng_seed must be >= 0")
         self.per_block_cap, self.blocks_per_day = per_block_cap, blocks_per_day
         # abs: -0.0 passes the range check, and would print as -0.000
         self.missed_slot_probability, self.unlock_delay = abs(missed_slot_probability), unlock_delay
@@ -116,17 +120,29 @@ def estimate_drain_time(pending_count: int, config: QueueConfig) -> DrainEstimat
 
 
 class DrainTrace(Record):
-    __slots__ = __match_args__ = ("per_block", "config")
-    def __init__(self, per_block: list[int], config: QueueConfig):
-        self.per_block, self.config = per_block, config  # per_block: processed count per block
+    """A simulated drain: its block count and, when traced, one byte per block.
+
+    `hits[b - 1]` is 1 if block b processed entries and 0 if its slot was
+    missed. A hit block takes `per_block_cap` entries, but the last takes
+    what is left of the `backlog`. An untraced drain keeps only the count
+    (`hits` is None). `per_block` reads the processed counts from the bytes.
+    """
+    __slots__ = __match_args__ = ("blocks", "hits", "backlog", "config")
+    def __init__(self, blocks: int, hits: bytearray | None, backlog: int, config: QueueConfig):
+        self.blocks, self.hits, self.backlog, self.config = blocks, hits, backlog, config
 
     @property
-    def blocks(self) -> int:
-        return len(self.per_block)
+    def per_block(self) -> BlockCounts:
+        return BlockCounts(self)
 
     @property
     def days(self) -> float:
         return self.blocks / self.config.blocks_per_day
+
+    @property
+    def last_take(self) -> int:
+        """The entries that the last block takes: 1 to `per_block_cap`."""
+        return (self.backlog - 1) % self.config.per_block_cap + 1
 
     summary_line = DrainEstimate.summary_line
 
@@ -135,37 +151,63 @@ class DrainTrace(Record):
 
         Yields one newline-terminated chunk per thousand block numbers: blocks
         1 to 999, then 1000k to 1000k + 999. Such rows differ only in their
-        last three digits, so a table of rows `<ddd> processed=<n> remaining=%d`
-        joined with `block=<k>` is the chunk's format string, and only
-        `remaining` is converted per line. Every block but the last processes
-        `per_block_cap` or 0 entries, as `simulate_drain` records them. An
-        empty drain yields nothing.
+        last three digits, so a table of rows `<ddd> processed=<cap>
+        remaining=%d` joined with `block=<k>` is the chunk's format string. It
+        is formatted as bytes and decoded once per chunk. The rows of the
+        missed blocks, found with `hits.find(0)`, and of the last block are
+        written out whole; the other rows' `remaining` values step down by
+        `per_block_cap`, one `range` per chunk. An empty drain yields nothing.
         """
-        per_block, cap = self.per_block, self.config.per_block_cap
-        n, size = len(per_block), min(len(per_block) + 1, 1000)
-        hits, misses = _trace_rows(cap, size), None
-        remaining = accumulate(per_block, sub, initial=sum(per_block))
-        next(remaining)  # the backlog before the first block
+        hits, cap, n = self.hits, self.config.per_block_cap, self.blocks
+        table, left = _hit_rows(cap, min(n + 1, 1000)), self.backlog
         for base in range(0, n + 1 if n else 0, 1000):  # row j of a chunk is block base + j
-            stop = min(base + 999, n)  # the chunk's last block
-            rows, miss = hits[:stop - base + 1], max(base - 1, 0)
-            with suppress(ValueError):  # index() raises past the chunk's last miss
-                while True:  # per_block[miss] is block miss + 1
-                    miss = per_block.index(0, miss, stop)
-                    misses = misses or _trace_rows(0, size)
-                    rows[miss + 1 - base] = misses[miss + 1 - base]
-                    miss += 1
-            if stop == n and per_block[-1] != cap:
-                rows[-1] = _TRACE_ROW % per_block[-1] % (n - base)
+            first, stop = max(base, 1), min(base + 999, n)  # the chunk's first and last block
+            rows, missed = table[first - base:stop - base + 1], 0
+            block = hits.find(0, first - 1, stop) + 1  # hits[b - 1] is block b; 0: no miss
+            while block:  # a missed block comes after block - first - missed hit rows
+                remaining = left - cap * (block - first - missed)
+                rows[block - first] = _TRACE_ROW % (block - base, 0, remaining)
+                missed += 1
+                block = hits.find(0, block, stop) + 1
+            taken = len(rows) - missed  # the hit rows
+            if stop == n:
+                rows[-1], taken = _TRACE_ROW % (n - base, self.last_take, 0), taken - 1
             if not base:  # blocks 1 to 999 are not zero-padded; there is no block 0
-                rows = [row.lstrip("0") for row in rows[1:]]
-            head = f"block={base // 1000}" if base else "block="
-            yield (head + head.join(rows)) % tuple(islice(remaining, len(rows)))
+                rows = [row.lstrip(b"0") for row in rows]
+            head = b"block=%d" % (base // 1000) if base else b"block="
+            value = left - cap * taken  # the backlog after the chunk's last hit row
+            yield ((head + head.join(rows)) % tuple(range(left - cap, value - 1, -cap))).decode()
+            left = value
 
 
-def _trace_rows(processed: int, size: int) -> list[str]:
-    """Rows 0 to size - 1 of a trace chunk, each `<ddd> processed=<processed> remaining=%d`."""
-    return (_TRACE_ROW % processed * size % tuple(range(size))).splitlines(keepends=True)
+class BlockCounts:
+    """A drain's processed count per block, read from its bytes: `per_block_cap`
+    for a hit, 0 for a missed slot and `last_take` for the last block. Its len()
+    is the block count, for a traced and an untraced drain alike; an untraced
+    drain has no counts to read."""
+    __slots__ = ("trace",)
+
+    def __init__(self, trace: DrainTrace):
+        self.trace = trace
+
+    def __len__(self) -> int:
+        return self.trace.blocks
+
+    def __iter__(self):
+        trace = self.trace
+        if trace.hits is None:
+            raise ValueError("an untraced drain keeps no per-block counts")
+        if trace.blocks:
+            yield from map((0, trace.config.per_block_cap).__getitem__, trace.hits[:-1])
+            yield trace.last_take
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+
+def _hit_rows(cap: int, size: int) -> list[bytes]:
+    """Rows 0 to size - 1 of a trace chunk, each `<ddd> processed=<cap> remaining=%d`."""
+    return (_HIT_ROW % cap * size % tuple(range(size))).splitlines(keepends=True)
 
 
 def check_drain_size(pending_count: int, config: QueueConfig) -> None:
@@ -177,24 +219,42 @@ def check_drain_size(pending_count: int, config: QueueConfig) -> None:
                          f"{blocks} blocks, more than {MAX_DRAIN_BLOCKS}")
 
 
-class _BlockCount(int):
-    """An untraced drain's per-block list: only its len(), which `DrainTrace.blocks` reads."""
-    __len__ = int.__index__
+def draw_hits(rng: random.Random, count: int, probability: float) -> bytearray:
+    """`count` missed-slot draws, one byte each: 1 where `rng.random() >= probability`
+    (the slot is taken), else 0. Drawn from one `getrandbits` call, which leaves
+    the generator as `count` calls of `random()` would.
+
+    `random()` is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 for the two 32-bit
+    words a and b that it takes, so it is at least p exactly when that 53-bit
+    numerator is at least T = ceil(p * 2**53). The numerator's top byte is the
+    top byte of a: above the top byte t of T the draw is a hit, below it a
+    miss, and at t, about one draw in 256, the two whole words decide.
+    """
+    threshold = math.ceil(probability * 2**53)
+    t = threshold >> 45
+    words = rng.getrandbits(64 * count).to_bytes(8 * count, "little")  # a, b, a, b, ...
+    hits = bytearray(words[3::8]).translate(b"\0" * t + b"\2" + b"\1" * (255 - t))
+    tie = hits.find(2)
+    while tie >= 0:
+        pair = int.from_bytes(words[8 * tie:8 * tie + 8], "little")  # b << 32 | a
+        hits[tie] = ((pair & 0xFFFF_FFFF) >> 5 << 26 | pair >> 38) >= threshold
+        tie = hits.find(2, tie + 1)
+    return hits
 
 
 def simulate_drain(pending_count: int, config: QueueConfig,
                    rng: random.Random | None = None, trace: bool = True) -> DrainTrace:
-    """Drain a backlog of `pending_count` entries and record how many each block took.
+    """Drain a backlog of `pending_count` entries, one byte per block.
 
     Only the count is kept, and the draws are those of
     `WithdrawalQueue.process_block`, so the trace and the generator's final
     state match a queue of real entries. A drain needs exactly
     `ceil(pending / cap)` blocks that are not missed. While `need` of them are
-    owed, the next `need` blocks are drawn as one batch: the drain lasts at
-    least that long, so a batch never draws past its last block. At p = 0
-    nothing is drawn. Untraced, a batch's draws are only counted, not kept.
-    Raises ValueError, before drawing, when `check_drain_size` rejects the
-    backlog.
+    owed, the next `need` blocks, at most `DRAW_BATCH` of them, are drawn as
+    one batch by `draw_hits`: the drain lasts at least that long, so a batch
+    never draws past its last block. At p = 0 nothing is drawn. A traced drain
+    appends each batch's bytes; an untraced one only counts its hits. Raises
+    ValueError, before drawing, when `check_drain_size` rejects the backlog.
     """
     check_drain_size(pending_count, config)
     if rng is None:
@@ -202,22 +262,15 @@ def simulate_drain(pending_count: int, config: QueueConfig,
     cap, missed = config.per_block_cap, config.missed_slot_probability
     busy = max(-(-pending_count // cap), 0)  # ceil division; a negative backlog is empty
     need = busy if missed > 0.0 else 0  # at p = 0 every block is a hit
-    blocks, per_block = busy, [cap] * (busy - need) if trace else None
+    blocks, hits = busy, bytearray(b"\1") * (busy - need) if trace else None
     while need:
-        draws = starmap(rng.random, repeat((), need))
-        if per_block is None:
-            hits = sum(map(ge, draws, repeat(missed)))
-        else:
-            batch = [cap if draw >= missed else 0 for draw in draws]
-            per_block += batch
-            hits = batch.count(cap)
-        blocks += need - hits
-        need -= hits
-    if per_block is None:
-        return DrainTrace(_BlockCount(blocks), config)
-    if busy:
-        per_block[-1] = pending_count - (busy - 1) * cap
-    return DrainTrace(per_block, config)
+        batch = draw_hits(rng, min(need, DRAW_BATCH), missed)
+        if hits is not None:
+            hits += batch
+        taken = batch.count(1)
+        blocks += len(batch) - taken
+        need -= taken
+    return DrainTrace(blocks, hits, pending_count, config)
 
 
 def simulate_saturated_days(days: int, config: QueueConfig) -> list[int]:

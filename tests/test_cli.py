@@ -320,6 +320,27 @@ def test_queue_exit_two_on_bad_missed_prob(argv, message, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "diff", "queue"])
+def test_negative_seed_exits_two(command, scenario_file, capsys):
+    """random.Random seeds an int by its absolute value: -3 would draw like 3."""
+    target = ["--pending", "500"] if command == "queue" else [str(scenario_file)]
+    with pytest.raises(SystemExit) as caught:
+        main([command, *target, "--seed", "-3"])
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be >= 0, got -3" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_negative_seed_in_a_script_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "seed.scn"
+    path.write_text("set seed -3\nactor alice\n")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().out == (f"parse_error file={path} line=1 col=10 "
+                                       "bad seed '-3': rng_seed must be >= 0\n")
+
+
 def test_queue_simulate_prints_trace_and_summary(capsys):
     assert main(["queue", "--pending", "40", "--simulate"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -114,6 +114,7 @@ CASES = [
     "set\tmin_stake 1" + "0" * 60 + "eth\n",
     'set\tmin_stake\t"1 eth"\n',
     'set seed "#3"\n',
+    "set seed -3\n",
     "queue_report 1000000000000 simulate\n",
     'set missed_prob 0.999\n# big\n  queue_report\t"200000000" simulate\n',
     # other whitespace between tokens, and CRLF line ends

@@ -28,7 +28,7 @@ from nftaa_sim import (
     simulate_drain,
     simulate_saturated_days,
 )
-from nftaa_sim.staking import MAX_DRAIN_BLOCKS, binomial_variate
+from nftaa_sim.staking import DRAW_BATCH, MAX_DRAIN_BLOCKS, binomial_variate, draw_hits
 from tests.ledger_helpers import mint_nftaa, queued_amount
 
 
@@ -399,6 +399,64 @@ def test_untraced_drain_of_a_million_blocks_keeps_no_list():
         tracemalloc.stop()
     assert trace.blocks > 10**6
     assert peak < 2**20
+
+
+def test_traced_drain_keeps_about_one_byte_per_block():
+    """About 1.1 million blocks: a list slot per block would take about 9 MiB."""
+    config = QueueConfig(missed_slot_probability=0.1, rng_seed=9)
+    tracemalloc.start()
+    try:
+        trace = simulate_drain(16 * 10**6, config)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        blocks = len(trace.per_block)
+        current, counting_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert blocks == trace.blocks == len(trace.hits) > 1_100_000
+    assert peak < 3 * 2**20
+    assert counting_peak - current < 2**10  # len() builds no list
+
+
+@pytest.mark.parametrize("probability", [1e-300, 0.1, 0.5, 0.5 + 2**-53, 255 / 256, 1 - 2**-53])
+def test_bulk_draws_are_the_draws_of_random(probability):
+    """The same bytes and the same final generator state as `random()` one draw at
+    a time. The threshold's top byte is 0, 25, 128, 128, 255 and 255; the draws
+    with that top byte, about one in 256, are ties decided by their whole words."""
+    bulk, single = random.Random(23), random.Random(23)
+    count = 4_096
+    hits = draw_hits(bulk, count, probability)
+    draws = [single.random() for _ in range(count)]
+    assert hits == bytes(draw >= probability for draw in draws)
+    assert bulk.getstate() == single.getstate()
+    top = math.ceil(probability * 2**53) >> 45
+    assert sum(int(draw * 2**53) >> 45 == top for draw in draws) > 0  # ties were drawn
+
+
+def test_drain_over_several_draw_batches_matches_random_one_at_a_time():
+    pending, rng, reference = 2 * DRAW_BATCH + 5, random.Random(31), random.Random(31)
+    hits, left = bytearray(), pending
+    while left:
+        hit = reference.random() >= 0.5
+        hits.append(hit)
+        left -= hit
+    config = QueueConfig(per_block_cap=1, missed_slot_probability=0.5)
+    assert simulate_drain(pending, config, rng).hits == hits
+    assert rng.getstate() == reference.getstate()
+
+
+def test_untraced_drain_has_no_counts_to_read():
+    trace = simulate_drain(100, QueueConfig(missed_slot_probability=0.5), trace=False)
+    assert len(trace.per_block) == trace.blocks and trace.hits is None
+    with pytest.raises(ValueError, match="untraced"):
+        list(trace.per_block)
+
+
+def test_negative_seed_is_refused():
+    """random.Random seeds an int by its absolute value: -3 would draw like 3."""
+    assert QueueConfig(rng_seed=0).rng_seed == 0
+    with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+        QueueConfig(rng_seed=-3)
 
 
 def _reference_trace(per_block: list[int]) -> str:
