@@ -333,14 +333,6 @@ def test_negative_seed_exits_two(command, scenario_file, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_negative_seed_in_a_script_is_a_parse_error(tmp_path, capsys):
-    path = tmp_path / "seed.scn"
-    path.write_text("set seed -3\nactor alice\n")
-    assert main(["run", str(path)]) == 2
-    assert capsys.readouterr().out == (f"parse_error file={path} line=1 col=10 "
-                                       "bad seed '-3': rng_seed must be >= 0\n")
-
-
 def test_queue_simulate_prints_trace_and_summary(capsys):
     assert main(["queue", "--pending", "40", "--simulate"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -452,13 +452,6 @@ def test_untraced_drain_has_no_counts_to_read():
         list(trace.per_block)
 
 
-def test_negative_seed_is_refused():
-    """random.Random seeds an int by its absolute value: -3 would draw like 3."""
-    assert QueueConfig(rng_seed=0).rng_seed == 0
-    with pytest.raises(ValueError, match="rng_seed must be >= 0"):
-        QueueConfig(rng_seed=-3)
-
-
 def _reference_trace(per_block: list[int]) -> str:
     """The trace rendered one line at a time."""
     lines, remaining = [], sum(per_block)
