@@ -14,9 +14,7 @@ from .addresses import (
     contract_address,
     deterministic_address,
     eoa_address,
-    from_hex,
     salt_from_int,
-    to_hex,
 )
 from .errors import ErrorCode, LedgerError
 from .events import Event, EventKind
@@ -115,7 +113,6 @@ __all__ = [
     "deterministic_address",
     "eoa_address",
     "estimate_drain_time",
-    "from_hex",
     "parse_amount",
     "parse_scenario",
     "run_differential",
@@ -124,5 +121,4 @@ __all__ = [
     "serialize_scenario",
     "simulate_drain",
     "simulate_saturated_days",
-    "to_hex",
 ]

@@ -22,17 +22,6 @@ SALT_LEN = 32
 ZERO_ADDRESS: Address = b"\x00" * ADDRESS_LEN
 
 
-def to_hex(address: Address) -> str:
-    return address.hex()
-
-
-def from_hex(text: str) -> Address:
-    raw = bytes.fromhex(text)
-    if len(raw) != ADDRESS_LEN:
-        raise ValueError(f"address must be {ADDRESS_LEN} bytes, got {len(raw)}")
-    return raw
-
-
 def _first20(preimage: bytes) -> Address:
     return hashlib.sha256(preimage).digest()[:ADDRESS_LEN]
 

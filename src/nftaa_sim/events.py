@@ -15,8 +15,9 @@ SYSTEM_TX_ID = 0  # faucet credits and block-level withdrawal processing
 
 
 def hexed(value: object) -> object:
-    """A value as text shows it: `bytes` as lowercase hex, any other value as it is."""
-    return value.hex() if type(value) is bytes else value
+    """A value as reports, asserts, payloads and error details show it: `bytes` as
+    lowercase hex, `None` as `none`, any other value as it is."""
+    return value.hex() if type(value) is bytes else "none" if value is None else value
 
 
 class EventKind(str, Enum):
@@ -44,7 +45,7 @@ class Event(Record):
 
     @property
     def payload(self) -> dict:
-        """The fields as the log shows them, built on each read: bytes as hex."""
+        """The fields as the log shows them, built on each read: bytes as hex, None as `none`."""
         return {key: hexed(value) for key, value in self.fields.items()}
 
     def render(self) -> str:

@@ -235,7 +235,7 @@ class Ledger:
         self._move_value(op.caller, op.to, op.amount, ctx)
 
     def _op_fail(self, op: Fail, ctx: _TxContext) -> None:
-        raise LedgerError(ErrorCode.INJECTED_FAILURE, op.message)
+        raise LedgerError(ErrorCode.INJECTED_FAILURE)
 
     def _move_value(self, frm: Address, to: Address, amount: int, ctx: _TxContext) -> None:
         amount = _unsigned(amount)

@@ -90,6 +90,4 @@ class TbaExecute(Record):
 class Fail(Record):
     """Always fails; used to exercise rollback paths."""
 
-    __slots__ = __match_args__ = ("message",)
-    def __init__(self, message: str = "injected"):
-        self.message = message
+    __slots__ = __match_args__ = ()

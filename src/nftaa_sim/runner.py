@@ -32,7 +32,7 @@ script and seed.
 
 from __future__ import annotations
 
-from .addresses import Address, salt_from_int, to_hex
+from .addresses import Address, salt_from_int
 from .errors import ErrorCode, LedgerError
 from .events import Event, EventKind, hexed
 from .ledger import Ledger, TxReceipt
@@ -234,7 +234,7 @@ class ScenarioRunner:
     def _actor(self, args, outcome) -> str:
         address = self.ledger.create_eoa(args[0])
         self.labels[args[0]] = (address, None, False)
-        return f"address={to_hex(address)}"
+        return f"address={address.hex()}"
 
     def _faucet(self, args, outcome) -> None:
         self.ledger.faucet(self.address_of(args[0]), args[1])
@@ -384,7 +384,7 @@ class ScenarioRunner:
             pending.append(args[3])
             op = CreateTba(actor, token_id, salt, has_execute="noexec" not in args[4:])
         else:  # fail, interrupt
-            op = Fail("interrupted" if kind == "interrupt" else "injected")
+            op = Fail()
         return [(kind, op)]
 
     def _probe(self, args, outcome) -> str:
@@ -392,11 +392,11 @@ class ScenarioRunner:
         return _HANDLERS[args[0]](self, args[1:], outcome)
 
     def _probe_binding(self, args, outcome) -> str:
-        return f"binding={_shown(self.ledger.account_of(self.token_of(args[0])))}"
+        return f"binding={hexed(self.ledger.account_of(self.token_of(args[0])))}"
 
     def _probe_tba_address(self, args, outcome) -> str:
         token_id, salt = self.token_of(args[0]), salt_from_int(args[1])
-        return f"tba_address={to_hex(self.ledger.compute_tba_address(token_id, salt))}"
+        return f"tba_address={self.ledger.compute_tba_address(token_id, salt).hex()}"
 
     def _probe_locked(self, args, outcome) -> str:
         lines = diagnostic_lines(self.ledger.state)
@@ -417,7 +417,7 @@ class ScenarioRunner:
 
     def _assert_event(self, args, outcome) -> tuple[bool, str]:
         # a list, not a dict: one event must match every pair, a repeated key too
-        criteria = [(key, to_hex(self.address_of(value[1:])) if value.startswith("@") else value)
+        criteria = [(key, self.address_of(value[1:]).hex() if value.startswith("@") else value)
                     for key, value in (pair.split("=", 1) for pair in args[1:])]
         for event in self.ledger.events:
             fields = event.fields  # not the `payload` view, which builds a dict per read
@@ -437,7 +437,7 @@ class ScenarioRunner:
 
     def _assert_account(self, args, outcome) -> tuple[bool, str]:
         actual = self.ledger.account_of(self.token_of(args[0]))
-        return actual == self._maybe_address(args[1]), f"account of {args[0]} is {_shown(actual)}"
+        return actual == self._maybe_address(args[1]), f"account of {args[0]} is {hexed(actual)}"
 
     def _assert_balance(self, args, outcome) -> tuple[bool, str]:
         actual = self.ledger.balance_of(self.address_of(args[0]))
@@ -449,7 +449,7 @@ class ScenarioRunner:
 
     def _assert_staker(self, args, outcome) -> tuple[bool, str]:
         actual = self.ledger.staker_address_of(self.address_of(args[0]))
-        return actual == self._maybe_address(args[1]), f"staker of {args[0]} is {_shown(actual)}"
+        return actual == self._maybe_address(args[1]), f"staker of {args[0]} is {hexed(actual)}"
 
 
 _ASSERTS = frozenset(kind for kind, form in STEP_KINDS.items() if form.group == "assert")
@@ -483,19 +483,14 @@ def _failed(outcome: StepOutcome, code: ErrorCode) -> None:
     outcome.code = code.value
 
 
-def _shown(address: Address | None) -> str:
-    """An address as a report shows it, or `none`."""
-    return "none" if address is None else to_hex(address)
-
-
 def _creation_detail(receipt: TxReceipt) -> str:
     parts = []
     for event in receipt.events:
         if event.kind is EventKind.NEW_NFTAA:
             parts.append(f"token_id={event.fields['token_id']} "
-                         f"account={hexed(event.fields['account'])}")
+                         f"account={event.fields['account'].hex()}")
         elif event.kind is EventKind.TBA_CREATED:
-            parts.append(f"tba={hexed(event.fields['account'])}")
+            parts.append(f"tba={event.fields['account'].hex()}")
     return " ".join(parts)
 
 

@@ -156,9 +156,12 @@ class DrainTrace(Record):
         is formatted as bytes and decoded once per chunk. The rows of the
         missed blocks, found with `hits.find(0)`, and of the last block are
         written out whole; the other rows' `remaining` values step down by
-        `per_block_cap`, one `range` per chunk. An empty drain yields nothing.
+        `per_block_cap`, one `range` per chunk. An empty drain yields nothing;
+        an untraced one raises ValueError, as reading its `per_block` does.
         """
         hits, cap, n = self.hits, self.config.per_block_cap, self.blocks
+        if hits is None:
+            raise ValueError("an untraced drain keeps no per-block counts")
         table, left = _hit_rows(cap, min(n + 1, 1000)), self.backlog
         for base in range(0, n + 1 if n else 0, 1000):  # row j of a chunk is block base + j
             first, stop = max(base, 1), min(base + 999, n)  # the chunk's first and last block
@@ -200,9 +203,6 @@ class BlockCounts:
         if trace.blocks:
             yield from map((0, trace.config.per_block_cap).__getitem__, trace.hits[:-1])
             yield trace.last_take
-
-    def __eq__(self, other) -> bool:
-        return list(self) == other
 
 
 def _hit_rows(cap: int, size: int) -> list[bytes]:

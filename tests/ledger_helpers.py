@@ -5,14 +5,14 @@ read the new account off the event it emits. `total_conserved` is the sum the
 fuzz driver checks after every transaction, and `queued_amount` its queue term.
 """
 
-from nftaa_sim import Address, CreateTba, EventKind, Ledger, MintNftaa, WithdrawalQueue, from_hex
+from nftaa_sim import Address, CreateTba, EventKind, Ledger, MintNftaa, WithdrawalQueue
 
 
 def mint_nftaa(ledger: Ledger, caller: Address, note: bytes) -> tuple[int, Address]:
     """Mint a proxy account; its token id and account address."""
     receipt = ledger.must(MintNftaa(caller, note))
     created = next(e for e in receipt.events if e.kind is EventKind.NEW_NFTAA)
-    return created.payload["token_id"], from_hex(created.payload["account"])
+    return created.fields["token_id"], created.fields["account"]
 
 
 def create_tba(ledger: Ledger, caller: Address, token_id: int, salt: bytes,
@@ -20,7 +20,7 @@ def create_tba(ledger: Ledger, caller: Address, token_id: int, salt: bytes,
     """Deploy a registry account for `token_id`; its address."""
     receipt = ledger.must(CreateTba(caller, token_id, salt, has_execute))
     created = next(e for e in receipt.events if e.kind is EventKind.TBA_CREATED)
-    return from_hex(created.payload["account"])
+    return created.fields["account"]
 
 
 def total_conserved(ledger: Ledger) -> int:

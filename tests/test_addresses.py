@@ -11,9 +11,7 @@ from nftaa_sim import (
     contract_address,
     deterministic_address,
     eoa_address,
-    from_hex,
     salt_from_int,
-    to_hex,
 )
 
 
@@ -32,7 +30,7 @@ def test_eoa_address_deterministic_across_processes():
     )
     out = subprocess.run([sys.executable, "-c", script, "carol"],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == to_hex(eoa_address("carol"))
+    assert out.stdout.strip() == eoa_address("carol").hex()
 
 
 def test_contract_address_oracle_and_distinctness():
@@ -66,7 +64,7 @@ def test_deterministic_address_cross_process():
     )
     out = subprocess.run([sys.executable, "-c", script, deployer.hex(), salt.hex(),
                           "TbaAccount"], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == to_hex(deterministic_address(deployer, salt, "TbaAccount"))
+    assert out.stdout.strip() == deterministic_address(deployer, salt, "TbaAccount").hex()
 
 
 def test_two_salts_two_addresses():
@@ -85,13 +83,6 @@ def test_negative_nonce_and_salt_rejected():
         contract_address(eoa_address("c"), -1)
     with pytest.raises(ValueError):
         salt_from_int(-1)
-
-
-def test_hex_round_trip():
-    address = eoa_address("round")
-    assert from_hex(to_hex(address)) == address
-    with pytest.raises(ValueError):
-        from_hex("abcd")
 
 
 @given(st.text(min_size=1, max_size=40))

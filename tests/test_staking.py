@@ -200,7 +200,7 @@ def test_staker_address_none_without_position(staked_world):
 
 def test_queue_processes_16_16_8():
     trace = simulate_drain(40, QueueConfig())
-    assert trace.per_block == [16, 16, 8]
+    assert list(trace.per_block) == [16, 16, 8]
 
 
 def test_queue_800k_drains_in_50k_blocks():
@@ -307,7 +307,7 @@ def test_queue_rng_determinism():
     config = QueueConfig(missed_slot_probability=0.3, rng_seed=21)
     one = simulate_drain(500, config, random.Random(21))
     two = simulate_drain(500, config, random.Random(21))
-    assert one.per_block == two.per_block
+    assert list(one.per_block) == list(two.per_block)
 
 
 def test_empty_queue_draws_no_randomness():
@@ -362,14 +362,14 @@ def test_count_drain_matches_the_entry_queue(probability, pending):
         config = QueueConfig(per_block_cap=cap, missed_slot_probability=probability, rng_seed=19)
         rng = random.Random(config.rng_seed)
         per_block, state = _entry_queue_drain(pending, config)
-        assert simulate_drain(pending, config, rng).per_block == per_block
+        assert list(simulate_drain(pending, config, rng).per_block) == per_block
         assert rng.getstate() == state
 
 
 def test_drain_without_misses_draws_no_randomness():
     rng = random.Random(5)
     state_before = rng.getstate()
-    assert simulate_drain(10_007, QueueConfig(), rng).per_block == [16] * 625 + [7]
+    assert list(simulate_drain(10_007, QueueConfig(), rng).per_block) == [16] * 625 + [7]
     assert rng.getstate() == state_before
 
 
@@ -450,6 +450,8 @@ def test_untraced_drain_has_no_counts_to_read():
     assert len(trace.per_block) == trace.blocks and trace.hits is None
     with pytest.raises(ValueError, match="untraced"):
         list(trace.per_block)
+    with pytest.raises(ValueError, match="untraced"):
+        list(trace.trace_lines())
 
 
 def _reference_trace(per_block: list[int]) -> str:

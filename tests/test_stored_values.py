@@ -2,8 +2,8 @@
 
 An event keeps its addresses and salts as `bytes`, and so does the detail of
 a `LedgerError` the ledger raises; both write them as hex only when they are
-rendered. The event log is the ledger path's main memory cost, so it is held
-to a bound per event.
+rendered, by `events.hexed`, which also writes `None` as `none`. The event
+log is the ledger path's main memory cost, so it is held to a bound per event.
 """
 
 import tracemalloc
@@ -18,6 +18,7 @@ from nftaa_sim import (
     parse_scenario,
     run_scenario,
 )
+from nftaa_sim.events import hexed
 from tests.corpus import SCRIPTS
 from tests.fuzz_engine import FuzzDriver
 from tests.ledger_helpers import mint_nftaa
@@ -61,6 +62,12 @@ def test_events_and_errors_keep_addresses_and_salts_as_bytes(monkeypatch):
                 error_keys.add(key)
     assert event_keys == EVENT_KEYS  # every kind of address and the salt were seen
     assert error_keys == ERROR_KEYS
+
+
+def test_hexed_writes_bytes_as_hex_and_none_as_none():
+    assert hexed(b"\x01\xab") == "01ab"
+    assert hexed(None) == "none"
+    assert hexed(7) == 7 and hexed("7") == "7"
 
 
 def test_event_log_holds_at_most_320_bytes_an_event():
