@@ -258,9 +258,11 @@ class ScenarioRunner:
         """Translate a step or a begin/commit group (`outcome.group`) and submit it.
 
         The atomic lanes submit the group's operations as one transaction and
-        raise its failure; the tba lane reports each part in a `seq=` detail.
-        Labels bound ahead of a transaction that did not commit are unbound
-        here, whichever way it failed.
+        read its receipt: a rollback fails the step with the receipt's error
+        code; the tba lane reports each part in a `seq=` detail. A failure
+        before submission (no analog, an unbound label) still raises. Labels
+        bound ahead of a transaction that did not commit are unbound here,
+        whichever way it failed.
         """
         group = outcome.group
         pending: list[str] = []  # bound ahead of a transaction not yet committed
@@ -268,12 +270,16 @@ class ScenarioRunner:
             if self.registry:
                 self._run_sequence(group, outcome, pending)
                 return
-            operations: list = []
+            operations = []
             minted = [0, 0]  # tokens and proxy accounts minted by the group's steps so far
             for step in group:
-                operations += [op for _, op in self._translate(step, pending, minted)]
+                for _, op in self._translate(step, pending, minted):
+                    operations.append(op)
             outcome.tx_count = 1
-            receipt = self.ledger.must(*operations)
+            receipt = self.ledger.apply_transaction(*operations)
+            if receipt.error is not None:
+                _failed(outcome, receipt.error.code)
+                return
             pending.clear()
             outcome.status = COMMITTED
             outcome.detail = _creation_detail(receipt)
@@ -307,12 +313,17 @@ class ScenarioRunner:
                         name = rest.pop(0).kind
                         raise LedgerError(ErrorCode.INJECTED_FAILURE, "interrupted")
                     done += 1
-                    self.ledger.must(op)
+                    error = self.ledger.apply_transaction(op).error  # holds no traceback
+                    if error is not None:
+                        failure = error.code
+                        break
                     seq.append(f"{name}={COMMITTED}")
                     committed += 1
+            except LedgerError as raised:
+                failure = raised.code
+            if failure is None:
                 pending.clear()
-            except LedgerError as error:
-                failure = error.code
+            else:
                 seq.append(f"{name}={failure.value}")
                 seq += [f"{later}={SKIPPED}" for later, _ in parts[done:]]
         outcome.detail = "seq=" + ",".join(seq)
@@ -358,22 +369,18 @@ class ScenarioRunner:
             op = TransferToken(self.address_of(args[0]), self.token_of(args[1]),
                                self.address_of(args[2]))
         elif kind in _EXECUTE_METHOD:  # an execute call: the method's roles give the payload
-            actor, account, *rest = args
-            method = _EXECUTE_METHOD[kind] or rest.pop(0)
-            caller, target = self.address_of(actor), self.address_of(account)
-            fields: dict[str, object] = {}
-            for role, value in zip(PROXY_FORMS[method].roles, rest):
-                if role == "amount":
-                    fields["amount"] = value
-                else:
-                    fields["to"] = self.address_of(value)
-            # the style the step that bound `account` gave it, not the ledger's
-            if self._bound(account)[2]:
-                op = TbaExecute(caller, target, ProxyPayload(method, **fields))
+            method = _EXECUTE_METHOD[kind] or args[2]
+            caller, (target, _, registry) = self.address_of(args[0]), self._bound(args[1])
+            arity = len(PROXY_FORMS[method].roles)  # (), (amount) or (to, amount): the last args
+            amount = args[-1] if arity else 0
+            to = self.address_of(args[-2]) if arity == 2 else None
+            # the style the step that bound the account gave it, not the ledger's
+            if registry:
+                op = TbaExecute(caller, target, ProxyPayload(method, amount, to))
             elif kind == "withdraw":  # a proxy account has its own withdraw operation
-                op = WithdrawAssets(caller, target, fields["to"], fields["amount"])
+                op = WithdrawAssets(caller, target, to, amount)
             else:
-                op = ProxyExecute(caller, target, ProxyPayload(method, **fields))
+                op = ProxyExecute(caller, target, ProxyPayload(method, amount, to))
         elif kind == "upgrade":
             op = UpgradeAccount(self.address_of(args[0]), self.address_of(args[1]), args[2])
         elif kind == "createtba":

@@ -99,13 +99,21 @@ class WithdrawalQueue(Record):
 # ---------------------------------------------------------------------------
 
 class DrainEstimate(Record):
-    __slots__ = __match_args__ = ("blocks", "days")
-    def __init__(self, blocks: int, days: float):
+    __slots__ = __match_args__ = ("blocks", "days", "config")
+    def __init__(self, blocks: int, days: float, config: QueueConfig):
         self.blocks = blocks  # ceil of the expected block count
         self.days = days      # unrounded expectation / blocks_per_day
+        self.config = config
 
     def summary_line(self) -> str:
-        return f"drained_in_blocks={self.blocks} days={self.days:.3f}"
+        if self.blocks < 2**53:  # a float holds the block count exactly
+            return f"drained_in_blocks={self.blocks} days={self.days:.3f}"
+        # past it, `days` is off in its integer digits: the exact quotient, rounded half to even
+        per_day = self.config.blocks_per_day
+        millis, left = divmod(self.blocks * 1000, per_day)
+        if 2 * left > per_day or 2 * left == per_day and millis % 2:
+            millis += 1
+        return f"drained_in_blocks={self.blocks} days={millis // 1000}.{millis % 1000:03d}"
 
 
 def estimate_drain_time(pending_count: int, config: QueueConfig) -> DrainEstimate:
@@ -116,7 +124,7 @@ def estimate_drain_time(pending_count: int, config: QueueConfig) -> DrainEstimat
     busy_blocks = -(-pending_count // config.per_block_cap)  # ceil division
     missed = config.missed_slot_probability
     expected = busy_blocks / (1.0 - missed) if missed else busy_blocks
-    return DrainEstimate(math.ceil(expected), expected / config.blocks_per_day)
+    return DrainEstimate(math.ceil(expected), expected / config.blocks_per_day, config)
 
 
 class DrainTrace(Record):

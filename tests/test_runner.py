@@ -209,7 +209,7 @@ def test_tba_lane_splits_creation():
 
 
 def test_tba_lane_group_aborts_after_first_failure():
-    report = run_text(
+    runner = ScenarioRunner(parse_scenario(
         'actor alice\n'
         'actor bob\n'
         'mintnftaa alice n1 "x"\n'
@@ -218,11 +218,26 @@ def test_tba_lane_group_aborts_after_first_failure():
         'fail\n'
         'transfernftaa alice n1 bob\n'
         'commit\n'
-        'expect_tba InjectedFailure\n',
-        lane="tba")
+        'expect_tba InjectedFailure\n'
+        'minttoken alice t1 "y"\n'
+        'createtba alice t1 1 a1\n'
+        # the ledger rolls back a step that binds a label, after a step that committed
+        'begin\n'
+        'minttoken alice t2 "z"\n'
+        'createtba alice t1 1 a2\n'
+        'transfertoken alice t2 bob\n'
+        'commit\n'
+        'expect_tba AlreadyDeployed\n'
+        'faucet a2 5\n'
+        'expect_tba UnknownAccount\n'), name="test", lane="tba")
+    report = runner.run()
     assert report.exit_code == 0
-    commit = next(o for o in report.outcomes if o.kind == "commit")
-    assert "transfernftaa=skipped" in commit.detail
+    first, second = [o for o in report.outcomes if o.kind == "commit"]
+    assert "transfernftaa=skipped" in first.detail
+    assert (second.status, second.tx_count, second.detail) == \
+        ("partial", 2, "seq=minttoken=committed,createtba=AlreadyDeployed,transfertoken=skipped")
+    assert "a2" not in runner.labels  # so `faucet a2` rolled back UnknownAccount
+    assert runner.token_of("t2") == 3 and runner.address_of("a1")
 
 
 def test_tba_lane_group_led_by_a_step_without_analog_rolls_back():

@@ -28,6 +28,7 @@ from nftaa_sim import (
     simulate_drain,
     simulate_saturated_days,
 )
+from nftaa_sim.cli import main
 from nftaa_sim.staking import DRAW_BATCH, MAX_DRAIN_BLOCKS, binomial_variate, draw_hits
 from tests.ledger_helpers import mint_nftaa, queued_amount
 
@@ -263,10 +264,18 @@ def test_estimate_examples():
     assert f"{estimate.days:.3f}" == "1.000"
 
 
-def test_estimate_at_p0_is_exact_past_float_precision():
+def test_estimate_at_p0_is_exact_past_float_precision(capsys):
+    exact = f"drained_in_blocks={625 * 10**72} days=8680{'5' * 67}.556"  # blocks / 7,200
     estimate = estimate_drain_time(10**76, QueueConfig())
     assert estimate.blocks == 625 * 10**72
-    assert estimate.summary_line() == f"drained_in_blocks={625 * 10**72} days={625e72 / 7200:.3f}"
+    assert estimate.summary_line() == exact
+    assert main(["queue", "--pending", str(10**76)]) == 0  # the CLI's closed form
+    assert capsys.readouterr().out.endswith(f"\n{exact}\n")
+    # from 2**53 blocks on, a tie rounds half to even: 36k + 18 blocks are 5k + 2.5 thousandths
+    for blocks, days in ((9007199254741014, "1250999896491.808"),
+                         (9007199254741050, "1250999896491.812")):
+        assert estimate_drain_time(16 * blocks, QueueConfig()).summary_line() == \
+            f"drained_in_blocks={blocks} days={days}"
 
 
 @pytest.mark.parametrize("field", ["per_block_cap", "blocks_per_day", "unlock_delay",

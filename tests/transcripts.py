@@ -13,16 +13,25 @@ report, in the same form: closed, `--simulate --no-trace` and traced
 `QUEUE`, each drain shorter than 2**53 blocks: seed 7 in every mode, miss-heavy
 drains at p = 0.9 among them, and traced drains at a second seed, 90210, so
 the miss rows of two generator streams are covered. A change meant to keep
-behaviour runs this once with `PYTHONPATH` at the old `src/` and once at the
-new one, from the same checkout, and diffs the two outputs. It is not a pytest
-module: the golden transcripts pin a few scripts in tier-1, this covers many
-more in about 25 s.
+behaviour compares the two versions in one command, from the new checkout:
+
+    PYTHONPATH=src python -m tests.transcripts --against OTHER/src
+
+computes the lines of the program on `PYTHONPATH` and, in a subprocess run with
+`PYTHONPATH=OTHER/src`, those of the other version, both with this checkout's
+scripts and generator. It prints each line that differs, from both sides
+(`this:` and `other:`), then `same=<n> differ=<m>`, and exits 1 if any line
+differs. It is not a pytest module: the golden transcripts pin a few scripts in
+tier-1, this covers many more in about 25 s.
 """
 
+import argparse
 import hashlib
+import os
+import subprocess
 import sys
 import tempfile
-from itertools import product
+from itertools import product, zip_longest
 from pathlib import Path
 
 from tests.corpus import ROOT, SCRIPTS
@@ -80,14 +89,46 @@ def queue_lines():
             yield digest(name, mode, argv + modes[mode])
 
 
-def main() -> None:
+def transcript():
+    """Every line, in order, of the program that `nftaa_sim` imports."""
     with tempfile.TemporaryDirectory() as directory:
         events = Path(directory) / "events.txt"
         for name, path in scripts(Path(directory)):
             for command in COMMANDS:
-                sys.stdout.write(line(name, command, path, events))
-    sys.stdout.writelines(queue_lines())
+                yield line(name, command, path, events)
+    yield from queue_lines()
+
+
+def compare(other_src: str) -> int:
+    """Print the lines that differ from those of the program in `other_src`; 1 if any."""
+    env = {**os.environ, "PYTHONPATH": other_src}
+    with tempfile.TemporaryFile("w+") as out:
+        with subprocess.Popen([sys.executable, "-m", "tests.transcripts"], cwd=ROOT, env=env,
+                              stdout=out, text=True) as other:
+            ours = list(transcript())  # while the other side runs
+        if other.returncode:
+            sys.exit(f"the transcripts of {other_src} exited {other.returncode}")
+        out.seek(0)
+        theirs = out.readlines()
+    differ = 0
+    for this, that in zip_longest(ours, theirs, fillvalue="(none)\n"):
+        if this != that:
+            differ += 1
+            sys.stdout.write(f"this: {this}other: {that}")
+    print(f"same={max(len(ours), len(theirs)) - differ} differ={differ}")
+    return 1 if differ else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(prog="python -m tests.transcripts")
+    parser.add_argument("--against", metavar="OTHER/src",
+                        help="compare with the program in this directory")
+    args = parser.parse_args()
+    if args.against is not None:
+        return compare(args.against)
+    sys.stdout.writelines(transcript())
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
