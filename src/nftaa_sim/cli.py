@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .runner import run_differential, run_scenario
 from .scenario import ScenarioParseError, parse_scenario
-from .staking import WORD, QueueConfig, check_drain_size, estimate_drain_time, simulate_drain
+from .staking import WORD, QueueConfig, estimate_drain_time, simulate_drain
 
 
 @functools.cache  # one parser per process: each build costs time and leaves cycles
@@ -102,21 +102,6 @@ def _shared_stem(files: list[Path]) -> str | None:
     return None
 
 
-def _cmd_queue(args, config: QueueConfig) -> int:
-    print(f"mode={'simulate' if args.simulate else 'closed'} "
-          f"pending={args.pending} per_block_cap={config.per_block_cap} "
-          f"blocks_per_day={config.blocks_per_day} "
-          f"missed_prob={config.missed_slot_probability:.3f}")
-    if args.simulate:
-        trace = simulate_drain(args.pending, config, trace=not args.no_trace)
-        if not args.no_trace:
-            sys.stdout.writelines(trace.trace_lines())
-        print(trace.summary_line())
-    else:
-        print(estimate_drain_time(args.pending, config).summary_line())
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -134,12 +119,19 @@ def main(argv: list[str] | None = None) -> int:
         config = QueueConfig(missed_slot_probability=args.missed_prob, rng_seed=args.seed)
     except ValueError as bad:
         parser.error(f"argument --missed-prob: {bad}")  # exits 2
-    if args.simulate:
-        try:
-            check_drain_size(args.pending, config)
-        except ValueError as bad:
-            parser.error(f"argument --pending: {bad}")  # exits 2
-    return _cmd_queue(args, config)
+    try:  # a simulated drain refuses a too-long backlog before it draws
+        drain = (simulate_drain(args.pending, config, trace=not args.no_trace) if args.simulate
+                 else estimate_drain_time(args.pending, config))
+    except ValueError as bad:
+        parser.error(f"argument --pending: {bad}")  # exits 2
+    print(f"mode={'simulate' if args.simulate else 'closed'} "
+          f"pending={args.pending} per_block_cap={config.per_block_cap} "
+          f"blocks_per_day={config.blocks_per_day} "
+          f"missed_prob={config.missed_slot_probability:.3f}")
+    if args.simulate and not args.no_trace:
+        sys.stdout.writelines(drain.trace_lines())
+    print(drain.summary_line())
+    return 0
 
 
 if __name__ == "__main__":

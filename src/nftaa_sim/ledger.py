@@ -206,15 +206,6 @@ class Ledger:
         self.events.extend(ctx.events)
         return TxReceipt(tx_id, None, tuple(ctx.events))
 
-    def must(self, *operations) -> TxReceipt:
-        receipt = self.apply_transaction(*operations)
-        if not receipt.committed:
-            try:
-                raise receipt.error
-            finally:  # this frame joins the error's traceback: hold no path back to it
-                receipt = None
-        return receipt
-
     # ------------------------------------------------------------------
     # Operation interpreter
     # ------------------------------------------------------------------

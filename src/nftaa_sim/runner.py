@@ -13,7 +13,7 @@ A script runs against a fresh ledger in one of three lanes:
 
 Every lane runs the script's plan (``build_plan``), and ``LANES`` holds what
 differs between lanes. ``_HANDLERS`` maps each step kind, and each ``probe``
-form, to the one ScenarioRunner method that runs it, and is checked on import
+form, to the one ScenarioRunner method that runs it; a tier-1 test checks it
 against the parser's ``STEP_KINDS`` and ``PROBE_FORMS``. The transaction kinds
 share one translation into the lane's named ledger operations (``mint`` and
 ``account`` for ``mintnftaa`` in the tba lane). A kind or form with no analog
@@ -25,9 +25,9 @@ a group can name them, and unbound if that transaction does not commit.
 nftaa lanes. The tba lane cannot express that: it submits the operations one
 at a time, the first failure skips the remainder, and an ``interrupt`` right
 after a split step lands in the seam between its parts (the mint and the
-account creation). That asymmetry is what the differential runner exists to
-expose. Reports are plain text and byte-identical across runs with the same
-script and seed.
+account creation), where it fails the sequence without raising. That
+asymmetry is what the differential runner exists to expose. Reports are
+plain text and byte-identical across runs with the same script and seed.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ from .ops import (
     WithdrawAssets,
 )
 from .records import Record
-from .scenario import (PROBE_FORMS, PROXY_FORMS, STEP_KINDS, ScenarioScript, Step, build_plan,
-                       queue_config)
+from .scenario import PROXY_FORMS, STEP_KINDS, ScenarioScript, Step, build_plan, queue_config
 from .staking import estimate_drain_time, simulate_drain
 from .tba import diagnostic_lines
 
@@ -259,10 +258,11 @@ class ScenarioRunner:
 
         The atomic lanes submit the group's operations as one transaction and
         read its receipt: a rollback fails the step with the receipt's error
-        code; the tba lane reports each part in a `seq=` detail. A failure
-        before submission (no analog, an unbound label) still raises. Labels
-        bound ahead of a transaction that did not commit are unbound here,
-        whichever way it failed.
+        code; the tba lane reports each part in a `seq=` detail, and an
+        interrupt in its seam as a failure, without raising. Only a failure
+        before submission (no analog, an unbound label) raises. Labels bound
+        ahead of a transaction that did not commit are unbound here, whichever
+        way it failed.
         """
         group = outcome.group
         pending: list[str] = []  # bound ahead of a transaction not yet committed
@@ -310,8 +310,8 @@ class ScenarioRunner:
                 for name, op in parts:
                     outcome.tx_count += 1  # submitted, or interrupted in the seam
                     if done and rest and rest[0].kind == "interrupt":
-                        name = rest.pop(0).kind
-                        raise LedgerError(ErrorCode.INJECTED_FAILURE, "interrupted")
+                        name, failure = rest.pop(0).kind, ErrorCode.INJECTED_FAILURE
+                        break
                     done += 1
                     error = self.ledger.apply_transaction(op).error  # holds no traceback
                     if error is not None:
@@ -478,14 +478,10 @@ _HANDLERS = {
     "assert_balance": ScenarioRunner._assert_balance,
     "assert_stake": ScenarioRunner._assert_stake, "assert_staker": ScenarioRunner._assert_staker,
 }
-# once each: every kind the parser emits as a step but `begin`, which `run` takes
-# with its group (a `set` line is config, never a step), and every probe form
-if sorted(_HANDLERS) != sorted([*STEP_KINDS.keys() - {"begin", "set"}, *PROBE_FORMS]):
-    raise RuntimeError("runner handlers do not match STEP_KINDS and PROBE_FORMS")
 
 
 def _failed(outcome: StepOutcome, code: ErrorCode) -> None:
-    """A step that raised: not comparable if it has no analog in the lane, else rolled back."""
+    """A step that failed: not comparable if it has no analog in the lane, else rolled back."""
     outcome.status = NOT_COMPARABLE if code is ErrorCode.NOT_COMPARABLE else ROLLED_BACK
     outcome.code = code.value
 

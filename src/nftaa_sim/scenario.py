@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import ErrorCode
 from .records import Record
-from .staking import ETH, WORD, QueueConfig, check_drain_size
+from .staking import ETH, MAX_DRAIN_BLOCKS, WORD, QueueConfig, check_drain_size, estimate_drain_time
 
 _SCAN = re.compile(r'"([^"]*)"|(#.*)|(\S+)')  # quoted value, comment to line end, word
 _AMOUNT = re.compile(r"^(\d+)(eth)?$")
@@ -266,6 +266,7 @@ class _Parser:
     def parse(self, text: str) -> ScenarioScript:
         self.labels: dict[str, str] = {}  # name -> actor | account | token
         self.config, self.steps, self.opened, self.lines = [], [], None, text.splitlines()
+        self.exits, self.advanced, self.queue = 0, 0, None  # the `advance` bound's counts
         for self.line_no, line in enumerate(self.lines, start=1):
             values, self.quoted = _scan(line)
             if not values:
@@ -297,6 +298,17 @@ class _Parser:
                     check_drain_size(args[0], queue_config(self.config))
                 except ValueError as bad:
                     self.fail(1, f"queue_report simulate: {bad}")
+            if kind == "unstake" or kind in ("proxy", "tbacall") and args[2] == "request_unstake":
+                self.exits += 1  # each exit needs one hit block: 1 / (1 - p) expected blocks
+            elif kind == "advance" and self.exits:
+                self.advanced += args[0]  # the queue is busy in at most these blocks
+                if self.advanced > MAX_DRAIN_BLOCKS:
+                    self.queue = self.queue or queue_config(self.config)
+                    cap = self.queue.per_block_cap
+                    blocks = estimate_drain_time(self.exits * cap, self.queue).blocks
+                    if blocks > MAX_DRAIN_BLOCKS:
+                        self.fail(1, f"advance: a drain of {self.exits} exit(s) takes about "
+                                     f"{blocks} blocks, more than {MAX_DRAIN_BLOCKS}")
             self.opened = _group_after(kind, self.opened, self.line_no)
             self.steps.append(Step(kind, tuple(args), self.line_no))
         if self.opened is not None:

@@ -1,16 +1,27 @@
 """Ledger set-up and oracles the tests share, built on the ledger's one entry point.
 
-`mint_nftaa` and `create_tba` submit one operation through `Ledger.must` and
-read the new account off the event it emits. `total_conserved` is the sum the
-fuzz driver checks after every transaction, and `queued_amount` its queue term.
+`must` submits through `Ledger.apply_transaction`, the only way a transaction
+is submitted, and raises the receipt's error if the transaction rolled back.
+`mint_nftaa` and `create_tba` submit one operation through it and read the new
+account off the event it emits. `total_conserved` is the sum the fuzz driver
+checks after every transaction, and `queued_amount` its queue term.
 """
 
-from nftaa_sim import Address, CreateTba, EventKind, Ledger, MintNftaa, WithdrawalQueue
+from nftaa_sim import Address, CreateTba, EventKind, Ledger, MintNftaa, TxReceipt, WithdrawalQueue
+
+
+def must(ledger: Ledger, *operations) -> TxReceipt:
+    """Apply `operations` as one transaction: its receipt, or its error raised if it
+    rolled back."""
+    receipt = ledger.apply_transaction(*operations)
+    if receipt.error is not None:
+        raise receipt.error
+    return receipt
 
 
 def mint_nftaa(ledger: Ledger, caller: Address, note: bytes) -> tuple[int, Address]:
     """Mint a proxy account; its token id and account address."""
-    receipt = ledger.must(MintNftaa(caller, note))
+    receipt = must(ledger, MintNftaa(caller, note))
     created = next(e for e in receipt.events if e.kind is EventKind.NEW_NFTAA)
     return created.fields["token_id"], created.fields["account"]
 
@@ -18,7 +29,7 @@ def mint_nftaa(ledger: Ledger, caller: Address, note: bytes) -> tuple[int, Addre
 def create_tba(ledger: Ledger, caller: Address, token_id: int, salt: bytes,
                has_execute: bool = True) -> Address:
     """Deploy a registry account for `token_id`; its address."""
-    receipt = ledger.must(CreateTba(caller, token_id, salt, has_execute))
+    receipt = must(ledger, CreateTba(caller, token_id, salt, has_execute))
     created = next(e for e in receipt.events if e.kind is EventKind.TBA_CREATED)
     return created.fields["account"]
 

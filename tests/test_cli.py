@@ -424,6 +424,50 @@ def test_queue_report_at_the_drain_cap_parses(tmp_path, capsys):
         parse_scenario(f"set per_block_cap 1000000\nqueue_report {at_cap + 1} simulate\n")
 
 
+# one proxy-account exit, then an advance of 10**11 blocks; at p = 1 - 10**-10 the exit
+# is expected to drain in about 10**10 blocks, each stepped one at a time
+EXIT_THEN_ADVANCE = (
+    "set missed_prob {p}\n"
+    "set unlock_delay 0\n"
+    "actor alice\n"
+    'mintnftaa alice n1 "stake"\n'
+    "faucet n1 32eth\n"
+    "stake alice n1 32eth\n"
+    "assert_stake n1 32eth\n"
+    "unstake alice n1\n"
+    "advance 100000000000\n"
+    "assert_balance n1 32eth\n"
+)
+
+
+def test_advance_past_the_exits_drain_bound_exits_two_at_parse_time(tmp_path, capsys):
+    path = tmp_path / "exit.scn"
+    path.write_text(EXIT_THEN_ADVANCE.format(p="0.9999999999"))
+    started = time.monotonic()
+    assert main(["run", str(path)]) == 2
+    assert time.monotonic() - started < 1.0
+    out = capsys.readouterr().out
+    assert out.startswith(f"parse_error file={path} line=9 col=9 advance: a drain of 1 exit(s) "
+                          "takes about ")
+    assert out.endswith(" blocks, more than 10000000\n") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("script", [
+    EXIT_THEN_ADVANCE.format(p="0.99999"),  # about 10**5 blocks to drain
+    # the idle advance comes before the exit, so it bounds nothing
+    EXIT_THEN_ADVANCE.format(p="0.9999999999").replace(
+        "unstake alice n1\nadvance 100000000000\n", "advance 100000000000\nunstake alice n1\n"
+    ).replace("assert_balance n1 32eth\n", "advance 1000\nassert_stake n1 0\n"),
+], ids=["p=0.99999", "advance-before-the-exit"])
+def test_advance_within_the_exits_drain_bound_runs(script, tmp_path, capsys):
+    path = tmp_path / "exit.scn"
+    path.write_text(script)
+    started = time.monotonic()
+    assert main(["run", str(path)]) == 0
+    assert time.monotonic() - started < 1.0
+    assert "verdicts_passed=2 verdicts_failed=0" in capsys.readouterr().out
+
+
 def test_queue_seeded_simulation_is_reproducible(capsys):
     args = ["queue", "--pending", "500", "--missed-prob", "0.3",
             "--simulate", "--seed", "11"]

@@ -28,7 +28,7 @@ from nftaa_sim import (
     salt_from_int,
 )
 from nftaa_sim.ledger import _OPERATIONS
-from tests.ledger_helpers import create_tba, mint_nftaa
+from tests.ledger_helpers import create_tba, mint_nftaa, must
 
 
 @pytest.fixture
@@ -89,7 +89,7 @@ def test_faucet_unknown_account(ledger):
 def test_transfer_full_balance(ledger):
     alice, bob = ledger.create_eoa("alice"), ledger.create_eoa("bob")
     ledger.faucet(alice, 10)
-    ledger.must(TransferValue(alice, bob, 10))
+    must(ledger, TransferValue(alice, bob, 10))
     assert ledger.balance_of(alice) == 0
     assert ledger.balance_of(bob) == 10
 
@@ -109,9 +109,9 @@ def test_transfer_cycle_conserves(ledger):
     ledger.faucet(actors[0], 50)
     # conservation oracle: sum balances before and after the cycle
     before = sum(ledger.balance_of(x) for x in actors)
-    ledger.must(TransferValue(actors[0], actors[1], 7))
-    ledger.must(TransferValue(actors[1], actors[2], 7))
-    ledger.must(TransferValue(actors[2], actors[0], 7))
+    must(ledger, TransferValue(actors[0], actors[1], 7))
+    must(ledger, TransferValue(actors[1], actors[2], 7))
+    must(ledger, TransferValue(actors[2], actors[0], 7))
     assert sum(ledger.balance_of(x) for x in actors) == before
     assert [ledger.balance_of(x) for x in actors] == [50, 0, 0]
 
@@ -295,7 +295,7 @@ def test_rolled_back_grouped_mint_restores_the_id_counters(ledger):
         return ledger.state.collection.next_id, ledger.compute_nftaa_address()
 
     alice = ledger.create_eoa("alice")
-    ledger.must(MintNftaa(alice, b"kept"))
+    must(ledger, MintNftaa(alice, b"kept"))
     next_id, nonce = counters()
     receipt = ledger.apply_transaction(MintNftaa(alice, b"doomed"), Fail())
     assert not receipt.committed
@@ -332,7 +332,7 @@ def test_rolled_back_receipt_holds_no_frame(ledger):
     assert receipt.error.__traceback__ is None
     assert receipt.error.code is ErrorCode.INSUFFICIENT_BALANCE
     with pytest.raises(LedgerError) as caught:
-        ledger.must(TransferValue(alice, bob, 1), TransferValue(alice, bob, 6))
+        must(ledger, TransferValue(alice, bob, 1), TransferValue(alice, bob, 6))
     assert caught.value.code is ErrorCode.INSUFFICIENT_BALANCE
     assert caught.value.detail == {"have": 4, "need": 6}
     assert str(caught.value) == "InsufficientBalance (have=4, need=6)"
@@ -380,7 +380,7 @@ def test_debit_sites_keep_their_check_order(ledger, style, staked, method, amoun
         account, execute = create_tba(ledger, alice, token, salt_from_int(0)), TbaExecute
     ledger.faucet(account, 42 * ETH if staked else 10 * ETH)
     if staked:
-        ledger.must(execute(alice, account, ProxyPayload("stake", amount=32 * ETH)))
+        must(ledger, execute(alice, account, ProxyPayload("stake", amount=32 * ETH)))
     assert ledger.balance_of(account) == 10 * ETH
     digest = ledger.state_digest()
     to = eoa_address("ghost")  # unknown: a later check the transfer must not reach

@@ -18,7 +18,7 @@ from nftaa_sim import (
     UpgradeAccount,
     WithdrawAssets,
 )
-from tests.ledger_helpers import mint_nftaa
+from tests.ledger_helpers import mint_nftaa, must
 
 
 @pytest.fixture
@@ -70,7 +70,7 @@ def test_mint_boundary_note_lengths(world):
 
 def test_account_of_plain_token_is_none(world):
     ledger, alice, _ = world
-    ledger.must(MintToken(alice, alice, b"plain"))
+    must(ledger, MintToken(alice, alice, b"plain"))
     assert ledger.account_of(1) is None
 
 
@@ -106,7 +106,7 @@ def test_binding_bijection_over_many_accounts(world):
 def test_proxy_noop_emits_response(world):
     ledger, alice, _ = world
     _, account = mint_nftaa(ledger, alice, b"n")
-    receipt = ledger.must(ProxyExecute(alice, account, ProxyPayload("noop")))
+    receipt = must(ledger, ProxyExecute(alice, account, ProxyPayload("noop")))
     responses = [e for e in receipt.events if e.kind is EventKind.PROXY_RESPONSE]
     assert len(responses) == 1
     assert responses[0].payload == {"nftaa": account.hex(), "method": "noop",
@@ -139,16 +139,16 @@ def test_authorization_follows_nft(world):
         assert ok.committed
         bad = ledger.apply_transaction(ProxyExecute(outsider, account, ProxyPayload("noop")))
         assert bad.error.code is ErrorCode.NOT_NFT_OWNER
-        ledger.must(TransferToken(owner, token_id, outsider))
+        must(ledger, TransferToken(owner, token_id, outsider))
 
 
 def test_proxy_acts_as_the_account(world):
     # the inner transfer's sender is the bound account, not the human owner
     ledger, alice, bob = world
     _, account = mint_nftaa(ledger, alice, b"n")
-    ledger.must(TransferValue(alice, account, 5 * ETH))
+    must(ledger, TransferValue(alice, account, 5 * ETH))
     alice_before = ledger.balance_of(alice)
-    receipt = ledger.must(ProxyExecute(alice, account,
+    receipt = must(ledger, ProxyExecute(alice, account,
                                        ProxyPayload("transfer_value", amount=2 * ETH,
                                                     to=bob)))
     transfer = next(e for e in receipt.events if e.kind is EventKind.TRANSFER)
@@ -161,8 +161,8 @@ def test_proxy_acts_as_the_account(world):
 def test_withdraw_by_owner(world):
     ledger, alice, bob = world
     _, account = mint_nftaa(ledger, alice, b"n")
-    ledger.must(TransferValue(alice, account, 5 * ETH))
-    ledger.must(WithdrawAssets(alice, account, bob, ETH))
+    must(ledger, TransferValue(alice, account, 5 * ETH))
+    must(ledger, WithdrawAssets(alice, account, bob, ETH))
     assert ledger.balance_of(bob) == ETH
 
 
@@ -178,7 +178,7 @@ def test_fraud_guard_both_orders(world):
     one transaction must roll back either way."""
     ledger, alice, bob = world
     token_id, account = mint_nftaa(ledger, alice, b"n")
-    ledger.must(TransferValue(alice, account, 10 * ETH))
+    must(ledger, TransferValue(alice, account, 10 * ETH))
     digest = ledger.state_digest()
     orderings = [
         [WithdrawAssets(alice, account, alice, ETH),
@@ -191,15 +191,15 @@ def test_fraud_guard_both_orders(world):
         assert receipt.error.code is ErrorCode.FRAUD_GUARD
         assert ledger.state_digest() == digest
     # separated into two transactions the same intent is legitimate
-    ledger.must(WithdrawAssets(alice, account, alice, ETH))
-    ledger.must(TransferToken(alice, token_id, bob))
+    must(ledger, WithdrawAssets(alice, account, alice, ETH))
+    must(ledger, TransferToken(alice, token_id, bob))
     assert ledger.state.collection.owner_of(token_id) == bob
 
 
 def test_fraud_guard_covers_proxy_drain(world):
     ledger, alice, bob = world
     token_id, account = mint_nftaa(ledger, alice, b"n")
-    ledger.must(TransferValue(alice, account, 10 * ETH))
+    must(ledger, TransferValue(alice, account, 10 * ETH))
     receipt = ledger.apply_transaction(
                    ProxyExecute(alice, account, ProxyPayload("transfer_value", amount=ETH,
                                                              to=alice)),
@@ -219,7 +219,7 @@ def test_upgrade_touches_only_the_version(world):
     ledger, alice, _ = world
     _, account = mint_nftaa(ledger, alice, b"n")
     before = ledger.state_digest()
-    ledger.must(UpgradeAccount(alice, account, 2))
+    must(ledger, UpgradeAccount(alice, account, 2))
     assert ledger.state.nftaas[account].upgrade_version == 2
     assert ledger.state_digest() != before
     # undoing the version restores the exact canonical state
@@ -240,9 +240,9 @@ def test_upgrade_gating_and_version_skew(world):
 def test_upgrade_preserves_balance_and_stake(world):
     ledger, alice, _ = world
     _, account = mint_nftaa(ledger, alice, b"n")
-    ledger.must(TransferValue(alice, account, 40 * ETH))
-    ledger.must(ProxyExecute(alice, account, ProxyPayload("stake", amount=32 * ETH)))
-    ledger.must(UpgradeAccount(alice, account, 2))
+    must(ledger, TransferValue(alice, account, 40 * ETH))
+    must(ledger, ProxyExecute(alice, account, ProxyPayload("stake", amount=32 * ETH)))
+    must(ledger, UpgradeAccount(alice, account, 2))
     assert ledger.balance_of(account) == 8 * ETH
     assert ledger.stake_balance_of(account) == 32 * ETH
     assert ledger.bound_nft_of(account) == 1

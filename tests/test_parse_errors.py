@@ -19,6 +19,8 @@ from nftaa_sim.scenario import ScenarioParseError, parse_scenario
 GOLDEN = Path(__file__).resolve().parent / "golden" / "parse_errors.txt"
 # a declared actor `a`, an NFTAA `n` and a plain token `t`
 P = 'actor a\nmintnftaa a n "x"\nminttoken a t "y"\n'
+# one exit's expected drain: 1 / (1 - p), about 10**10 blocks
+EXIT = "set missed_prob 0.9999999999\nset unlock_delay 0\nactor alice\n"
 
 CASES = [
     # unknown step, and steps a transaction group does not allow
@@ -120,6 +122,14 @@ CASES = [
     # other whitespace between tokens, and CRLF line ends
     "actor a\nfaucet\x1fa\xa01.5eth\n",
     "actor a\r\nfaucet a  \r\n",
+    # an advance past the blocks the script's exits may take to drain: an `unstake`, and a
+    # `proxy` or `tbacall` of `request_unstake`, at a missed-slot probability near 1
+    EXIT + 'mintnftaa alice n1 "stake"\nfaucet n1 32eth\nstake alice n1 32eth\n'
+    "assert_stake n1 32eth\nunstake alice n1\nadvance 100000000000\nassert_balance n1 32eth\n",
+    EXIT + 'mintnftaa alice n1 "stake"\nfaucet n1 32eth\nstake alice n1 32eth\n'
+    "assert_stake n1 32eth\nproxy alice n1 request_unstake\nadvance 100000000000\n",
+    EXIT + 'minttoken alice t1 "stake"\ncreatetba alice t1 0 b1\nfaucet b1 32eth\n'
+    "tbacall alice b1 stake 32eth\ntbacall alice b1 request_unstake\nadvance 100000000000\n",
 ]
 
 

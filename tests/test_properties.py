@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 from nftaa_sim import Ledger, MintNftaa, MintToken, QueueConfig, simulate_drain
 
 from tests.fuzz_engine import run_sequence
+from tests.ledger_helpers import must
 
 
 @given(st.binary(min_size=1, max_size=256))
 def test_any_legal_note_round_trips(note):
     ledger = Ledger()
     alice = ledger.create_eoa("alice")
-    receipt = ledger.must(MintToken(alice, alice, note))
+    receipt = must(ledger, MintToken(alice, alice, note))
     token_id = receipt.events[0].payload["token_id"]
     assert ledger.token_note(token_id) == note
 

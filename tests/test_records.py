@@ -14,7 +14,7 @@ import pytest
 from nftaa_sim import (ETH, Ledger, ProxyExecute, ProxyPayload, QueueConfig, TbaExecute,
                        TransferValue)
 from nftaa_sim.records import Record
-from tests.ledger_helpers import create_tba, mint_nftaa
+from tests.ledger_helpers import create_tba, mint_nftaa, must
 
 
 def _world():
@@ -25,10 +25,10 @@ def _world():
     accounts = []
     for note in (b"staked", b"exiting"):
         token_id, account = mint_nftaa(ledger, alice, note)
-        ledger.must(TransferValue(alice, account, 40 * ETH))
-        ledger.must(ProxyExecute(alice, account, ProxyPayload("stake", amount=32 * ETH)))
+        must(ledger, TransferValue(alice, account, 40 * ETH))
+        must(ledger, ProxyExecute(alice, account, ProxyPayload("stake", amount=32 * ETH)))
         accounts.append(account)
-    ledger.must(ProxyExecute(alice, accounts[1], ProxyPayload("request_unstake")))
+    must(ledger, ProxyExecute(alice, accounts[1], ProxyPayload("request_unstake")))
     create_tba(ledger, alice, token_id, b"\x00" * 32)
     return ledger.state
 

@@ -30,7 +30,7 @@ from nftaa_sim import (
 )
 from nftaa_sim.cli import main
 from nftaa_sim.staking import DRAW_BATCH, MAX_DRAIN_BLOCKS, binomial_variate, draw_hits
-from tests.ledger_helpers import mint_nftaa, queued_amount
+from tests.ledger_helpers import mint_nftaa, must, queued_amount
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def staked_world():
     alice = ledger.create_eoa("alice")
     ledger.faucet(alice, 200 * ETH)
     _, account = mint_nftaa(ledger, alice, b"stake")
-    ledger.must(TransferValue(alice, account, 100 * ETH))
+    must(ledger, TransferValue(alice, account, 100 * ETH))
     return ledger, alice, account
 
 
@@ -136,7 +136,7 @@ def test_rolled_back_stake_and_add_restore_balance_and_position(staked_world):
     assert ledger.state_digest() == digest
     assert ledger.balance_of(account) == 100 * ETH
     assert ledger.state.stakes == {}
-    ledger.must(call("stake", 32 * ETH))
+    must(ledger, call("stake", 32 * ETH))
     assert not ledger.apply_transaction(call("add_to_stake", ETH), Fail()).committed
     assert ledger.stake_balance_of(account) == 32 * ETH
     assert ledger.balance_of(account) == 68 * ETH
@@ -184,7 +184,7 @@ def test_staker_address_decoupled_from_owner(staked_world):
     assert ledger.staker_address_of(account) == account
     token_id = ledger.bound_nft_of(account)
     from nftaa_sim import TransferToken
-    ledger.must(TransferToken(alice, token_id, bob))
+    must(ledger, TransferToken(alice, token_id, bob))
     assert ledger.staker_address_of(account) == account  # stake follows the account
     assert ledger.stake_balance_of(account) == 32 * ETH
 
@@ -335,8 +335,8 @@ def _queued_world(probability: float) -> Ledger:
     return ledger
 
 
-@pytest.mark.parametrize("probability", [0.0, 0.1, 0.25])
-@pytest.mark.parametrize("count", [0, 3, 7, 50])
+@pytest.mark.parametrize("probability", [0.0, 0.1, 0.25, 0.9])  # 0.9: 54 blocks to drain
+@pytest.mark.parametrize("count", [0, 3, 7, 50, 100])
 def test_advance_blocks_matches_one_block_at_a_time(probability, count):
     jumped, stepped = _queued_world(probability), _queued_world(probability)
     assert jumped.advance_blocks(count) == count

@@ -21,7 +21,7 @@ from nftaa_sim import (
 from nftaa_sim.events import hexed
 from tests.corpus import SCRIPTS
 from tests.fuzz_engine import FuzzDriver
-from tests.ledger_helpers import mint_nftaa
+from tests.ledger_helpers import mint_nftaa, must
 from tests.perfbench_modules import load
 
 EVENT_KEYS = {"from", "to", "owner", "account", "creator", "nftaa", "collection", "salt"}
@@ -81,8 +81,8 @@ def test_event_log_holds_at_most_320_bytes_an_event():
             owner = ledger.create_eoa(f"staker{n}")
             _, account = mint_nftaa(ledger, owner, b"stake")
             ledger.faucet(account, 32 * ETH)
-            ledger.must(ProxyExecute(owner, account, ProxyPayload("stake", amount=32 * ETH)))
-            ledger.must(ProxyExecute(owner, account, ProxyPayload("request_unstake")))
+            must(ledger, ProxyExecute(owner, account, ProxyPayload("stake", amount=32 * ETH)))
+            must(ledger, ProxyExecute(owner, account, ProxyPayload("request_unstake")))
         ledger.advance_blocks(10**6)
         events = len(ledger.events)
         held = tracemalloc.get_traced_memory()[0]

@@ -24,7 +24,7 @@ from nftaa_sim import (
     salt_from_int,
 )
 from nftaa_sim.tba import diagnostic_lines
-from tests.ledger_helpers import create_tba, mint_nftaa
+from tests.ledger_helpers import create_tba, mint_nftaa, must
 from tests.perfbench_modules import load
 
 
@@ -33,7 +33,7 @@ def world():
     ledger = Ledger()
     alice = ledger.create_eoa("alice")
     bob = ledger.create_eoa("bob")
-    receipt = ledger.must(MintToken(alice, alice, b"plain"))
+    receipt = must(ledger, MintToken(alice, alice, b"plain"))
     token_id = receipt.events[0].payload["token_id"]
     return ledger, alice, bob, token_id
 
@@ -107,7 +107,7 @@ def test_create_for_unminted_token(world):
 def test_execute_gated_by_token_owner(world):
     ledger, alice, bob, token_id = world
     tba = create_tba(ledger, alice, token_id, salt_from_int(0))
-    assert ledger.must(TbaExecute(alice, tba, ProxyPayload("noop"))).committed
+    assert must(ledger, TbaExecute(alice, tba, ProxyPayload("noop"))).committed
     receipt = ledger.apply_transaction(TbaExecute(bob, tba, ProxyPayload("noop")))
     assert receipt.error.code is ErrorCode.NOT_NFT_OWNER
     receipt = ledger.apply_transaction(TbaExecute(alice, bob, ProxyPayload("noop")))
@@ -133,7 +133,7 @@ def test_self_send_locks_and_is_detected(world):
     ledger, alice, _, token_id = world
     tba = create_tba(ledger, alice, token_id, salt_from_int(0))
     assert detect_locked_nfts(ledger.state) == []
-    ledger.must(TransferToken(alice, token_id, tba))
+    must(ledger, TransferToken(alice, token_id, tba))
     locked = detect_locked_nfts(ledger.state)
     assert locked == [token_id]
     # exhaustive: no existing account can pass the owner gate anymore
@@ -144,10 +144,10 @@ def test_self_send_locks_and_is_detected(world):
 
 def test_transfer_to_another_tokens_tba_is_not_a_self_lock(world):
     ledger, alice, _, token_id = world
-    receipt = ledger.must(MintToken(alice, alice, b"other"))
+    receipt = must(ledger, MintToken(alice, alice, b"other"))
     other_token = receipt.events[0].payload["token_id"]
     other_tba = create_tba(ledger, alice, other_token, salt_from_int(0))
-    ledger.must(TransferToken(alice, token_id, other_tba))
+    must(ledger, TransferToken(alice, token_id, other_tba))
     assert detect_locked_nfts(ledger.state) == []
     # the ownership chain still roots at a live owner: alice owns other_token,
     # which gates other_tba, which owns token_id
@@ -199,11 +199,11 @@ def test_lock_diagnostic_walks_the_registry_like_the_token_scan(world):
     in the other order, and every lane of generated `fraud_diff` scripts,
     whose self-sends lock several tokens at once."""
     ledger, alice, _, first = world
-    second = ledger.must(MintToken(alice, alice, b"two")).events[0].payload["token_id"]
+    second = must(ledger, MintToken(alice, alice, b"two")).events[0].payload["token_id"]
     accounts = {token_id: create_tba(ledger, alice, token_id, salt_from_int(0))
                 for token_id in (second, first)}
     for token_id, account in accounts.items():
-        ledger.must(TransferToken(alice, token_id, account))
+        must(ledger, TransferToken(alice, token_id, account))
     assert detect_locked_nfts(ledger.state) == _locked_by_token_scan(ledger.state) \
         == [first, second]
     most_locked = 0
@@ -242,7 +242,7 @@ def _stranded_by_sorted_walk(state):
 
 def test_stranded_accounts_come_in_key_order_whatever_the_deployment_order(world):
     ledger, alice, _, first = world
-    second = ledger.must(MintToken(alice, alice, b"two")).events[0].payload["token_id"]
+    second = must(ledger, MintToken(alice, alice, b"two")).events[0].payload["token_id"]
     # deployed against (collection, token_id, salt) order, with one funded account that
     # has an execute function and one unfunded account that has none in between
     keys = [(second, 0, False), (first, 7, False), (first, 9, True), (first, 3, False),
@@ -258,7 +258,7 @@ def test_stranded_accounts_come_in_key_order_whatever_the_deployment_order(world
 
 def test_tba_event_shape(world):
     ledger, alice, _, token_id = world
-    receipt = ledger.must(CreateTba(alice, token_id, salt_from_int(5)))
+    receipt = must(ledger, CreateTba(alice, token_id, salt_from_int(5)))
     event = receipt.events[0]
     assert event.kind is EventKind.TBA_CREATED
     assert event.payload["token_id"] == token_id
@@ -270,10 +270,10 @@ def test_tba_staking_credits_the_tba(world):
     ledger, alice, _, token_id = world
     tba = create_tba(ledger, alice, token_id, salt_from_int(0))
     ledger.faucet(tba, 40 * ETH)
-    ledger.must(TbaExecute(alice, tba, ProxyPayload("stake", amount=32 * ETH)))
+    must(ledger, TbaExecute(alice, tba, ProxyPayload("stake", amount=32 * ETH)))
     assert ledger.staker_address_of(tba) == tba
     ledger.advance_blocks(ledger.config.unlock_delay)
-    ledger.must(TbaExecute(alice, tba, ProxyPayload("request_unstake")))
+    must(ledger, TbaExecute(alice, tba, ProxyPayload("request_unstake")))
     ledger.advance_block()
     assert ledger.balance_of(tba) == 40 * ETH
 
@@ -286,4 +286,4 @@ def test_nftaa_token_can_also_get_a_tba(world):
     tba = create_tba(ledger, alice, token_id, salt_from_int(0))
     assert tba != account
     assert ledger.account_of(token_id) == account  # binding still reports the factory account
-    assert ledger.must(TbaExecute(alice, tba, ProxyPayload("noop"))).committed
+    assert must(ledger, TbaExecute(alice, tba, ProxyPayload("noop"))).committed

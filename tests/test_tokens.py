@@ -13,7 +13,7 @@ from nftaa_sim import (
     TransferToken,
     ZERO_ADDRESS,
 )
-from tests.ledger_helpers import mint_nftaa
+from tests.ledger_helpers import mint_nftaa, must
 
 
 @pytest.fixture
@@ -25,7 +25,7 @@ def world():
 
 
 def _mint(ledger, caller, to, note=b"n"):
-    receipt = ledger.must(MintToken(caller, to, note))
+    receipt = must(ledger, MintToken(caller, to, note))
     event = receipt.events[0]
     assert event.kind is EventKind.TRANSFER
     assert event.payload["from"] == ZERO_ADDRESS.hex()
@@ -55,14 +55,14 @@ def test_owner_of_unminted(world):
 def test_transfer_changes_owner(world):
     ledger, alice, bob = world
     token = _mint(ledger, alice, alice)
-    ledger.must(TransferToken(alice, token, bob))
+    must(ledger, TransferToken(alice, token, bob))
     assert ledger.state.collection.owner_of(token) == bob
 
 
 def test_transfer_to_self_emits_event(world):
     ledger, alice, _ = world
     token = _mint(ledger, alice, alice)
-    receipt = ledger.must(TransferToken(alice, token, alice))
+    receipt = must(ledger, TransferToken(alice, token, alice))
     assert ledger.state.collection.owner_of(token) == alice
     assert len(receipt.events) == 1
 
@@ -80,8 +80,8 @@ def test_transfer_chain(world):
     ledger, alice, bob = world
     carol = ledger.create_eoa("carol")
     token = _mint(ledger, alice, alice)
-    ledger.must(TransferToken(alice, token, bob))
-    ledger.must(TransferToken(bob, token, carol))
+    must(ledger, TransferToken(alice, token, bob))
+    must(ledger, TransferToken(bob, token, carol))
     assert ledger.state.collection.owner_of(token) == carol
 
 
@@ -118,7 +118,7 @@ def test_bound_account_survives_every_transfer_order(world):
     for recipients in itertools.product(actors, repeat=3):
         for to in recipients:
             owner = ledger.state.collection.owner_of(token)
-            ledger.must(TransferToken(owner, token, to))
+            must(ledger, TransferToken(owner, token, to))
             assert ledger.account_of(token) == target
 
 
