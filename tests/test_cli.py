@@ -441,8 +441,11 @@ EXIT_THEN_ADVANCE = (
 
 
 def test_advance_past_the_exits_drain_bound_exits_two_at_parse_time(tmp_path, capsys):
+    script = EXIT_THEN_ADVANCE.format(p="0.9999999999")
+    with pytest.raises(ScenarioParseError):  # else `run` below would step for hours
+        parse_scenario(script)
     path = tmp_path / "exit.scn"
-    path.write_text(EXIT_THEN_ADVANCE.format(p="0.9999999999"))
+    path.write_text(script)
     started = time.monotonic()
     assert main(["run", str(path)]) == 2
     assert time.monotonic() - started < 1.0
@@ -452,13 +455,14 @@ def test_advance_past_the_exits_drain_bound_exits_two_at_parse_time(tmp_path, ca
     assert out.endswith(" blocks, more than 10000000\n") and out.count("\n") == 1
 
 
-@pytest.mark.parametrize("script", [
-    EXIT_THEN_ADVANCE.format(p="0.99999"),  # about 10**5 blocks to drain
-    # the idle advance comes before the exit, so it bounds nothing
-    EXIT_THEN_ADVANCE.format(p="0.9999999999").replace(
-        "unstake alice n1\nadvance 100000000000\n", "advance 100000000000\nunstake alice n1\n"
-    ).replace("assert_balance n1 32eth\n", "advance 1000\nassert_stake n1 0\n"),
-], ids=["p=0.99999", "advance-before-the-exit"])
+# the idle advance comes before the exit, so the blocks it advances bound nothing
+ADVANCE_THEN_EXIT = EXIT_THEN_ADVANCE.format(p="0.9999999999").replace(
+    "unstake alice n1\nadvance 100000000000\nassert_balance n1 32eth\n",
+    "advance 100000000000\nunstake alice n1\nadvance 1000\nassert_stake n1 0\n")
+
+
+@pytest.mark.parametrize("script", [EXIT_THEN_ADVANCE.format(p="0.99999"), ADVANCE_THEN_EXIT],
+                         ids=["p=0.99999", "advance-before-the-exit"])
 def test_advance_within_the_exits_drain_bound_runs(script, tmp_path, capsys):
     path = tmp_path / "exit.scn"
     path.write_text(script)
