@@ -124,10 +124,12 @@ def main(argv: list[str] | None = None) -> int:
                  else estimate_drain_time(args.pending, config))
     except ValueError as bad:
         parser.error(f"argument --pending: {bad}")  # exits 2
+    p = config.missed_slot_probability
+    shown = f"{p:.3f}"  # three places, unless they read back as another p
     print(f"mode={'simulate' if args.simulate else 'closed'} "
           f"pending={args.pending} per_block_cap={config.per_block_cap} "
           f"blocks_per_day={config.blocks_per_day} "
-          f"missed_prob={config.missed_slot_probability:.3f}")
+          f"missed_prob={shown if float(shown) == p else repr(p)}")
     if args.simulate and not args.no_trace:
         sys.stdout.writelines(drain.trace_lines())
     print(drain.summary_line())

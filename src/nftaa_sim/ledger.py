@@ -39,7 +39,7 @@ from .ops import (
     WithdrawAssets,
 )
 from .records import Record
-from .staking import QueueConfig, StakePosition, WithdrawalQueue
+from .staking import DRAW_BATCH, QueueConfig, StakePosition, WithdrawalQueue, draw_until
 from .tba import TbaRecord, TbaRegistry
 from .tokens import NftCollection, NftRecord, validate_note
 
@@ -161,27 +161,24 @@ class Ledger:
                                  {"from": ZERO_ADDRESS, "to": to, "amount": amount},
                                  self.height, SYSTEM_TX_ID))
 
-    def advance_block(self) -> int:
-        self.height += 1
-        for entry in self.state.queue.process_block(self.config, self.rng):
-            self._account(entry.owner).balance += entry.amount
-            self.events.append(Event(EventKind.WITHDRAWAL_PROCESSED, entry.owner,
-                                     {"owner": entry.owner, "amount": entry.amount,
-                                      "enqueued_at": entry.enqueued_at},
-                                     self.height, SYSTEM_TX_ID))
-        return self.height
-
     def advance_blocks(self, count: int) -> int:
-        """Advance `count` blocks, one at a time while the queue has work.
-
-        An idle block draws no randomness and emits nothing, so once the
-        queue is empty the rest are jumped in one step.
-        """
-        remaining = max(count, 0)
-        pending = self.state.queue.pending
-        while remaining and pending:
-            self.advance_block()
-            remaining -= 1
+        """Advance `count` blocks. While the queue has work, `draw_until` draws them a batch
+        at a time, and entries are dequeued at the hit blocks; idle blocks are jumped."""
+        remaining, config, queue = max(count, 0), self.config, self.state.queue
+        while remaining and queue.pending:
+            need = -(-len(queue.pending) // config.per_block_cap)  # ceil division
+            hits = draw_until(self.rng, need, min(remaining, DRAW_BATCH),
+                              config.missed_slot_probability)
+            start, remaining, block = self.height, remaining - len(hits), -1
+            while (block := hits.find(1, block + 1)) >= 0:
+                self.height = start + block + 1
+                for entry in queue.process_block(config, self.rng):
+                    self._account(entry.owner).balance += entry.amount
+                    self.events.append(Event(EventKind.WITHDRAWAL_PROCESSED, entry.owner,
+                                             {"owner": entry.owner, "amount": entry.amount,
+                                              "enqueued_at": entry.enqueued_at},
+                                             self.height, SYSTEM_TX_ID))
+            self.height = start + len(hits)
         self.height += remaining
         return self.height
 

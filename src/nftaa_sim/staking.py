@@ -5,14 +5,14 @@ cap of 16 and 7,200 blocks per simulated day that is a ceiling of 115,200
 withdrawals per day; a backlog of 800,000 takes 50,000 blocks, just under
 seven days. A slot can also be "missed" (Bernoulli draw from the ledger's
 seeded generator), in which case the block processes nothing and the backlog
-slips proportionally. `WithdrawalQueue.process_block` is that rule for the
-ledger's queue, one block at a time. The standalone drain applies the same
-rule one batch at a time: it needs only the count, so it never builds an
-entry. It takes the missed-slot draws of up to `DRAW_BATCH` blocks from one
-`getrandbits` call and decides them by the word, most by one byte, consuming
-the generator exactly as the block-at-a-time rule would. A drain is one byte
-per block, 1 if the block processed entries and 0 if its slot was missed, and
-its trace is formatted as bytes. A simulated drain is capped at
+slips proportionally. `draw_until` draws that rule for the ledger's
+`advance` and the standalone drain alike: a batch of blocks from one
+`getrandbits` call, decided by the word, most by one byte, consuming the
+generator exactly as one `random()` call per block would. The ledger's
+`WithdrawalQueue.process_block` only dequeues a hit block; the standalone
+drain needs only the count, so it never builds an entry. A drain is one byte
+per block, 1 if the block processed entries and 0 if its slot was missed,
+and its trace is formatted as bytes. A simulated drain is capped at
 `MAX_DRAIN_BLOCKS` expected blocks: a traced one keeps a byte per block.
 """
 
@@ -83,14 +83,9 @@ class WithdrawalQueue(Record):
         self.pending.append(QueueEntry(owner, amount, height))
 
     def process_block(self, config: QueueConfig, rng: random.Random) -> list[QueueEntry]:
-        """Dequeue up to `per_block_cap` entries for one block, in FIFO order.
-
-        The missed-slot draw happens only when there is work to do, so empty
-        blocks neither consume randomness nor count as missed.
-        """
-        pending, missed = self.pending, config.missed_slot_probability
-        if not pending or (missed > 0.0 and rng.random() < missed):
-            return []
+        """Dequeue up to `per_block_cap` entries for a hit block, in FIFO order. The block's
+        missed-slot draw was `draw_until`'s, so `rng` is not read."""
+        pending = self.pending
         return [pending.popleft() for _ in range(min(config.per_block_cap, len(pending)))]
 
 
@@ -227,10 +222,13 @@ def check_drain_size(pending_count: int, config: QueueConfig) -> None:
                          f"{blocks} blocks, more than {MAX_DRAIN_BLOCKS}")
 
 
-def draw_hits(rng: random.Random, count: int, probability: float) -> bytearray:
-    """`count` missed-slot draws, one byte each: 1 where `rng.random() >= probability`
-    (the slot is taken), else 0. Drawn from one `getrandbits` call, which leaves
-    the generator as `count` calls of `random()` would.
+def draw_until(rng: random.Random, need: int, count: int, probability: float) -> bytearray:
+    """The missed-slot draws of a drain that owes `need` hit blocks, one byte a block:
+    1 where `rng.random() >= probability`, else 0, up to the `need`-th hit or `count`
+    blocks. One `getrandbits` call draws the `need` sure blocks and the mean wait for
+    one more hit, ceil(1 / (1 - p)), at most `count`; if the `need`-th hit comes sooner,
+    the generator is set back and the kept draws are taken again, so it ends where one
+    `random()` call a block would leave it. At p = 0 every block is a hit, undrawn.
 
     `random()` is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 for the two 32-bit
     words a and b that it takes, so it is at least p exactly when that 53-bit
@@ -238,15 +236,26 @@ def draw_hits(rng: random.Random, count: int, probability: float) -> bytearray:
     top byte of a: above the top byte t of T the draw is a hit, below it a
     miss, and at t, about one draw in 256, the two whole words decide.
     """
+    if probability <= 0.0:
+        return bytearray(b"\1") * min(need, count)
+    size = min(count, need + math.ceil(1.0 / (1.0 - probability)))
+    saved = rng.getstate() if size > need else None  # only a longer batch can end early
     threshold = math.ceil(probability * 2**53)
     t = threshold >> 45
-    words = rng.getrandbits(64 * count).to_bytes(8 * count, "little")  # a, b, a, b, ...
+    words = rng.getrandbits(64 * size).to_bytes(8 * size, "little")  # a, b, a, b, ...
     hits = bytearray(words[3::8]).translate(b"\0" * t + b"\2" + b"\1" * (255 - t))
     tie = hits.find(2)
     while tie >= 0:
         pair = int.from_bytes(words[8 * tie:8 * tie + 8], "little")  # b << 32 | a
         hits[tie] = ((pair & 0xFFFF_FFFF) >> 5 << 26 | pair >> 38) >= threshold
         tie = hits.find(2, tie + 1)
+    end = size  # the index of the `need`-th hit, if a longer batch reaches it
+    for _ in range(hits.count(1) - need + 1 if saved else 0):
+        end = hits.rfind(1, 0, end)
+    if end < size - 1:
+        rng.setstate(saved)
+        rng.getrandbits(64 * (end + 1))
+        del hits[end + 1:]
     return hits
 
 
@@ -254,30 +263,22 @@ def simulate_drain(pending_count: int, config: QueueConfig,
                    rng: random.Random | None = None, trace: bool = True) -> DrainTrace:
     """Drain a backlog of `pending_count` entries, one byte per block.
 
-    Only the count is kept, and the draws are those of
-    `WithdrawalQueue.process_block`, so the trace and the generator's final
-    state match a queue of real entries. A drain needs exactly
-    `ceil(pending / cap)` blocks that are not missed. While `need` of them are
-    owed, the next `need` blocks, at most `DRAW_BATCH` of them, are drawn as
-    one batch by `draw_hits`: the drain lasts at least that long, so a batch
-    never draws past its last block. At p = 0 nothing is drawn. A traced drain
-    appends each batch's bytes; an untraced one only counts its hits. Raises
-    ValueError, before drawing, when `check_drain_size` rejects the backlog.
+    Only the count is kept. `draw_until` draws each batch of the owed hit blocks, as in
+    `Ledger.advance_blocks`, so the trace and final generator state match a queue of
+    real entries. A traced drain appends each batch's bytes; an untraced one counts
+    them. Raises ValueError, before drawing, when `check_drain_size` rejects the backlog.
     """
     check_drain_size(pending_count, config)
     if rng is None:
         rng = random.Random(config.rng_seed)
-    cap, missed = config.per_block_cap, config.missed_slot_probability
-    busy = max(-(-pending_count // cap), 0)  # ceil division; a negative backlog is empty
-    need = busy if missed > 0.0 else 0  # at p = 0 every block is a hit
-    blocks, hits = busy, bytearray(b"\1") * (busy - need) if trace else None
+    need = max(-(-pending_count // config.per_block_cap), 0)  # a negative backlog is empty
+    blocks, hits = 0, bytearray() if trace else None
     while need:
-        batch = draw_hits(rng, min(need, DRAW_BATCH), missed)
+        batch = draw_until(rng, need, DRAW_BATCH, config.missed_slot_probability)
         if hits is not None:
             hits += batch
-        taken = batch.count(1)
-        blocks += len(batch) - taken
-        need -= taken
+        blocks += len(batch)
+        need -= batch.count(1)
     return DrainTrace(blocks, hits, pending_count, config)
 
 
@@ -285,9 +286,9 @@ def simulate_saturated_days(days: int, config: QueueConfig) -> list[int]:
     """Daily throughput with the queue never running dry (capacity statistics).
 
     Each slot of a day is missed with probability p, independently, as in
-    `WithdrawalQueue.process_block`, so a day's missed count is
-    Binomial(blocks_per_day, p). It is drawn as one variate per day, not slot
-    by slot. The long-run mean is cap * blocks_per_day * (1 - p).
+    `draw_until`, so a day's missed count is Binomial(blocks_per_day, p). It is
+    drawn as one variate per day, not slot by slot. The long-run mean is
+    cap * blocks_per_day * (1 - p).
     """
     rng = random.Random(config.rng_seed)
     n, p = config.blocks_per_day, config.missed_slot_probability

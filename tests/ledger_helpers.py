@@ -5,9 +5,25 @@ is submitted, and raises the receipt's error if the transaction rolled back.
 `mint_nftaa` and `create_tba` submit one operation through it and read the new
 account off the event it emits. `total_conserved` is the sum the fuzz driver
 checks after every transaction, and `queued_amount` its queue term.
+
+`advance_block` is the block-at-a-time reference for `Ledger.advance_blocks`,
+which draws its missed slots in batches: one block, with one `random()` draw
+from `slot_missed` if the queue has work.
 """
 
-from nftaa_sim import Address, CreateTba, EventKind, Ledger, MintNftaa, TxReceipt, WithdrawalQueue
+import random
+
+from nftaa_sim import (
+    Address,
+    CreateTba,
+    Event,
+    EventKind,
+    Ledger,
+    MintNftaa,
+    TxReceipt,
+    WithdrawalQueue,
+)
+from nftaa_sim.events import SYSTEM_TX_ID
 
 
 def must(ledger: Ledger, *operations) -> TxReceipt:
@@ -45,3 +61,24 @@ def total_conserved(ledger: Ledger) -> int:
 def queued_amount(queue: WithdrawalQueue) -> int:
     """The amount of every pending withdrawal."""
     return sum(entry.amount for entry in queue.pending)
+
+
+def slot_missed(rng: random.Random, probability: float) -> bool:
+    """One block's missed-slot draw, one `random()` call; at p = 0 nothing is drawn."""
+    return probability > 0.0 and rng.random() < probability
+
+
+def advance_block(ledger: Ledger) -> int:
+    """Advance one block: if the queue has work and the slot is not missed, the
+    queue's next entries are credited to their owners, each with a
+    `WithdrawalProcessed` event at the new height. The new height."""
+    ledger.height += 1
+    queue, config = ledger.state.queue, ledger.config
+    if queue.pending and not slot_missed(ledger.rng, config.missed_slot_probability):
+        for entry in queue.process_block(config, ledger.rng):
+            ledger.state.accounts[entry.owner].balance += entry.amount
+            ledger.events.append(Event(EventKind.WITHDRAWAL_PROCESSED, entry.owner,
+                                       {"owner": entry.owner, "amount": entry.amount,
+                                        "enqueued_at": entry.enqueued_at},
+                                       ledger.height, SYSTEM_TX_ID))
+    return ledger.height

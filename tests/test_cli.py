@@ -364,6 +364,17 @@ def test_queue_negative_zero_missed_prob_prints_as_zero(mode, capsys):
     assert header == f"mode={mode} pending=32 per_block_cap=16 blocks_per_day=7200 missed_prob=0.000"
 
 
+@pytest.mark.parametrize("missed, shown", [("0.9996", "0.9996"), ("0.0004", "0.0004"),
+                                           ("0.3", "0.300")])
+def test_queue_header_never_shows_another_missed_prob(missed, shown, capsys):
+    """Three places where they read back as p; else every digit, so 0.9996 does not
+    print as 1.000, a p that is refused."""
+    assert main(["queue", "--pending", "1", "--missed-prob", missed]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == ("mode=closed pending=1 per_block_cap=16 blocks_per_day=7200 "
+                      f"missed_prob={shown}")
+
+
 def test_queue_simulate_no_trace(capsys):
     assert main(["queue", "--pending", "115200", "--simulate", "--no-trace"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -425,7 +436,7 @@ def test_queue_report_at_the_drain_cap_parses(tmp_path, capsys):
 
 
 # one proxy-account exit, then an advance of 10**11 blocks; at p = 1 - 10**-10 the exit
-# is expected to drain in about 10**10 blocks, each stepped one at a time
+# is expected to drain in about 10**10 blocks, more than MAX_DRAIN_BLOCKS
 EXIT_THEN_ADVANCE = (
     "set missed_prob {p}\n"
     "set unlock_delay 0\n"
@@ -461,8 +472,10 @@ ADVANCE_THEN_EXIT = EXIT_THEN_ADVANCE.format(p="0.9999999999").replace(
     "advance 100000000000\nunstake alice n1\nadvance 1000\nassert_stake n1 0\n")
 
 
-@pytest.mark.parametrize("script", [EXIT_THEN_ADVANCE.format(p="0.99999"), ADVANCE_THEN_EXIT],
-                         ids=["p=0.99999", "advance-before-the-exit"])
+# p = 0.99999989: about 9.1 million expected blocks, drawn a batch at a time
+@pytest.mark.parametrize("script", [EXIT_THEN_ADVANCE.format(p="0.99999"), ADVANCE_THEN_EXIT,
+                                    EXIT_THEN_ADVANCE.format(p="0.99999989")],
+                         ids=["p=0.99999", "advance-before-the-exit", "p=0.99999989"])
 def test_advance_within_the_exits_drain_bound_runs(script, tmp_path, capsys):
     path = tmp_path / "exit.scn"
     path.write_text(script)

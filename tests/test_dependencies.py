@@ -1,6 +1,9 @@
-"""The package has no runtime dependencies: it imports only the standard library."""
+"""The package has no runtime dependencies: it imports only the standard library.
+Nor does the transcripts tool need pytest."""
 
 import ast
+import os
+import subprocess
 import sys
 
 from tests.corpus import ROOT
@@ -23,3 +26,13 @@ def test_every_absolute_import_names_a_standard_library_module():
     assert {"hashlib", "argparse"} <= imported.keys()  # the walk found the imports
     assert {name: path for name, path in imported.items()
             if name not in sys.stdlib_module_names} == {}
+
+
+def test_the_transcripts_module_imports_without_pytest():
+    """`python -m tests.transcripts` runs under an interpreter that has no pytest,
+    to compare output across the Pythons the package admits."""
+    code = "import sys; sys.modules['pytest'] = None; import tests.transcripts"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -16,9 +16,7 @@ regenerates them and says so in CHANGES.md:
     PYTHONPATH=src python -m tests.test_golden
 """
 
-import contextlib
 import hashlib
-import io
 import os
 import subprocess
 import sys
@@ -27,8 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from nftaa_sim.cli import main
-from tests.corpus import CORPUS, GOLDEN, PINNED, ROOT, SCRIPTS
+from tests.corpus import CORPUS, GOLDEN, PINNED, ROOT, SCRIPTS, _stdout
 from tests.perfbench_modules import load
 
 COMMANDS = {"run": ["run", "--seed", "7"], "diff": ["diff", "--seed", "7", "--verbose"]}
@@ -43,13 +40,6 @@ BENCHMARK_PINS = GOLDEN / "benchmark.sha256"
 
 def _golden_path(command: str, path: Path) -> Path:
     return GOLDEN / f"{path.stem}.{command}.txt"
-
-
-def _stdout(argv: list[str]) -> str:
-    captured = io.StringIO()
-    with contextlib.redirect_stdout(captured):
-        code = main(argv)
-    return f"{captured.getvalue()}exit={code}\n"
 
 
 def transcript(command: str, path: Path) -> str:

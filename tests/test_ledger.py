@@ -216,7 +216,7 @@ def test_random_transactions_match_replay_oracle():
 
 def test_advance_block_heights():
     ledger = Ledger()
-    assert ledger.advance_block() == 1
+    assert ledger.advance_blocks(1) == 1
     assert ledger.height == 1
 
 

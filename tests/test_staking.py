@@ -5,6 +5,7 @@ import random
 import statistics
 import tracemalloc
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,8 +30,8 @@ from nftaa_sim import (
     simulate_saturated_days,
 )
 from nftaa_sim.cli import main
-from nftaa_sim.staking import DRAW_BATCH, MAX_DRAIN_BLOCKS, binomial_variate, draw_hits
-from tests.ledger_helpers import mint_nftaa, must, queued_amount
+from nftaa_sim.staking import DRAW_BATCH, MAX_DRAIN_BLOCKS, binomial_variate, draw_until
+from tests.ledger_helpers import advance_block, mint_nftaa, must, queued_amount, slot_missed
 
 
 @pytest.fixture
@@ -117,7 +118,7 @@ def test_unstake_boundary_inclusive(staked_world):
     receipt = _proxy(ledger, alice, account, "request_unstake")
     assert receipt.error.code is ErrorCode.STILL_LOCKED
     assert receipt.error.detail["remaining_blocks"] == 1
-    ledger.advance_block()  # height == unlock block
+    ledger.advance_blocks(1)  # height == unlock block
     receipt = _proxy(ledger, alice, account, "request_unstake")
     assert receipt.committed
     assert ledger.stake_balance_of(account) == 0
@@ -169,7 +170,7 @@ def test_drained_funds_credit_the_contract_account(staked_world):
     ledger.advance_blocks(10)
     _proxy(ledger, alice, account, "request_unstake")
     alice_before = ledger.balance_of(alice)
-    ledger.advance_block()
+    ledger.advance_blocks(1)
     processed = [e for e in ledger.events if e.kind is EventKind.WITHDRAWAL_PROCESSED]
     assert len(processed) == 1
     assert processed[0].payload["owner"] == account.hex()
@@ -237,11 +238,11 @@ def test_fifo_order_preserved():
     owners = [ledger.create_eoa(f"owner{i}") for i in range(40)]
     for i, owner in enumerate(owners):
         ledger.state.queue.enqueue(owner, i + 1, 0)
-    ledger.advance_block()
+    ledger.advance_blocks(1)
     first = [e.payload["amount"] for e in ledger.events
              if e.kind is EventKind.WITHDRAWAL_PROCESSED]
     assert first == list(range(1, 17))
-    ledger.advance_block()
+    ledger.advance_blocks(1)
     amounts = [e.payload["amount"] for e in ledger.events
                if e.kind is EventKind.WITHDRAWAL_PROCESSED]
     assert amounts == list(range(1, 33))
@@ -335,13 +336,14 @@ def _queued_world(probability: float) -> Ledger:
     return ledger
 
 
-@pytest.mark.parametrize("probability", [0.0, 0.1, 0.25, 0.9])  # 0.9: 54 blocks to drain
+# 0.9: 54 blocks to drain; 0.999: about 7,000, so each advance below ends mid-drain
+@pytest.mark.parametrize("probability", [0.0, 0.1, 0.25, 0.9, 0.999])
 @pytest.mark.parametrize("count", [0, 3, 7, 50, 100])
 def test_advance_blocks_matches_one_block_at_a_time(probability, count):
     jumped, stepped = _queued_world(probability), _queued_world(probability)
     assert jumped.advance_blocks(count) == count
     for _ in range(count):
-        stepped.advance_block()
+        advance_block(stepped)
     assert jumped.height == stepped.height
     assert jumped.events == stepped.events
     assert jumped.rng.getstate() == stepped.rng.getstate()
@@ -349,7 +351,8 @@ def test_advance_blocks_matches_one_block_at_a_time(probability, count):
 
 
 def _entry_queue_drain(pending_count: int, config: QueueConfig) -> tuple[list[int], tuple]:
-    """Reference drain: a queue of real entries, one process_block per block.
+    """Reference drain: a queue of real entries, one `random()` draw per block and
+    one process_block per hit block.
 
     Returns the per-block counts and the generator's state after the drain."""
     rng = random.Random(config.rng_seed)
@@ -358,7 +361,8 @@ def _entry_queue_drain(pending_count: int, config: QueueConfig) -> tuple[list[in
         queue.enqueue(b"\x00" * 20, 1, 0)
     per_block = []
     while queue.pending:
-        per_block.append(len(queue.process_block(config, rng)))
+        missed = slot_missed(rng, config.missed_slot_probability)
+        per_block.append(0 if missed else len(queue.process_block(config, rng)))
     return per_block, rng.getstate()
 
 
@@ -434,7 +438,7 @@ def test_bulk_draws_are_the_draws_of_random(probability):
     with that top byte, about one in 256, are ties decided by their whole words."""
     bulk, single = random.Random(23), random.Random(23)
     count = 4_096
-    hits = draw_hits(bulk, count, probability)
+    hits = draw_until(bulk, count, count, probability)  # owes `count` hits: no early end
     draws = [single.random() for _ in range(count)]
     assert hits == bytes(draw >= probability for draw in draws)
     assert bulk.getstate() == single.getstate()
@@ -452,6 +456,52 @@ def test_drain_over_several_draw_batches_matches_random_one_at_a_time():
     config = QueueConfig(per_block_cap=1, missed_slot_probability=0.5)
     assert simulate_drain(pending, config, rng).hits == hits
     assert rng.getstate() == reference.getstate()
+
+
+def _draws_one_block_at_a_time(rng: random.Random, need: int, count: int,
+                               probability: float) -> bytes:
+    """The reference for `draw_until`: one `slot_missed` draw per block, ending at
+    the `need`-th hit or after the batch's blocks, the `need` sure ones and the
+    mean wait for one more hit, at most `count`."""
+    hits, blocks = bytearray(), min(count, need + math.ceil(1 / (1 - probability)))
+    while need and len(hits) < blocks:
+        hit = not slot_missed(rng, probability)
+        hits.append(hit)
+        need -= hit
+    return bytes(hits)
+
+
+@pytest.mark.parametrize("probability", [0.0, 0.5, 0.99, 0.999999])
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 8, DRAW_BATCH])
+def test_draw_until_is_the_draws_of_random_one_block_at_a_time(probability, count):
+    """The same bytes and the same final generator state as the per-block rule. A
+    short `count` makes batches that hold exactly `need` hits and then end in
+    misses: a batch that is not cut back at its `need`-th hit fails here."""
+    for need, seed in product(range(1, 5), range(30)):
+        drawn, reference = random.Random(seed), random.Random(seed)
+        assert draw_until(drawn, need, count, probability) == \
+            _draws_one_block_at_a_time(reference, need, count, probability)
+        assert drawn.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("count", [DRAW_BATCH, 3 * DRAW_BATCH + 1, 10**6])
+def test_advance_over_several_draw_batches_matches_one_block_at_a_time(count):
+    """Three exits at cap 1 and p = 0.9999 take about 30,000 blocks to drain, so the
+    advance draws more than one batch of `DRAW_BATCH` blocks."""
+    jumped, stepped = (Ledger(QueueConfig(per_block_cap=1, missed_slot_probability=0.9999,
+                                          rng_seed=3)) for _ in range(2))
+    for ledger in (jumped, stepped):
+        owner = ledger.create_eoa("owner")
+        for amount in (1, 2, 3):
+            ledger.state.queue.enqueue(owner, amount, 0)
+    assert jumped.advance_blocks(count) == count
+    while stepped.height < count and stepped.state.queue.pending:
+        advance_block(stepped)
+    stepped.height = count  # an idle block draws nothing and emits nothing
+    assert stepped.events[-1].block > DRAW_BATCH or stepped.state.queue.pending  # 2+ batches
+    assert jumped.events == stepped.events
+    assert jumped.rng.getstate() == stepped.rng.getstate()
+    assert jumped.state_digest() == stepped.state_digest()
 
 
 def test_untraced_drain_has_no_counts_to_read():

@@ -274,7 +274,7 @@ def test_tba_staking_credits_the_tba(world):
     assert ledger.staker_address_of(tba) == tba
     ledger.advance_blocks(ledger.config.unlock_delay)
     must(ledger, TbaExecute(alice, tba, ProxyPayload("request_unstake")))
-    ledger.advance_block()
+    ledger.advance_blocks(1)
     assert ledger.balance_of(tba) == 40 * ETH
 
 

@@ -22,7 +22,8 @@ computes the lines of the program on `PYTHONPATH` and, in a subprocess run with
 scripts and generator. It prints each line that differs, from both sides
 (`this:` and `other:`), then `same=<n> differ=<m>`, and exits 1 if any line
 differs. It is not a pytest module: the golden transcripts pin a few scripts in
-tier-1, this covers many more in about 25 s.
+tier-1, this covers many more in about 25 s. It imports no pytest, so it runs
+under an interpreter that has none.
 """
 
 import argparse
@@ -34,9 +35,8 @@ import tempfile
 from itertools import product, zip_longest
 from pathlib import Path
 
-from tests.corpus import ROOT, SCRIPTS
+from tests.corpus import ROOT, SCRIPTS, _stdout
 from tests.perfbench_modules import load
-from tests.test_golden import _stdout
 
 COMMANDS = {"run": ["run"], "run --digest": ["run", "--digest"],
             "run --seed 5": ["run", "--seed", "5"], "run --events": ["run", "--events"],
