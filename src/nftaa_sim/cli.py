@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .runner import run_differential, run_scenario
 from .scenario import ScenarioParseError, parse_scenario
-from .staking import WORD, QueueConfig, estimate_drain_time, simulate_drain
+from .staking import BLOCKS_PER_DAY, WORD, QueueConfig, estimate_drain_time, simulate_drain
 
 
 @functools.cache  # one parser per process: each build costs time and leaves cycles
@@ -128,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     shown = f"{p:.3f}"  # three places, unless they read back as another p
     print(f"mode={'simulate' if args.simulate else 'closed'} "
           f"pending={args.pending} per_block_cap={config.per_block_cap} "
-          f"blocks_per_day={config.blocks_per_day} "
+          f"blocks_per_day={BLOCKS_PER_DAY} "
           f"missed_prob={shown if float(shown) == p else repr(p)}")
     if args.simulate and not args.no_trace:
         sys.stdout.writelines(drain.trace_lines())

@@ -39,7 +39,8 @@ from .ops import (
     WithdrawAssets,
 )
 from .records import Record
-from .staking import DRAW_BATCH, QueueConfig, StakePosition, WithdrawalQueue, draw_until
+from .staking import (DRAW_BATCH, MIN_STAKE, QueueConfig, StakePosition, WithdrawalQueue,
+                      draw_until)
 from .tba import TbaRecord, TbaRegistry
 from .tokens import NftCollection, NftRecord, validate_note
 
@@ -347,9 +348,8 @@ class Ledger:
 
     def _stake(self, acting: Address, amount: int, ctx: _TxContext) -> None:
         _debit(self._account(acting), amount, ctx)  # a later failure undoes the debit
-        if amount < self.config.min_stake:
-            raise LedgerError(ErrorCode.BELOW_MIN_STAKE, amount=amount,
-                              minimum=self.config.min_stake)
+        if amount < MIN_STAKE:
+            raise LedgerError(ErrorCode.BELOW_MIN_STAKE, amount=amount, minimum=MIN_STAKE)
         if acting in self.state.stakes:
             raise LedgerError(ErrorCode.ALREADY_STAKING)
         unlock = self.height + self.config.unlock_delay

@@ -12,14 +12,14 @@ A script runs against a fresh ledger in one of three lanes:
   and ``upgrade`` has no analog.
 
 Every lane runs the script's plan (``build_plan``), and ``LANES`` holds what
-differs between lanes. ``_HANDLERS`` maps each step kind, and each ``probe``
-form, to the one ScenarioRunner method that runs it; a tier-1 test checks it
-against the parser's ``STEP_KINDS`` and ``PROBE_FORMS``. The transaction kinds
-share one translation into the lane's named ledger operations (``mint`` and
-``account`` for ``mintnftaa`` in the tba lane). A kind or form with no analog
-in the lane is NotComparable before any of its labels is resolved. Labels a
-step creates are bound before its transaction is submitted, so later steps of
-a group can name them, and unbound if that transaction does not commit.
+differs between lanes. Each step kind and ``probe`` form runs the ScenarioRunner
+method named after it (``_actor``, ``_binding``), but the transaction kinds and
+``commit`` run ``_run_transaction`` (``_HANDLERS``). They share one translation
+into the lane's named ledger operations (``mint`` and ``account`` for
+``mintnftaa`` in the tba lane). A kind or form with no analog in the lane is
+NotComparable before any of its labels is resolved. Labels a step creates are
+bound before its transaction is submitted, so later steps of a group can name
+them, and unbound if that transaction does not commit.
 
 ``begin``/``commit`` groups are one atomic transaction in the native and
 nftaa lanes. The tba lane cannot express that: it submits the operations one
@@ -49,7 +49,8 @@ from .ops import (
     WithdrawAssets,
 )
 from .records import Record
-from .scenario import PROXY_FORMS, STEP_KINDS, ScenarioScript, Step, build_plan, queue_config
+from .scenario import (EXECUTE_METHOD, PROBE_FORMS, PROXY_FORMS, STEP_KINDS, ScenarioScript, Step,
+                       build_plan, queue_config)
 from .staking import estimate_drain_time, simulate_drain
 from .tba import diagnostic_lines
 
@@ -69,10 +70,6 @@ _FAILING = {ROLLED_BACK, PARTIAL, NOT_COMPARABLE}
 LANES = {"native": (frozenset(), False),
          "nftaa": (frozenset({"tbacall", "createtba", "tba_address"}), False),
          "tba": (frozenset({"upgrade"}), True)}
-
-# execute-call steps: the method each calls through the account, None if the step names it
-_EXECUTE_METHOD = {"proxy": None, "tbacall": None, "stake": "stake", "addstake": "add_to_stake",
-                   "unstake": "request_unstake", "withdraw": "transfer_value"}
 
 
 class StepOutcome(Record):
@@ -241,8 +238,9 @@ class ScenarioRunner:
     def _advance(self, args, outcome) -> str:
         return f"height={self.ledger.advance_blocks(args[0])}"
 
-    def _expectation(self, args, outcome) -> None:
+    def _expect_error(self, args, outcome) -> None:
         outcome.status = SKIPPED  # consumed by _check_expectation
+    _expect_tba = _expect_error
 
     def _queue_report(self, args, outcome) -> str:
         if args[1] == "closed":
@@ -368,8 +366,8 @@ class ScenarioRunner:
         if kind in ("transfernftaa", "transfertoken"):
             op = TransferToken(self.address_of(args[0]), self.token_of(args[1]),
                                self.address_of(args[2]))
-        elif kind in _EXECUTE_METHOD:  # an execute call: the method's roles give the payload
-            method = _EXECUTE_METHOD[kind] or args[2]
+        elif kind in EXECUTE_METHOD:  # an execute call: the method's roles give the payload
+            method = EXECUTE_METHOD[kind] or args[2]
             caller, (target, _, registry) = self.address_of(args[0]), self._bound(args[1])
             arity = len(PROXY_FORMS[method].roles)  # (), (amount) or (to, amount): the last args
             amount = args[-1] if arity else 0
@@ -398,18 +396,18 @@ class ScenarioRunner:
         self._comparable(args[0])
         return _HANDLERS[args[0]](self, args[1:], outcome)
 
-    def _probe_binding(self, args, outcome) -> str:
+    def _binding(self, args, outcome) -> str:
         return f"binding={hexed(self.ledger.account_of(self.token_of(args[0])))}"
 
-    def _probe_tba_address(self, args, outcome) -> str:
+    def _tba_address(self, args, outcome) -> str:
         token_id, salt = self.token_of(args[0]), salt_from_int(args[1])
         return f"tba_address={self.ledger.compute_tba_address(token_id, salt).hex()}"
 
-    def _probe_locked(self, args, outcome) -> str:
+    def _locked(self, args, outcome) -> str:
         lines = diagnostic_lines(self.ledger.state)
         return "diagnostics=" + (" | ".join(lines) if lines else "none")
 
-    def _probe_counts(self, args, outcome) -> str:
+    def _counts(self, args, outcome) -> str:
         state = self.ledger.state
         return (f"tokens={len(state.collection.tokens)} bindings={len(state.nftaas)} "
                 f"tba_accounts={len(state.registry.records)}")
@@ -461,23 +459,13 @@ class ScenarioRunner:
 
 _ASSERTS = frozenset(kind for kind, form in STEP_KINDS.items() if form.group == "assert")
 
-# step kind, or probe form -> handler(runner, args, outcome). The traced functions
-# handlers call (simulate_drain, diagnostic_lines) are looked up when they run.
-_HANDLERS = {
-    **dict.fromkeys([kind for kind, form in STEP_KINDS.items() if form.group == "tx"]
-                    + ["commit"], ScenarioRunner._run_transaction),
-    "actor": ScenarioRunner._actor, "faucet": ScenarioRunner._faucet,
-    "advance": ScenarioRunner._advance, "queue_report": ScenarioRunner._queue_report,
-    "expect_error": ScenarioRunner._expectation, "expect_tba": ScenarioRunner._expectation,
-    "probe": ScenarioRunner._probe, "binding": ScenarioRunner._probe_binding,
-    "tba_address": ScenarioRunner._probe_tba_address, "locked": ScenarioRunner._probe_locked,
-    "counts": ScenarioRunner._probe_counts,
-    "assert_digest": ScenarioRunner._assert_digest, "assert_event": ScenarioRunner._assert_event,
-    "assert_note": ScenarioRunner._assert_note, "assert_bound": ScenarioRunner._assert_bound,
-    "assert_account": ScenarioRunner._assert_account,
-    "assert_balance": ScenarioRunner._assert_balance,
-    "assert_stake": ScenarioRunner._assert_stake, "assert_staker": ScenarioRunner._assert_staker,
-}
+# step kind, or probe form -> handler(runner, args, outcome): `_run_transaction` for a `tx` kind
+# and `commit`, else the method `_<kind>`, so a missing one fails the import (a `set` is config,
+# a `begin` runs at its commit). Traced functions that handlers call are looked up per call.
+_HANDLERS = {kind: ScenarioRunner._run_transaction if form.group == "tx" or kind == "commit"
+             else getattr(ScenarioRunner, f"_{kind}")
+             for kind, form in [*STEP_KINDS.items(), *PROBE_FORMS.items()]
+             if kind not in ("set", "begin")}
 
 
 def _failed(outcome: StepOutcome, code: ErrorCode) -> None:

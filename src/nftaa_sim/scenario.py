@@ -43,8 +43,7 @@ def parse_amount(token: str) -> int:
 # `set` key -> (QueueConfig field, converter); QueueConfig checks the value
 CONFIG = {"seed": ("rng_seed", int), "unlock_delay": ("unlock_delay", int),
           "missed_prob": ("missed_slot_probability", float),
-          "per_block_cap": ("per_block_cap", int), "blocks_per_day": ("blocks_per_day", int),
-          "min_stake": ("min_stake", parse_amount)}
+          "per_block_cap": ("per_block_cap", int)}
 
 
 def queue_config(pairs, seed: int | None = None) -> QueueConfig:
@@ -150,6 +149,9 @@ def _table(rows: dict[str, str], grouped: bool = False, **subtables: dict) -> di
 
 PROXY_FORMS = _table({"noop request_unstake": "", "stake add_to_stake": "amount",
                       "transfer_value": "@actor|account amount"})
+# execute-call steps: the method each calls through the account, None if the step names it
+EXECUTE_METHOD = {"proxy": None, "tbacall": None, "stake": "stake", "addstake": "add_to_stake",
+                  "unstake": "request_unstake", "withdraw": "transfer_value"}
 PROBE_FORMS = _table({"binding": "@account|token", "tba_address": "@token int",
                       "locked counts": ""})
 
@@ -298,7 +300,7 @@ class _Parser:
                     check_drain_size(args[0], queue_config(self.config))
                 except ValueError as bad:
                     self.fail(1, f"queue_report simulate: {bad}")
-            if kind == "unstake" or kind in ("proxy", "tbacall") and args[2] == "request_unstake":
+            if kind in EXECUTE_METHOD and (EXECUTE_METHOD[kind] or args[2]) == "request_unstake":
                 self.exits += 1  # each exit needs one hit block: 1 / (1 - p) expected blocks
             elif kind == "advance" and self.exits:
                 self.advanced += args[0]  # the queue is busy in at most these blocks

@@ -37,28 +37,24 @@ _HIT_ROW = b"%%03d processed=%d remaining=%%%%d\n"  # formatted by `_hit_rows`
 
 
 class QueueConfig(Record):
-    __slots__ = __match_args__ = ("per_block_cap", "blocks_per_day", "missed_slot_probability",
-                                  "unlock_delay", "min_stake", "rng_seed")
-    def __init__(self, per_block_cap: int = PER_BLOCK_CAP, blocks_per_day: int = BLOCKS_PER_DAY,
-                 missed_slot_probability: float = 0.0,
+    __slots__ = __match_args__ = ("per_block_cap", "missed_slot_probability", "unlock_delay",
+                                  "rng_seed")
+    def __init__(self, per_block_cap: int = PER_BLOCK_CAP, missed_slot_probability: float = 0.0,
                  unlock_delay: int = 100,  # blocks between staking and the earliest unstake
-                 min_stake: int = MIN_STAKE, rng_seed: int = 0):
+                 rng_seed: int = 0):
         if per_block_cap < 1:
             raise ValueError("per_block_cap must be >= 1")
-        if blocks_per_day < 1:
-            raise ValueError("blocks_per_day must be >= 1")
         if not 0.0 <= missed_slot_probability < 1.0:
             raise ValueError("missed_slot_probability must be in [0, 1)")
         if unlock_delay < 0:
             raise ValueError("unlock_delay must be >= 0")
-        if max(per_block_cap, blocks_per_day, unlock_delay, min_stake) >= WORD:
+        if max(per_block_cap, unlock_delay) >= WORD:
             raise ValueError("integers must be below 2**256")
         if rng_seed < 0:  # random.Random seeds an int by its absolute value
             raise ValueError("rng_seed must be >= 0")
-        self.per_block_cap, self.blocks_per_day = per_block_cap, blocks_per_day
+        self.per_block_cap, self.unlock_delay, self.rng_seed = per_block_cap, unlock_delay, rng_seed
         # abs: -0.0 passes the range check, and would print as -0.000
-        self.missed_slot_probability, self.unlock_delay = abs(missed_slot_probability), unlock_delay
-        self.min_stake, self.rng_seed = min_stake, rng_seed
+        self.missed_slot_probability = abs(missed_slot_probability)
 
 
 class StakePosition(Record):
@@ -94,19 +90,17 @@ class WithdrawalQueue(Record):
 # ---------------------------------------------------------------------------
 
 class DrainEstimate(Record):
-    __slots__ = __match_args__ = ("blocks", "days", "config")
-    def __init__(self, blocks: int, days: float, config: QueueConfig):
+    __slots__ = __match_args__ = ("blocks", "days")
+    def __init__(self, blocks: int, days: float):
         self.blocks = blocks  # ceil of the expected block count
-        self.days = days      # unrounded expectation / blocks_per_day
-        self.config = config
+        self.days = days      # unrounded expectation / BLOCKS_PER_DAY
 
     def summary_line(self) -> str:
         if self.blocks < 2**53:  # a float holds the block count exactly
             return f"drained_in_blocks={self.blocks} days={self.days:.3f}"
         # past it, `days` is off in its integer digits: the exact quotient, rounded half to even
-        per_day = self.config.blocks_per_day
-        millis, left = divmod(self.blocks * 1000, per_day)
-        if 2 * left > per_day or 2 * left == per_day and millis % 2:
+        millis, left = divmod(self.blocks * 1000, BLOCKS_PER_DAY)
+        if 2 * left > BLOCKS_PER_DAY or 2 * left == BLOCKS_PER_DAY and millis % 2:
             millis += 1
         return f"drained_in_blocks={self.blocks} days={millis // 1000}.{millis % 1000:03d}"
 
@@ -119,7 +113,7 @@ def estimate_drain_time(pending_count: int, config: QueueConfig) -> DrainEstimat
     busy_blocks = -(-pending_count // config.per_block_cap)  # ceil division
     missed = config.missed_slot_probability
     expected = busy_blocks / (1.0 - missed) if missed else busy_blocks
-    return DrainEstimate(math.ceil(expected), expected / config.blocks_per_day, config)
+    return DrainEstimate(math.ceil(expected), expected / BLOCKS_PER_DAY)
 
 
 class DrainTrace(Record):
@@ -140,7 +134,7 @@ class DrainTrace(Record):
 
     @property
     def days(self) -> float:
-        return self.blocks / self.config.blocks_per_day
+        return self.blocks / BLOCKS_PER_DAY
 
     @property
     def last_take(self) -> int:
@@ -286,12 +280,12 @@ def simulate_saturated_days(days: int, config: QueueConfig) -> list[int]:
     """Daily throughput with the queue never running dry (capacity statistics).
 
     Each slot of a day is missed with probability p, independently, as in
-    `draw_until`, so a day's missed count is Binomial(blocks_per_day, p). It is
+    `draw_until`, so a day's missed count is Binomial(BLOCKS_PER_DAY, p). It is
     drawn as one variate per day, not slot by slot. The long-run mean is
-    cap * blocks_per_day * (1 - p).
+    cap * BLOCKS_PER_DAY * (1 - p).
     """
     rng = random.Random(config.rng_seed)
-    n, p = config.blocks_per_day, config.missed_slot_probability
+    n, p = BLOCKS_PER_DAY, config.missed_slot_probability
     return [config.per_block_cap * (n - binomial_variate(n, p, rng)) for _ in range(days)]
 
 

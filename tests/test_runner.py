@@ -9,8 +9,8 @@ import pytest
 from nftaa_sim import (ZERO_ADDRESS, ErrorCode, EventKind, ScenarioRunner, parse_scenario,
                        run_differential, run_scenario)
 from nftaa_sim.ops import PROXY_METHODS
-from nftaa_sim.runner import _CLAIMS, _EXECUTE_METHOD, _HANDLERS, LANES, DiffEntry
-from nftaa_sim.scenario import PROBE_FORMS, PROXY_FORMS, STEP_KINDS, build_plan
+from nftaa_sim.runner import _CLAIMS, _HANDLERS, LANES, DiffEntry
+from nftaa_sim.scenario import EXECUTE_METHOD, PROBE_FORMS, PROXY_FORMS, STEP_KINDS, build_plan
 from tests.corpus import ROOT, SCRIPTS
 from tests.perfbench_modules import load
 
@@ -480,7 +480,7 @@ def test_every_step_kind_and_probe_form_has_exactly_one_handler():
 def test_the_proxy_method_tables_agree():
     # a method the parser took and the ledger did not know would crash `run`
     assert PROXY_FORMS.keys() == PROXY_METHODS
-    assert {method for method in _EXECUTE_METHOD.values() if method} <= PROXY_METHODS
+    assert {method for method in EXECUTE_METHOD.values() if method} <= PROXY_METHODS
 
 
 def test_no_analog_is_reported_before_any_label_is_resolved():

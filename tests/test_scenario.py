@@ -127,13 +127,16 @@ def test_set_must_lead_the_file():
 
 
 def test_unknown_config_key():
-    with pytest.raises(ScenarioParseError):
-        parse_scenario("set gravity 10\n")
+    # the day length and the minimum stake are protocol constants, not settings
+    for line in ("set gravity 10", "set blocks_per_day 7200", "set min_stake 32eth"):
+        with pytest.raises(ScenarioParseError) as caught:
+            parse_scenario(line + "\n")
+        assert (caught.value.line, caught.value.column) == (1, 5)
+        assert line.split()[1] in caught.value.message
 
 
 @pytest.mark.parametrize("line", ["set unlock_delay abc", "set unlock_delay -3",
-                                  "set missed_prob 1.0", "set per_block_cap 0",
-                                  "set blocks_per_day 0"])
+                                  "set missed_prob 1.0", "set per_block_cap 0"])
 def test_config_values_checked_at_parse_time(line):
     with pytest.raises(ScenarioParseError) as caught:
         parse_scenario(line + "\n")

@@ -21,7 +21,13 @@ computes the lines of the program on `PYTHONPATH` and, in a subprocess run with
 `PYTHONPATH=OTHER/src`, those of the other version, both with this checkout's
 scripts and generator. It prints each line that differs, from both sides
 (`this:` and `other:`), then `same=<n> differ=<m>`, and exits 1 if any line
-differs. It is not a pytest module: the golden transcripts pin a few scripts in
+differs. With `--python EXE` the other side runs under that interpreter, with
+`--against`'s program or else this one, to compare the Pythons the package
+admits:
+
+    PYTHONPATH=src python -m tests.transcripts --python /path/to/python3.13
+
+It is not a pytest module: the golden transcripts pin a few scripts in
 tier-1, this covers many more in about 25 s. It imports no pytest, so it runs
 under an interpreter that has none.
 """
@@ -35,6 +41,7 @@ import tempfile
 from itertools import product, zip_longest
 from pathlib import Path
 
+import nftaa_sim
 from tests.corpus import ROOT, SCRIPTS, _stdout
 from tests.perfbench_modules import load
 
@@ -99,15 +106,16 @@ def transcript():
     yield from queue_lines()
 
 
-def compare(other_src: str) -> int:
-    """Print the lines that differ from those of the program in `other_src`; 1 if any."""
+def compare(other_src: str, python: str) -> int:
+    """Print the lines that differ from those of the program in `other_src`, run under
+    `python`; 1 if any."""
     env = {**os.environ, "PYTHONPATH": other_src}
     with tempfile.TemporaryFile("w+") as out:
-        with subprocess.Popen([sys.executable, "-m", "tests.transcripts"], cwd=ROOT, env=env,
+        with subprocess.Popen([python, "-m", "tests.transcripts"], cwd=ROOT, env=env,
                               stdout=out, text=True) as other:
             ours = list(transcript())  # while the other side runs
         if other.returncode:
-            sys.exit(f"the transcripts of {other_src} exited {other.returncode}")
+            sys.exit(f"the transcripts of {other_src} under {python} exited {other.returncode}")
         out.seek(0)
         theirs = out.readlines()
     differ = 0
@@ -123,9 +131,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(prog="python -m tests.transcripts")
     parser.add_argument("--against", metavar="OTHER/src",
                         help="compare with the program in this directory")
+    parser.add_argument("--python", metavar="EXE",
+                        help="compare with the other side run under this interpreter")
     args = parser.parse_args()
-    if args.against is not None:
-        return compare(args.against)
+    if args.against is not None or args.python is not None:
+        this_src = str(Path(nftaa_sim.__file__).resolve().parents[1])
+        return compare(args.against or this_src, args.python or sys.executable)
     sys.stdout.writelines(transcript())
     return 0
 
