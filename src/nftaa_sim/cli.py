@@ -5,6 +5,7 @@
     nftaa-sim queue --pending N [--missed-prob P] [--simulate] [--seed N] [--no-trace]
 
 `run` and `diff` replay their files one after another in this process.
+A command runs with the cyclic garbage collector off and leaves it as it found it.
 Exit codes: 0 all verdicts passed, 1 any verdict failed, 2 parse, read or write error.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -103,6 +105,16 @@ def _shared_stem(files: list[Path]) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    enabled = gc.isenabled()
+    gc.disable()  # a command leaves no cyclic garbage (tests/test_cyclic_garbage.py)
+    try:
+        return _command(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _command(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "run" and args.events is not None and len(args.files) > 1:
