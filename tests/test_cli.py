@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output shapes, multi-file runs, import cost."""
 
+import gc
 import hashlib
 import os
 import subprocess
@@ -16,6 +17,7 @@ from nftaa_sim.ledger import Ledger
 from nftaa_sim.scenario import ScenarioParseError, parse_scenario
 from nftaa_sim.staking import MAX_DRAIN_BLOCKS
 from tests.corpus import SCRIPTS
+from tests.perfbench_modules import load
 
 GOOD = (
     'actor alice\n'
@@ -492,3 +494,68 @@ def test_queue_seeded_simulation_is_reproducible(capsys):
     first = capsys.readouterr().out
     main(args)
     assert capsys.readouterr().out == first
+
+
+def _escape(*args, **kwargs):
+    raise RuntimeError(f"escaped with the collector {'on' if gc.isenabled() else 'off'}")
+
+
+# each way out of a `run`: its script (a path or the text), extra argv, outcome
+EXITS = {
+    "exit 0": (SCRIPTS[0], [], 0),
+    "exit 1": (FAILING, [], 1),
+    "exit 2 returned": (BROKEN, [], 2),
+    "exit 2 by SystemExit": (GOOD, ["--seed", "-1"], "SystemExit 2"),
+    "exception": (GOOD, [], "escaped with the collector off"),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["from enabled", "from disabled"])
+@pytest.mark.parametrize("way_out", EXITS)
+def test_a_command_leaves_the_collector_as_it_found_it(way_out, enabled, tmp_path,
+                                                       monkeypatch, capsys):
+    source, extra, outcome = EXITS[way_out]
+    path = source if isinstance(source, Path) else tmp_path / "script.scn"
+    if path is not source:
+        path.write_text(source)
+    if way_out == "exception":
+        monkeypatch.setattr("nftaa_sim.cli.run_scenario", _escape)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            got = main(["run", str(path), *extra])
+        except SystemExit as stop:
+            got = f"SystemExit {stop.code}"
+        except RuntimeError as escaped:
+            got = str(escaped)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert (got, after) == (outcome, enabled)
+
+
+def test_a_diff_command_starts_no_collection(tmp_path, capsys):
+    """The benchmark's seed-7 `fraud_diff` plan, with the collector on: the
+    command frees nothing (test_cyclic_garbage.py), so it runs no collection."""
+    path = tmp_path / "fraud.scn"
+    path.write_text(load("gen").fraud_diff(7).text)
+    argv = ["diff", str(path)]
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()  # no young count left over to trip a collection before main runs
+    gc.callbacks.append(record)
+    try:
+        main(argv)
+        during = len(started)  # allocates nothing the collector tracks
+    finally:
+        gc.callbacks.remove(record)
+        if not was:
+            gc.disable()
+    assert during == 0, f"{during} collections, generations {started[:during]}"
