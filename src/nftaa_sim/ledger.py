@@ -21,9 +21,11 @@ import random
 from collections import deque
 from enum import Enum
 
-from .addresses import Address, ZERO_ADDRESS, contract_address, eoa_address
+from .addresses import ADDRESS_LEN, ZERO_ADDRESS, Address, contract_address, eoa_address
 from .errors import ErrorCode, LedgerError
-from .events import SYSTEM_TX_ID, Event, EventKind
+from .events import (NEW_NFTAA, PROXY_RESPONSE, STAKE_INCREASED, STAKED, SYSTEM_TX_ID, TBA_CREATED,
+                     TOKEN_TRANSFER, UNSTAKE_REQUESTED, VALUE_TRANSFER, WITHDRAWAL_PROCESSED,
+                     Event, Shape)
 from .nftaa import NftaaAccount
 from .ops import (
     CreateTba,
@@ -158,8 +160,7 @@ class Ledger:
         if amount < 0:
             raise ValueError("amounts are unsigned")
         account.balance += amount
-        self.events.append(Event(EventKind.TRANSFER, ZERO_ADDRESS,
-                                 {"from": ZERO_ADDRESS, "to": to, "amount": amount},
+        self.events.append(Event(VALUE_TRANSFER, ZERO_ADDRESS, (ZERO_ADDRESS, to, amount),
                                  self.height, SYSTEM_TX_ID))
 
     def advance_blocks(self, count: int) -> int:
@@ -175,9 +176,8 @@ class Ledger:
                 self.height = start + block + 1
                 for entry in queue.process_block(config, self.rng):
                     self._account(entry.owner).balance += entry.amount
-                    self.events.append(Event(EventKind.WITHDRAWAL_PROCESSED, entry.owner,
-                                             {"owner": entry.owner, "amount": entry.amount,
-                                              "enqueued_at": entry.enqueued_at},
+                    self.events.append(Event(WITHDRAWAL_PROCESSED, entry.owner,
+                                             (entry.owner, entry.amount, entry.enqueued_at),
                                              self.height, SYSTEM_TX_ID))
             self.height = start + len(hits)
         self.height += remaining
@@ -236,8 +236,7 @@ class Ledger:
         _debit(source, amount, ctx)
         ctx.write(dest, "balance", dest.balance + amount)
         ctx.value_out.add(frm)
-        ctx.events.append(self._event(EventKind.TRANSFER, frm, ctx,
-                                      {"from": frm, "to": to, "amount": amount}))
+        ctx.events.append(self._event(VALUE_TRANSFER, frm, ctx, (frm, to, amount)))
 
     def _op_mint_token(self, op: MintToken, ctx: _TxContext) -> None:
         self._account(op.to)
@@ -260,8 +259,8 @@ class Ledger:
             ctx.sold.add(record.bound_account)
         previous = record.owner
         ctx.write(record, "owner", op.to)
-        ctx.events.append(self._event(EventKind.TRANSFER, collection.address, ctx,
-                                      {"from": previous, "to": op.to, "token_id": op.token_id}))
+        ctx.events.append(self._event(TOKEN_TRANSFER, collection.address, ctx,
+                                      (previous, op.to, op.token_id)))
 
     def _op_mint_nftaa(self, op: MintNftaa, ctx: _TxContext) -> None:
         validate_note(op.note)
@@ -270,9 +269,8 @@ class Ledger:
         self._new_account(account, CodeId.NFTAA_ACCOUNT, ctx)
         token_id = self._mint(op.caller, op.note, account, ctx)
         ctx.insert(self.state.nftaas, account, NftaaAccount(token_id))
-        ctx.events.append(self._event(EventKind.NEW_NFTAA, self.state.factory, ctx,
-                                      {"token_id": token_id, "account": account,
-                                       "creator": op.caller}))
+        ctx.events.append(self._event(NEW_NFTAA, self.state.factory, ctx,
+                                      (token_id, account, op.caller)))
 
     def _nftaa(self, address: Address) -> NftaaAccount:
         binding = self.state.nftaas.get(address)
@@ -293,9 +291,8 @@ class Ledger:
     def _op_proxy_execute(self, op: ProxyExecute, ctx: _TxContext) -> None:
         self._owned_nftaa(op.caller, op.nftaa)
         self._run_payload(op.nftaa, op.payload, ctx)
-        ctx.events.append(self._event(EventKind.PROXY_RESPONSE, op.nftaa, ctx,
-                                      {"nftaa": op.nftaa, "method": op.payload.method,
-                                       "success": True}))
+        ctx.events.append(self._event(PROXY_RESPONSE, op.nftaa, ctx,
+                                      (op.nftaa, op.payload.method, True)))
 
     def _op_withdraw_assets(self, op: WithdrawAssets, ctx: _TxContext) -> None:
         self._owned_nftaa(op.caller, op.nftaa)
@@ -316,9 +313,8 @@ class Ledger:
             raise LedgerError(ErrorCode.ALREADY_DEPLOYED, account=address)
         self._new_account(address, CodeId.TBA_ACCOUNT, ctx)
         ctx.insert(registry.records, address, TbaRecord(op.token_id, op.salt, op.has_execute))
-        ctx.events.append(self._event(EventKind.TBA_CREATED, registry.address, ctx,
-                                      {"collection": collection.address, "token_id": op.token_id,
-                                       "salt": op.salt, "account": address}))
+        ctx.events.append(self._event(TBA_CREATED, registry.address, ctx,
+                                      (collection.address, op.token_id, op.salt, address)))
 
     def _op_tba_execute(self, op: TbaExecute, ctx: _TxContext) -> None:
         record = self.state.registry.get_deployed(op.tba)
@@ -354,8 +350,7 @@ class Ledger:
             raise LedgerError(ErrorCode.ALREADY_STAKING)
         unlock = self.height + self.config.unlock_delay
         ctx.insert(self.state.stakes, acting, StakePosition(amount, unlock))
-        ctx.events.append(self._event(EventKind.STAKED, acting, ctx,
-                                      {"amount": amount, "unlock_block": unlock}))
+        ctx.events.append(self._event(STAKED, acting, ctx, (amount, unlock)))
 
     def _add_to_stake(self, acting: Address, amount: int, ctx: _TxContext) -> None:
         position = self.state.stakes.get(acting)
@@ -365,8 +360,7 @@ class Ledger:
         if amount == 0:
             raise LedgerError(ErrorCode.ZERO_AMOUNT)
         ctx.write(position, "amount", position.amount + _unsigned(amount))
-        ctx.events.append(self._event(EventKind.STAKE_INCREASED, acting, ctx,
-                                      {"amount": amount, "total": position.amount}))
+        ctx.events.append(self._event(STAKE_INCREASED, acting, ctx, (amount, position.amount)))
 
     def _request_unstake(self, acting: Address, ctx: _TxContext) -> None:
         position = self.state.stakes.get(acting)
@@ -382,9 +376,8 @@ class Ledger:
         ctx.journal.append((deque.pop, queue.pending))
         del self.state.stakes[acting]
         ctx.journal.append((dict.__setitem__, self.state.stakes, acting, position))
-        ctx.events.append(self._event(EventKind.UNSTAKE_REQUESTED, acting, ctx,
-                                      {"amount": position.amount,
-                                       "enqueued_at": self.height}))
+        ctx.events.append(self._event(UNSTAKE_REQUESTED, acting, ctx,
+                                      (position.amount, self.height)))
 
     # Journaled writes shared by several operations; each runs inside a
     # transaction.
@@ -399,13 +392,12 @@ class Ledger:
         collection = self.state.collection
         token_id = collection.next_id
         ctx.insert(collection.tokens, token_id, NftRecord(to, note, bound_account))
-        ctx.events.append(self._event(EventKind.TRANSFER, collection.address, ctx,
-                                      {"from": ZERO_ADDRESS, "to": to, "token_id": token_id}))
+        ctx.events.append(self._event(TOKEN_TRANSFER, collection.address, ctx,
+                                      (ZERO_ADDRESS, to, token_id)))
         return token_id
 
-    def _event(self, kind: EventKind, emitter: Address, ctx: _TxContext,
-               fields: dict) -> Event:
-        return Event(kind, emitter, fields, self.height, ctx.tx_id)
+    def _event(self, shape: Shape, emitter: Address, ctx: _TxContext, values: tuple) -> Event:
+        return Event(shape, emitter, values, self.height, ctx.tx_id)
 
     # ------------------------------------------------------------------
     # Views
@@ -449,40 +441,43 @@ class Ledger:
         return hashlib.sha256(self.canonical_state_bytes()).hexdigest()
 
     def canonical_state_bytes(self) -> bytes:
-        out = bytearray()
-        state = self.state
-        _section(out, b"accounts")
-        for address in sorted(state.accounts):
-            account = state.accounts[address]
-            code = b"" if account.code_id is None else account.code_id.value.encode()
-            _fields(out, address, code, _uint(account.balance))
-        _section(out, b"nfts")
-        collection = state.collection
-        for token_id in sorted(collection.tokens):
-            record = collection.tokens[token_id]
-            bound = record.bound_account or b""
-            _fields(out, collection.address, _uint(token_id), record.owner,
-                    record.note, bound)
-        _section(out, b"stakes")
-        for owner in sorted(state.stakes):
-            position = state.stakes[owner]
-            _fields(out, owner, _uint(position.amount), _uint(position.unlock_block))
-        _section(out, b"queue")
+        """Eight named sections of length-prefixed fields (4-byte big-endian lengths). Each
+        row is joined from its fields and appended to one buffer: one join of every field
+        would hold an 80-byte buffer view per field while it ran."""
+        state, collection, join = self.state, self.state.collection, b"".join
+        collection_field = _ADDRESS + collection.address  # the world's one collection
+        out = bytearray(_field(b"accounts"))
+        accounts = state.accounts
+        for address in sorted(accounts):
+            account = accounts[address]
+            out += join((_ADDRESS, address, _CODE_FIELDS[account.code_id],
+                         _uint(account.balance)))
+        out += _field(b"nfts")
+        tokens = collection.tokens
+        for token_id in sorted(tokens):
+            record = tokens[token_id]
+            out += join((collection_field, _uint(token_id), _ADDRESS, record.owner,
+                         _field(record.note), _field(record.bound_account or b"")))
+        out += _field(b"stakes")
+        stakes = state.stakes
+        for owner in sorted(stakes):
+            position = stakes[owner]
+            out += join((_ADDRESS, owner, _uint(position.amount), _uint(position.unlock_block)))
+        out += _field(b"queue")
         for entry in state.queue.pending:
-            _fields(out, entry.owner, _uint(entry.amount), _uint(entry.enqueued_at))
-        _section(out, b"bindings")
-        for address in sorted(state.nftaas):
-            binding = state.nftaas[address]
-            _fields(out, address, collection.address,
-                    _uint(binding.bound_token_id), _uint(binding.upgrade_version))
-        _section(out, b"tbas")
+            out += join((_ADDRESS, entry.owner, _uint(entry.amount), _uint(entry.enqueued_at)))
+        out += _field(b"bindings")
+        nftaas = state.nftaas
+        for address in sorted(nftaas):
+            binding = nftaas[address]
+            out += join((_ADDRESS, address, collection_field, _uint(binding.bound_token_id),
+                         _uint(binding.upgrade_version)))
+        out += _field(b"tbas")
         for address, record in state.registry.sorted_records():
-            _fields(out, collection.address, _uint(record.token_id), record.salt,
-                    address, _uint(int(record.has_execute)))
-        _section(out, b"factory")
-        _fields(out, state.factory, collection.address, _uint(len(state.nftaas)))
-        _section(out, b"height")
-        _fields(out, _uint(self.height))
+            out += join((collection_field, _uint(record.token_id), _field(record.salt), _ADDRESS,
+                         address, _uint(int(record.has_execute))))
+        out += join((_field(b"factory"), _ADDRESS, state.factory, collection_field,
+                     _uint(len(nftaas)), _field(b"height"), _uint(self.height)))
         return bytes(out)
 
 
@@ -507,16 +502,21 @@ def _unsigned(amount: int) -> int:
     return amount
 
 
+def _field(value: bytes) -> bytes:
+    """`value` with its 4-byte big-endian length in front."""
+    return len(value).to_bytes(4, "big") + value
+
+
 def _uint(value: int) -> bytes:
+    """An unsigned integer's field: its minimal big-endian bytes, none for 0."""
     if value < 0:
         raise ValueError("unsigned field")
-    return value.to_bytes((value.bit_length() + 7) // 8, "big") if value else b""
+    if not value:
+        return _EMPTY
+    size = (value.bit_length() + 7) // 8
+    return size.to_bytes(4, "big") + value.to_bytes(size, "big")
 
 
-def _section(out: bytearray, name: bytes) -> None:
-    out += len(name).to_bytes(4, "big") + name
-
-
-def _fields(out: bytearray, *values: bytes) -> None:
-    for value in values:
-        out += len(value).to_bytes(4, "big") + value
+_EMPTY = _field(b"")
+_ADDRESS = ADDRESS_LEN.to_bytes(4, "big")  # the length prefix of every address field
+_CODE_FIELDS = {None: _EMPTY, **{code: _field(code.value.encode()) for code in CodeId}}

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from .addresses import Address, salt_from_int
 from .errors import ErrorCode, LedgerError
-from .events import Event, EventKind, hexed
+from .events import NEW_NFTAA, SHAPES, TBA_CREATED, Event, hexed
 from .ledger import Ledger, TxReceipt
 from .ops import (
     CreateTba,
@@ -424,11 +424,15 @@ class ScenarioRunner:
         # a list, not a dict: one event must match every pair, a repeated key too
         criteria = [(key, self.address_of(value[1:]).hex() if value.startswith("@") else value)
                     for key, value in (pair.split("=", 1) for pair in args[1:])]
+        # each shape of the kind (a str enum: equal to its value) that has every key, with
+        # the position of each criterion's value; the events are read through no mapping
+        wanted = [(shape, [(shape.keys.index(k), v) for k, v in criteria]) for shape in SHAPES
+                  if shape.kind == args[0] and all(k in shape.keys for k, _ in criteria)]
         for event in self.ledger.events:
-            fields = event.fields  # not the `payload` view, which builds a dict per read
-            if event.kind == args[0] and all(  # a str enum: equal to its value
-                    k in fields and str(hexed(fields[k])) == v for k, v in criteria):
-                return True, f"event {args[0]} present"
+            for shape, checks in wanted:
+                if event.shape is shape and all(
+                        str(hexed(event.values[i])) == v for i, v in checks):
+                    return True, f"event {args[0]} present"
         shown = ", ".join(f"{k!r}: {v!r}" for k, v in criteria)  # a dict's repr, keys repeated
         return False, f"event {args[0]} matching {{{shown}}} not found"
 
@@ -477,11 +481,11 @@ def _failed(outcome: StepOutcome, code: ErrorCode) -> None:
 def _creation_detail(receipt: TxReceipt) -> str:
     parts = []
     for event in receipt.events:
-        if event.kind is EventKind.NEW_NFTAA:
-            parts.append(f"token_id={event.fields['token_id']} "
-                         f"account={event.fields['account'].hex()}")
-        elif event.kind is EventKind.TBA_CREATED:
-            parts.append(f"tba={event.fields['account'].hex()}")
+        if event.shape is NEW_NFTAA:
+            token_id, account, _ = event.values
+            parts.append(f"token_id={token_id} account={account.hex()}")
+        elif event.shape is TBA_CREATED:
+            parts.append(f"tba={event.values[3].hex()}")
     return " ".join(parts)
 
 

@@ -23,7 +23,7 @@ from nftaa_sim import (
     TxReceipt,
     WithdrawalQueue,
 )
-from nftaa_sim.events import SYSTEM_TX_ID
+from nftaa_sim.events import SYSTEM_TX_ID, WITHDRAWAL_PROCESSED
 
 
 def must(ledger: Ledger, *operations) -> TxReceipt:
@@ -77,8 +77,7 @@ def advance_block(ledger: Ledger) -> int:
     if queue.pending and not slot_missed(ledger.rng, config.missed_slot_probability):
         for entry in queue.process_block(config, ledger.rng):
             ledger.state.accounts[entry.owner].balance += entry.amount
-            ledger.events.append(Event(EventKind.WITHDRAWAL_PROCESSED, entry.owner,
-                                       {"owner": entry.owner, "amount": entry.amount,
-                                        "enqueued_at": entry.enqueued_at},
+            ledger.events.append(Event(WITHDRAWAL_PROCESSED, entry.owner,
+                                       (entry.owner, entry.amount, entry.enqueued_at),
                                        ledger.height, SYSTEM_TX_ID))
     return ledger.height

@@ -8,21 +8,10 @@ log is the ledger path's main memory cost, so it is held to a bound per event.
 
 import tracemalloc
 
-from nftaa_sim import (
-    ETH,
-    Ledger,
-    LedgerError,
-    ProxyExecute,
-    ProxyPayload,
-    QueueConfig,
-    parse_scenario,
-    run_scenario,
-)
+from nftaa_sim import ETH, Ledger, LedgerError, ProxyExecute, ProxyPayload, QueueConfig
 from nftaa_sim.events import hexed
-from tests.corpus import SCRIPTS
-from tests.fuzz_engine import FuzzDriver
+from tests.corpus import event_logs
 from tests.ledger_helpers import mint_nftaa, must
-from tests.perfbench_modules import load
 
 EVENT_KEYS = {"from", "to", "owner", "account", "creator", "nftaa", "collection", "salt"}
 ERROR_KEYS = {"address", "account"}
@@ -37,18 +26,8 @@ def test_events_and_errors_keep_addresses_and_salts_as_bytes(monkeypatch):
         details.append(detail)
 
     monkeypatch.setattr(LedgerError, "__init__", recording_init)
-    texts = [path.read_text() for path in SCRIPTS] + [load("gen").spot(seed).text
-                                                      for seed in (1, 7, 11)]
-    logs = []
-    for text in texts:
-        script = parse_scenario(text)
-        logs += [run_scenario(script, lane=lane).events for lane in ("native", "nftaa", "tba")]
-    driver = FuzzDriver(5)
-    driver.run(200)
-    logs.append(driver.ledger.events)
-
     event_keys, error_keys = set(), set()
-    for log in logs:
+    for log in event_logs():
         for event in log:
             assert type(event.emitter) is bytes, event
             for key, value in event.fields.items():
@@ -70,7 +49,7 @@ def test_hexed_writes_bytes_as_hex_and_none_as_none():
     assert hexed(7) == 7 and hexed("7") == "7"
 
 
-def test_event_log_holds_at_most_320_bytes_an_event():
+def test_event_log_holds_at_most_160_bytes_an_event():
     """2,000 stakers each mint, are funded, stake, unstake and are paid out:
     eight events each. What clearing the log frees is what the log held."""
     stakers = 2_000
@@ -92,4 +71,4 @@ def test_event_log_holds_at_most_320_bytes_an_event():
         tracemalloc.stop()
     assert events == 8 * stakers and not ledger.state.queue.pending
     assert freed > 56 * events  # the Event objects themselves were freed
-    assert freed <= 320 * events, f"{freed / events:.0f} B per event"
+    assert freed <= 160 * events, f"{freed / events:.0f} B per event"
