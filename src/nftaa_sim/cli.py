@@ -60,7 +60,7 @@ def _replay(args) -> int:
     worst = 0
     for path in args.files:
         try:
-            source = path.read_text(encoding="utf-8")
+            source = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
         except (OSError, UnicodeDecodeError) as failure:
             reason = failure.strerror if isinstance(failure, OSError) else failure
             sys.stdout.write(f"read_error file={path} {reason}\n")
@@ -76,8 +76,10 @@ def _replay(args) -> int:
         if args.command == "diff":
             result = run_differential(script, name=path.stem, seed=args.seed)
             text = result.to_text()
-            if args.verbose:
-                text += result.nftaa.to_text() + result.tba.to_text()
+            if args.verbose:  # three reports, each written as built, never joined
+                sys.stdout.write(text)
+                sys.stdout.write(result.nftaa.to_text())
+                text = result.tba.to_text()
         else:
             result = run_scenario(script, name=path.stem, seed=args.seed)
             if args.events is not None:

@@ -137,8 +137,8 @@ class RunReport(Record):
         passed = sum(v.passed for v in self.verdicts)
         lines.append(f"final_digest={self.final_digest}")
         lines.append(f"verdicts_passed={passed} verdicts_failed={len(self.verdicts) - passed}")
-        lines.append(f"exit={self.exit_code}")
-        return "\n".join(lines) + "\n"
+        lines += [f"exit={self.exit_code}", ""]  # the empty last line ends the text with "\n"
+        return "\n".join(lines)
 
 
 class ScenarioRunner:
@@ -529,8 +529,8 @@ class DiffResult(Record):
         claims = self.claims
         lines.append(f"claims={','.join(claims) if claims else 'none'}")
         lines.append(f"nftaa_exit={self.nftaa.exit_code} tba_exit={self.tba.exit_code}")
-        lines.append(f"exit={self.exit_code}")
-        return "\n".join(lines) + "\n"
+        lines += [f"exit={self.exit_code}", ""]  # the empty last line ends the text with "\n"
+        return "\n".join(lines)
 
 
 # error code, step kind or probe form -> the design difference a diverging step that

@@ -58,6 +58,8 @@ def _number(message: str, eth: bool = False):
     """The check of a number role: its decimal digits, or with `eth` also `<n>eth`, as an
     int below 2**256."""
     def check(parser, value, position):
+        if len(value) <= 77 and value.isdecimal():  # 77 digits stay below 2**256
+            return int(value)
         try:
             number = int(value) if value.isdecimal() else parse_amount(value) if eth else WORD
         except ValueError:  # not an amount, or more digits than int() converts
@@ -69,6 +71,8 @@ def _number(message: str, eth: bool = False):
 def _use(types: tuple[str, ...]):
     """The check of a label reference: declared earlier, as one of `types`."""
     def check(parser, value, position):
+        if parser.labels.get(value) in types:
+            return value
         declared = "none" if value == "none" and "none" in types else parser.labels.get(value)
         if declared is None:
             parser.fail(position, f"label {value!r} not declared", "UnknownLabel")
@@ -190,6 +194,11 @@ STEP_KINDS = _table({
 EXECUTABLE = frozenset(kind for kind, form in STEP_KINDS.items() if form.group in ("tx", "exec"))
 # an expectation kind -> the other lane's, which may stand between it and its step
 _OTHER_LANE = {"expect_error": "expect_tba", "expect_tba": "expect_error"}
+# the kinds with rules beyond their arguments' checks, on where they stand or what they set
+# up: `set`, a group's ends, the expectations, a simulated report, an exit and `advance`
+_RULED = frozenset({"set", "begin", "commit", *_OTHER_LANE, "queue_report", "advance",
+                    *(kind for kind, method in EXECUTE_METHOD.items()
+                      if method in (None, "request_unstake"))})
 
 
 class ScenarioParseError(Exception):
@@ -219,8 +228,15 @@ class ScenarioScript(NamedTuple):
 
 def _scan(line: str) -> tuple[list[str], tuple | set[int]]:
     """A line's values, and the positions of those that were quoted."""
-    if '"' not in line and "#" not in line:
-        return line.split(), ()  # the same words as _SCAN would find
+    if "#" not in line:  # the same values as _SCAN would find
+        if '"' not in line:
+            return line.split(), ()
+        head, _, rest = line.partition('"')
+        note, closed, tail = rest.partition('"')
+        if closed and (not head or head[-1].isspace()) and (not tail or tail.isspace()):
+            values = head.split()  # one quoted value, the last, not inside a word
+            values.append(note)
+            return values, (len(values) - 1,)
     found = _SCAN.findall(line)
     if found and found[-1][1]:  # a comment, which runs to the end of the line
         found.pop()
@@ -279,39 +295,48 @@ class _Parser:
                 self.fail(0, f"unknown step {kind!r}", code="UnknownStepKind")
             if self.opened is not None and form.group != "tx" and kind != "commit":
                 self.fail(0, f"{kind} cannot appear inside a transaction group")
-            if kind == "set" and self.steps:
-                self.fail(0, "set must appear before any step")
-            if kind == "commit" and self.opened is None:
-                self.fail(0, "commit without begin")
-            if kind == "commit" and self.steps[-1].kind == "begin":
-                self.fail(0, "commit closes an empty group")
-            if kind in _OTHER_LANE and _qualified(self.steps, len(self.steps), kind) < 0:
-                self.fail(0, f"{kind} must immediately follow an executable step")
-            args = self.match(values, 1, form)
-            if kind == "set":
-                try:
-                    queue_config([values[1:]])
-                except ValueError as bad:
-                    self.fail(2, f"bad {values[1]} {values[2]!r}: {bad}")
-                self.config.append(tuple(values[1:]))
-                continue
-            if kind == "queue_report" and values[2] == "simulate":
-                try:  # every `set` line has been seen: they lead the file
-                    check_drain_size(args[0], queue_config(self.config))
-                except ValueError as bad:
-                    self.fail(1, f"queue_report simulate: {bad}")
-            if kind in EXECUTE_METHOD and (EXECUTE_METHOD[kind] or args[2]) == "request_unstake":
-                self.exits += 1  # each exit needs one hit block: 1 / (1 - p) expected blocks
-            elif kind == "advance" and self.exits:
-                self.advanced += args[0]  # the queue is busy in at most these blocks
-                if self.advanced > MAX_DRAIN_BLOCKS:
-                    self.queue = self.queue or queue_config(self.config)
-                    cap = self.queue.per_block_cap
-                    blocks = estimate_drain_time(self.exits * cap, self.queue).blocks
-                    if blocks > MAX_DRAIN_BLOCKS:
-                        self.fail(1, f"advance: a drain of {self.exits} exit(s) takes about "
-                                     f"{blocks} blocks, more than {MAX_DRAIN_BLOCKS}")
-            self.opened = _group_after(kind, self.opened, self.line_no)
+            ruled = kind in _RULED
+            if ruled:
+                if kind == "set" and self.steps:
+                    self.fail(0, "set must appear before any step")
+                if kind == "commit" and self.opened is None:
+                    self.fail(0, "commit without begin")
+                if kind == "commit" and self.steps[-1].kind == "begin":
+                    self.fail(0, "commit closes an empty group")
+                if kind in _OTHER_LANE and _qualified(self.steps, len(self.steps), kind) < 0:
+                    self.fail(0, f"{kind} must immediately follow an executable step")
+            if len(values) - 1 == form.high:  # no range, optional role or sub-table to mind
+                args = values[1:]
+                for position, check in enumerate(form.checks):
+                    args[position] = check(self, args[position], position + 1)
+            else:
+                args = self.match(values, 1, form)
+            if ruled:
+                if kind == "set":
+                    try:
+                        queue_config([args])
+                    except ValueError as bad:
+                        self.fail(2, f"bad {args[0]} {args[1]!r}: {bad}")
+                    self.config.append(tuple(args))
+                    continue
+                if kind == "queue_report" and args[1] == "simulate":
+                    try:  # every `set` line has been seen: they lead the file
+                        check_drain_size(args[0], queue_config(self.config))
+                    except ValueError as bad:
+                        self.fail(1, f"queue_report simulate: {bad}")
+                if kind in EXECUTE_METHOD and \
+                        (EXECUTE_METHOD[kind] or args[2]) == "request_unstake":
+                    self.exits += 1  # each exit needs one hit block: 1 / (1 - p) expected blocks
+                elif kind == "advance" and self.exits:
+                    self.advanced += args[0]  # the queue is busy in at most these blocks
+                    if self.advanced > MAX_DRAIN_BLOCKS:
+                        self.queue = self.queue or queue_config(self.config)
+                        cap = self.queue.per_block_cap
+                        blocks = estimate_drain_time(self.exits * cap, self.queue).blocks
+                        if blocks > MAX_DRAIN_BLOCKS:
+                            self.fail(1, f"advance: a drain of {self.exits} exit(s) takes "
+                                         f"about {blocks} blocks, more than {MAX_DRAIN_BLOCKS}")
+                self.opened = _group_after(kind, self.opened, self.line_no)
             self.steps.append(Step(kind, tuple(args), self.line_no))
         if self.opened is not None:
             raise ScenarioParseError(self.opened, 1, "begin without matching commit")

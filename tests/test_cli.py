@@ -16,7 +16,7 @@ from nftaa_sim.cli import main
 from nftaa_sim.ledger import Ledger
 from nftaa_sim.scenario import ScenarioParseError, parse_scenario
 from nftaa_sim.staking import MAX_DRAIN_BLOCKS
-from tests.corpus import SCRIPTS
+from tests.corpus import CORPUS, SCRIPTS
 from tests.perfbench_modules import load
 
 GOOD = (
@@ -83,6 +83,22 @@ def test_non_utf8_file_exits_two_and_goes_on(command, scenario_file, tmp_path, c
     assert out.startswith(f"read_error file={undecodable} 'utf-8' codec can't decode "
                           "byte 0xff in position 0: invalid start byte\n")
     assert "good" in out
+
+
+@pytest.mark.parametrize("command", ["run", "diff"])
+def test_a_byte_order_mark_before_a_script_is_dropped(command, tmp_path, capsys):
+    """Each corpus script saved with a UTF-8 byte-order mark, under its own name, prints
+    what it prints without one; a file that is not UTF-8 after the mark is still refused."""
+    for index, path in enumerate(CORPUS):
+        marked = tmp_path / str(index) / path.name
+        marked.parent.mkdir()
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        expected = main([command, str(path)]), capsys.readouterr().out
+        assert (main([command, str(marked)]), capsys.readouterr().out) == expected
+    undecodable = tmp_path / "latin.scn"
+    undecodable.write_bytes(b"\xef\xbb\xbf\xffactor alice\n")
+    assert main([command, str(undecodable)]) == 2
+    assert capsys.readouterr().out.startswith(f"read_error file={undecodable} ")
 
 
 @pytest.mark.parametrize("line, column", [

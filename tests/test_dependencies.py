@@ -39,6 +39,20 @@ def test_the_transcripts_module_imports_without_pytest():
     assert done.returncode == 0, done.stderr
 
 
+def test_the_transcripts_module_loads_only_the_tests_modules_it_shares():
+    """`--against` runs another version's program with this checkout's `tests` package, so
+    the modules `tests.transcripts` loads must import nothing that version may lack: the
+    fuzz driver and the ledger helpers import names of this version's program."""
+    code = ("import sys, tests.transcripts\n"
+            "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'tests'))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert set(done.stdout.split()) <= {"tests", "tests.transcripts", "tests.corpus",
+                                        "tests.perfbench_modules"}
+
+
 def test_the_transcripts_tool_runs_the_other_side_under_the_given_python(monkeypatch, capsys):
     started = []
 

@@ -2,6 +2,7 @@
 
 import statistics
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -177,6 +178,21 @@ def test_reports_are_byte_identical_across_runs():
     one = run_text(text).to_text().encode()
     two = run_text(text).to_text().encode()
     assert one == two
+
+
+def test_a_report_is_built_with_one_copy_of_its_text():
+    """`to_text` joins its lines once: its peak, above what was held before the call, is the
+    lines and the text, not a second copy of the text."""
+    report = run_scenario(parse_scenario(load("gen").nftaa_world(7).text))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        text = report.to_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.endswith("exit=0\n") and len(text) > 200_000
+    assert peak - held <= 3.0 * len(text), f"{(peak - held) / len(text):.2f}x"
 
 
 def test_an_unknown_lane_is_refused_before_any_step_runs():

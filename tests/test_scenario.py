@@ -1,10 +1,11 @@
 """Scenario grammar: tokenizing, label tracking, structure rules, round-trip."""
 
+import functools
 import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nftaa_sim import (
     ScenarioParseError,
@@ -12,7 +13,9 @@ from nftaa_sim import (
     parse_scenario,
     serialize_scenario,
 )
-from nftaa_sim.scenario import STEP_KINDS, Step, _scan
+from nftaa_sim.scenario import (_OTHER_LANE, _SCAN, EXECUTE_METHOD, MAX_DRAIN_BLOCKS, STEP_KINDS,
+                                WORD, ScenarioScript, Step, _group_after, _Parser, _qualified, _scan,
+                                check_drain_size, estimate_drain_time, queue_config)
 from tests import corpus
 from tests.perfbench_modules import load
 
@@ -314,6 +317,198 @@ def test_an_error_is_reported_at_the_reference_column(line):
         assert (caught.value.line, caught.value.column) == (1, bad[0] if bad else 1)
     else:
         parse_scenario(text)
+
+
+# The parser before its fast paths, kept as the reference: `_SCAN` reads every line with a
+# quote or `#`, `match` checks every argument, and the checks that `_use` and `_number` make
+# have no early return. The parser must give the same steps, or refuse at the same place
+# with the same code and message.
+def _reference_scan(line: str) -> tuple[list[str], tuple | set[int]]:
+    if '"' not in line and "#" not in line:
+        return line.split(), ()
+    found = _SCAN.findall(line)
+    if found and found[-1][1]:
+        found.pop()
+    return [bare or inner for inner, _, bare in found], \
+        {position for position, (_, _, bare) in enumerate(found) if not bare}
+
+
+def _reference_number(message: str, eth: bool = False):
+    def check(parser, value, position):
+        try:
+            number = int(value) if value.isdecimal() else parse_amount(value) if eth else WORD
+        except ValueError:
+            number = WORD
+        return number if number < WORD else parser.fail(position, message.format(value))
+    return check
+
+
+def _reference_use(types: tuple[str, ...]):
+    def check(parser, value, position):
+        declared = "none" if value == "none" and "none" in types else parser.labels.get(value)
+        if declared is None:
+            parser.fail(position, f"label {value!r} not declared", "UnknownLabel")
+        if declared not in types:
+            parser.fail(position, f"label {value!r} is {declared}, expected {' or '.join(types)}")
+        return value
+    return check
+
+
+@functools.cache
+def _reference_check(check):
+    """`check`, or the reference's check made from the same arguments if `_use` or `_number`
+    made it."""
+    factories = {"_use": _reference_use, "_number": _reference_number}
+    factory = factories.get(check.__qualname__.partition(".")[0])
+    if factory is None:
+        return check
+    cells = (cell.cell_contents for cell in check.__closure__)
+    return factory(**dict(zip(check.__code__.co_freevars, cells)))
+
+
+class _ReferenceParser(_Parser):
+    def parse(self, text: str) -> ScenarioScript:
+        self.labels = {}
+        self.config, self.steps, self.opened, self.lines = [], [], None, text.splitlines()
+        self.exits, self.advanced, self.queue = 0, 0, None
+        for self.line_no, line in enumerate(self.lines, start=1):
+            values, self.quoted = _reference_scan(line)
+            if not values:
+                continue
+            kind = values[0]
+            form = STEP_KINDS.get(kind)
+            if form is None:
+                self.fail(0, f"unknown step {kind!r}", code="UnknownStepKind")
+            if self.opened is not None and form.group != "tx" and kind != "commit":
+                self.fail(0, f"{kind} cannot appear inside a transaction group")
+            if kind == "set" and self.steps:
+                self.fail(0, "set must appear before any step")
+            if kind == "commit" and self.opened is None:
+                self.fail(0, "commit without begin")
+            if kind == "commit" and self.steps[-1].kind == "begin":
+                self.fail(0, "commit closes an empty group")
+            if kind in _OTHER_LANE and _qualified(self.steps, len(self.steps), kind) < 0:
+                self.fail(0, f"{kind} must immediately follow an executable step")
+            args = self.match(values, 1, form)
+            if kind == "set":
+                try:
+                    queue_config([values[1:]])
+                except ValueError as bad:
+                    self.fail(2, f"bad {values[1]} {values[2]!r}: {bad}")
+                self.config.append(tuple(values[1:]))
+                continue
+            if kind == "queue_report" and values[2] == "simulate":
+                try:
+                    check_drain_size(args[0], queue_config(self.config))
+                except ValueError as bad:
+                    self.fail(1, f"queue_report simulate: {bad}")
+            if kind in EXECUTE_METHOD and (EXECUTE_METHOD[kind] or args[2]) == "request_unstake":
+                self.exits += 1
+            elif kind == "advance" and self.exits:
+                self.advanced += args[0]
+                if self.advanced > MAX_DRAIN_BLOCKS:
+                    self.queue = self.queue or queue_config(self.config)
+                    cap = self.queue.per_block_cap
+                    blocks = estimate_drain_time(self.exits * cap, self.queue).blocks
+                    if blocks > MAX_DRAIN_BLOCKS:
+                        self.fail(1, f"advance: a drain of {self.exits} exit(s) takes about "
+                                     f"{blocks} blocks, more than {MAX_DRAIN_BLOCKS}")
+            self.opened = _group_after(kind, self.opened, self.line_no)
+            self.steps.append(Step(kind, tuple(args), self.line_no))
+        if self.opened is not None:
+            raise ScenarioParseError(self.opened, 1, "begin without matching commit")
+        return ScenarioScript(tuple(self.config), tuple(self.steps))
+
+    def match(self, values: list, start: int, form) -> list:
+        _, roles, checks, low, high, table = form
+        checks = tuple(map(_reference_check, checks))
+        given = len(values) - start
+        if not low <= given <= (given if high is None else high):
+            expected = str(low) if low == high else f"{low}..{high or ''}"
+            self.fail(start - 1, f"{values[start - 1]} takes {expected} argument(s), got {given}")
+        if given < len(checks):
+            checks = checks[:given]
+        elif given > len(checks) and table is None:
+            checks += checks[-1:] * (given - len(checks))
+        for position, check in enumerate(checks, start):
+            values[position] = check(self, values[position], position)
+        if table is not None:
+            position = start + len(checks) - 1
+            sub = values[position]
+            if sub not in table:
+                self.fail(position, f"unknown {values[start - 1]} {roles[-1]} {sub!r}")
+            self.match(values, position + 1, table[sub])
+        return values[start:]
+
+
+_NUMBERS = ["5", "0", "7" * 77, "9" * 77, "9" * 78, "9" * 78, "1" + "0" * 77, "\u0663\u0664",
+            "\u00b2", "3eth", "1.5", "-1"]
+_DECLARED = ["actor a", 'mintnftaa a n "x"', 'minttoken a t "y"']  # what drawn lines name
+_ROLE_VALUES = {  # what a drawn line puts in a role: mostly what the role accepts
+    "@": ["a", "n", "t", "a", "n", "t", "zz", "none"],
+    "+": ["b", "c", "d", "b", "c", "d", "a", "none", "9x"],
+    "amount": _NUMBERS, "int": _NUMBERS,
+    "note": ['"x y"', '"z"', '"z"', '""', "bare"],
+    "code": ["ok", "NotOwner", "Nope"],
+    "key=value": ["k=v", "k=@a", "k=@zz", "kv"],
+    "literal": ["seed", "unlock_delay", "per_block_cap", "closed", "simulate", "noexec", "x"],
+}
+_WORDS = ["5", "5", "0.5", "x"]
+_DRAWN_KINDS = ["actor", "mintnftaa", "minttoken", "faucet", "withdraw", "transfernftaa", "proxy",
+                "stake", "unstake", "advance", "assert_balance", "assert_account", "createtba",
+                "expect_error", "expect_tba", "begin", "commit", "probe", "queue_report", "set",
+                "assert_event"]
+_SPACES = st.sampled_from([" ", " ", " ", "  ", "\t", "\x1f", "\xa0"])
+
+
+@st.composite
+def _reference_lines(draw, kinds=st.sampled_from(_DRAWN_KINDS)) -> str:
+    """A line of one of `kinds`: its arguments, at times one short or over, any value
+    perhaps quoted or holding a `"`, odd whitespace between them and perhaps a comment."""
+    kind = draw(kinds)
+    form, roles, values = STEP_KINDS[kind], [], [kind]
+    for role in form.roles:
+        if form.table is not None and role == form.roles[-1]:  # a `method` or `form` role
+            sub = draw(st.sampled_from(sorted(form.table)))
+            values.append(sub)
+            roles += form.table[sub].roles
+        else:
+            roles.append(role)
+    count = len(roles) + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1]))  # one short or over
+    values += [draw(st.sampled_from(_ROLE_VALUES.get(role, _WORDS)))
+               for role in (roles + ["word"])[:max(count, 0)]]
+    quoted = draw(st.sampled_from([None, None, 0, len(values) // 2, len(values) - 1]))
+    if quoted is not None and '"' not in values[quoted]:  # the first, middle or last value
+        values[quoted] = f'"{values[quoted]}"'
+    inside = draw(st.sampled_from([None] * 6 + [1, len(values) - 1]))
+    if inside is not None and inside < len(values):  # a `"` inside a word
+        values[inside] = draw(st.sampled_from([f'{values[inside]}"q"', f'q"{values[inside]}']))
+    spaces = [draw(_SPACES) for _ in values]
+    comment = draw(st.sampled_from(["", "", "", " # c", '\t#"x"', "#"]))
+    return draw(st.sampled_from(["", "", " ", "\t"])) + "".join(
+        value + space for value, space in zip(values, spaces))[:-1] + comment
+
+
+def _outcome(parse, text: str) -> tuple:
+    try:
+        script = parse(text)
+    except ScenarioParseError as error:
+        return error.line, error.column, error.code, error.message
+    return script.config, [(step.kind, step.args, step.line) for step in script.steps]
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_reference_lines(st.just("set")), max_size=1),
+       st.lists(_reference_lines(), min_size=1, max_size=6))
+def test_the_parser_reads_each_script_as_the_reference_parser(leading, lines):
+    """The drawn lines after the declarations, which a drawn `set` line may lead, and each
+    drawn line alone after the declarations."""
+    assert all(_reference_check(check) is not check  # rebuilt, not shared
+               for check in STEP_KINDS["faucet"].checks)
+    for script in [leading + _DECLARED + lines, *([*_DECLARED, line] for line in lines)]:
+        text = "\n".join(script)
+        assert _outcome(parse_scenario, text) == _outcome(_ReferenceParser().parse, text)
 
 
 def _numbers(step: Step) -> list[tuple[bool, object]]:
