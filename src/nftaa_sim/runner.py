@@ -11,23 +11,24 @@ A script runs against a fresh ledger in one of three lanes:
   plain token, staking and withdrawal go through the account's execute call,
   and ``upgrade`` has no analog.
 
-Every lane runs the script's plan (``build_plan``), and ``LANES`` holds what
-differs between lanes. Each step kind and ``probe`` form runs the ScenarioRunner
-method named after it (``_actor``, ``_binding``), but the transaction kinds and
-``commit`` run ``_run_transaction`` (``_HANDLERS``). They share one translation
-into the lane's named ledger operations (``mint`` and ``account`` for
-``mintnftaa`` in the tba lane). A kind or form with no analog in the lane is
-NotComparable before any of its labels is resolved. Labels a step creates are
-bound before its transaction is submitted, so later steps of a group can name
-them, and unbound if that transaction does not commit.
+Every lane runs the script's plan (``build_plan``) a unit at a time
+(``_run_unit``), and ``LANES`` holds what differs between lanes. Each step kind
+and ``probe`` form runs the ScenarioRunner method named after it (``_actor``),
+but the transaction kinds and ``commit`` run ``_run_transaction`` on the unit's
+group (``_HANDLERS``), through one translation into the lane's named ledger
+operations (``mint`` and ``account`` for ``mintnftaa`` in the tba lane). A kind
+or form with no analog in the lane is NotComparable before any of its labels is
+resolved. Labels a step creates are bound before its transaction is submitted,
+so later steps of a group can name them, and unbound if it does not commit.
 
 ``begin``/``commit`` groups are one atomic transaction in the native and
 nftaa lanes. The tba lane cannot express that: it submits the operations one
 at a time, the first failure skips the remainder, and an ``interrupt`` right
 after a split step lands in the seam between its parts (the mint and the
 account creation), where it fails the sequence without raising. That
-asymmetry is what the differential runner exists to expose. Reports are
-plain text and byte-identical across runs with the same script and seed.
+asymmetry is what ``diff`` exposes: it runs every unit in the nftaa lane, then
+in the tba lane, and compares each unit's two outcomes. Reports are plain text
+and byte-identical across runs with the same script and seed.
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ LANES = {"native": (frozenset(), False),
 
 class StepOutcome(Record):
     __slots__ = __match_args__ = ("index", "line", "kind", "status", "detail", "code",
-                                  "tx_count", "group")
-    def __init__(self, index: int, line: int, kind: str, status: str, group: tuple = ()):
+                                  "tx_count")
+    def __init__(self, index: int, line: int, kind: str, status: str):
         self.index, self.line, self.kind, self.status = index, line, kind, status
-        self.detail, self.code, self.tx_count, self.group = "", None, 0, group  # steps run
+        self.detail, self.code, self.tx_count = "", None, 0
 
     def render(self) -> str:
         text = f"step index={self.index} line={self.line} kind={self.kind} status={self.status}"
@@ -168,18 +169,35 @@ class ScenarioRunner:
             raise LedgerError(ErrorCode.UNKNOWN_ACCOUNT, f"label {label!r} is unbound")
         return bound
 
-    def run(self, plan: tuple | None = None) -> RunReport:
-        """Run `plan`, built once for every lane, or else the plan of this script's steps."""
-        outcomes = self.report.outcomes
-        for step, group, expect_error, expect_tba in (
-                build_plan(self.script.steps) if plan is None else plan):
-            if step.kind == "commit":  # the group runs, and reports, at its commit
-                for inner in group:
-                    outcomes.append(StepOutcome(len(outcomes) + 1, inner.line, inner.kind, GROUPED))
-            outcome = self._run_step(step, group)
-            outcomes.append(outcome)
-            self._check_expectation(outcome, expect_tba if self.registry else expect_error)
+    def run(self) -> RunReport:
+        """Run the plan of this script's steps, a unit at a time."""
+        for step, group, expect_error, expect_tba in build_plan(self.script.steps):
+            self._run_unit(step, group, expect_error, expect_tba)
         return self.report
+
+    def _run_unit(self, step: Step, group: tuple[Step, ...], expect_error: Step | None,
+                  expect_tba: Step | None) -> StepOutcome:
+        """Run a plan unit through its step's handler and record what it returns: an assert's
+        verdict, (passed, description), or any other step's outcome detail. A failure it raises
+        fails the assert's verdict, or else the step. A commit's group reports `grouped`."""
+        outcomes, kind = self.report.outcomes, step.kind
+        if kind == "commit":
+            for inner in group:
+                outcomes.append(StepOutcome(len(outcomes) + 1, inner.line, inner.kind, GROUPED))
+        outcome = StepOutcome(len(outcomes) + 1, step.line, kind, OK)
+        outcomes.append(outcome)
+        try:
+            result = _HANDLERS[kind](self, group if kind in _TRANSACTIONS else step.args, outcome)
+        except LedgerError as failure:
+            result = (False, f"{kind} raised {failure.code.value}") if kind in _ASSERTS else None
+            if result is None:
+                _failed(outcome, failure.code)
+        if kind in _ASSERTS:
+            self.report.verdicts.append(Verdict(step.line, result[1], result[0]))
+        elif result:
+            outcome.detail = result
+        self._check_expectation(outcome, expect_tba if self.registry else expect_error)
+        return outcome
 
     def _check_expectation(self, outcome: StepOutcome, expectation: Step | None) -> None:
         if expectation is None:
@@ -202,25 +220,6 @@ class ScenarioRunner:
     # ------------------------------------------------------------------
     # Step execution: one handler per step kind and probe form (_HANDLERS)
     # ------------------------------------------------------------------
-
-    def _run_step(self, step: Step, group: tuple[Step, ...]) -> StepOutcome:
-        """Run one step through its handler and record what it returns: an assert's
-        verdict, (passed, description), or any other step's outcome detail. A
-        failure it raises fails the assert's verdict, or else the step."""
-        kind = step.kind
-        outcome = StepOutcome(len(self.report.outcomes) + 1, step.line, kind, OK, group)
-        try:
-            result = _HANDLERS[kind](self, step.args, outcome)
-        except LedgerError as failure:
-            if kind not in _ASSERTS:
-                _failed(outcome, failure.code)
-                return outcome
-            result = False, f"{kind} raised {failure.code.value}"
-        if kind in _ASSERTS:
-            self.report.verdicts.append(Verdict(step.line, result[1], result[0]))
-        elif result:
-            outcome.detail = result
-        return outcome
 
     def _comparable(self, key: str) -> None:
         """The no-analog rule: a step kind or probe form this lane cannot express."""
@@ -251,8 +250,8 @@ class ScenarioRunner:
     # Transactions: one translation, atomic or sequential submission
     # ------------------------------------------------------------------
 
-    def _run_transaction(self, args, outcome: StepOutcome) -> None:
-        """Translate a step or a begin/commit group (`outcome.group`) and submit it.
+    def _run_transaction(self, group: tuple[Step, ...], outcome: StepOutcome) -> None:
+        """Translate a plan unit's group, a lone step or a begin/commit group, and submit it.
 
         The atomic lanes submit the group's operations as one transaction and
         read its receipt: a rollback fails the step with the receipt's error
@@ -262,7 +261,6 @@ class ScenarioRunner:
         ahead of a transaction that did not commit are unbound here, whichever
         way it failed.
         """
-        group = outcome.group
         pending: list[str] = []  # bound ahead of a transaction not yet committed
         try:
             if self.registry:
@@ -296,19 +294,14 @@ class ScenarioRunner:
         seq: list[str] = []
         committed = 0
         failure: ErrorCode | None = None  # not the error: its traceback holds this frame
-        rest = list(group)
-        while rest:
-            step = rest.pop(0)
-            if failure is not None:
-                seq.append(f"{step.kind}={SKIPPED}")
-                continue
+        for at, step in enumerate(group):
             name, parts, done = step.kind, [], 0
             try:
                 parts = self._translate(step, pending, [0, 0])  # the ledger counted earlier mints
                 for name, op in parts:
                     outcome.tx_count += 1  # submitted, or interrupted in the seam
-                    if done and rest and rest[0].kind == "interrupt":
-                        name, failure = rest.pop(0).kind, ErrorCode.INJECTED_FAILURE
+                    if done and at + 1 < len(group) and group[at + 1].kind == "interrupt":
+                        name, failure, at = "interrupt", ErrorCode.INJECTED_FAILURE, at + 1
                         break
                     done += 1
                     error = self.ledger.apply_transaction(op).error  # holds no traceback
@@ -319,11 +312,12 @@ class ScenarioRunner:
                     committed += 1
             except LedgerError as raised:
                 failure = raised.code
-            if failure is None:
-                pending.clear()
-            else:
+            if failure is not None:
                 seq.append(f"{name}={failure.value}")
                 seq += [f"{later}={SKIPPED}" for later, _ in parts[done:]]
+                seq += [f"{later.kind}={SKIPPED}" for later in group[at + 1:]]
+                break
+            pending.clear()
         outcome.detail = "seq=" + ",".join(seq)
         if failure is None:
             outcome.status = COMMITTED
@@ -462,11 +456,13 @@ class ScenarioRunner:
 
 
 _ASSERTS = frozenset(kind for kind, form in STEP_KINDS.items() if form.group == "assert")
+# the kinds whose handler, `_run_transaction`, runs their unit's group: a `tx` kind and `commit`
+_TRANSACTIONS = frozenset(k for k, f in STEP_KINDS.items() if f.group == "tx" or k == "commit")
 
-# step kind, or probe form -> handler(runner, args, outcome): `_run_transaction` for a `tx` kind
-# and `commit`, else the method `_<kind>`, so a missing one fails the import (a `set` is config,
-# a `begin` runs at its commit). Traced functions that handlers call are looked up per call.
-_HANDLERS = {kind: ScenarioRunner._run_transaction if form.group == "tx" or kind == "commit"
+# step kind, or probe form -> handler(runner, args or group, outcome): the method `_<kind>`, so
+# a missing one fails the import (a `set` is config, a `begin` runs at its commit), but a
+# transaction's `_run_transaction`. Traced functions that handlers call are looked up per call.
+_HANDLERS = {kind: ScenarioRunner._run_transaction if kind in _TRANSACTIONS
              else getattr(ScenarioRunner, f"_{kind}")
              for kind, form in [*STEP_KINDS.items(), *PROBE_FORMS.items()]
              if kind not in ("set", "begin")}
@@ -547,9 +543,10 @@ _CLAIMS = {
 }
 
 
-def classify_difference(outcome_a: StepOutcome, outcome_b: StepOutcome) -> str:
-    """Name the documented design difference a diverging step evidences (`_CLAIMS`)."""
-    kind, group = outcome_a.kind, outcome_a.group
+def classify_difference(outcome_a: StepOutcome, outcome_b: StepOutcome,
+                        group: tuple[Step, ...]) -> str:
+    """Name the documented design difference a diverging unit's step evidences (`_CLAIMS`)."""
+    kind = outcome_a.kind
     shown = {outcome_a.code, outcome_b.code, kind}
     if kind not in ("proxy", "tbacall"):
         shown.discard(ErrorCode.NOT_NFT_OWNER.value)
@@ -563,13 +560,16 @@ def classify_difference(outcome_a: StepOutcome, outcome_b: StepOutcome) -> str:
 
 def run_differential(script: ScenarioScript, name: str = "scenario",
                      seed: int | None = None) -> DiffResult:
+    """Run every unit of one plan in the nftaa lane, then in the tba lane, and compare each
+    unit's two outcomes: a group's steps report `grouped` alike in both, so only its commit."""
     plan = build_plan(script.steps)
-    lane_a = ScenarioRunner(script, name, "nftaa", seed).run(plan)
-    lane_b = ScenarioRunner(script, name, "tba", seed).run(plan)
+    runners = [ScenarioRunner(script, name, lane, seed) for lane in ("nftaa", "tba")]
+    outcomes_a, outcomes_b = ([runner._run_unit(step, group, error, tba)
+                               for step, group, error, tba in plan] for runner in runners)
     entries = []
-    for outcome_a, outcome_b in zip(lane_a.outcomes, lane_b.outcomes):
+    for (_, group, _, _), outcome_a, outcome_b in zip(plan, outcomes_a, outcomes_b):
         if outcome_a.receipt() != outcome_b.receipt():  # only a difference is rendered
             entries.append(DiffEntry(outcome_a.index, outcome_a.line, outcome_a.kind,
                                      outcome_a.signature(), outcome_b.signature(),
-                                     classify_difference(outcome_a, outcome_b)))
-    return DiffResult(name, lane_a, lane_b, entries)
+                                     classify_difference(outcome_a, outcome_b, group)))
+    return DiffResult(name, runners[0].report, runners[1].report, entries)

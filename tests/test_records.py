@@ -4,6 +4,7 @@ The fuzz driver and the rollback tests compare `Ledger.state` with a deepcopy
 taken before a transaction. That check is only as strong as the `==` of every
 record the state holds, so each field of each such record must take part in
 it: a copy of the state that differs in one field alone must compare unequal.
+A record's repr, and the text of an error code and an event kind, are pinned too.
 """
 
 import copy
@@ -11,9 +12,10 @@ from collections import deque
 
 import pytest
 
-from nftaa_sim import (ETH, Ledger, ProxyExecute, ProxyPayload, QueueConfig, TbaExecute,
-                       TransferValue)
+from nftaa_sim import (ETH, ErrorCode, EventKind, Ledger, ProxyExecute, ProxyPayload,
+                       QueueConfig, TbaExecute, TransferValue)
 from nftaa_sim.records import Record
+from nftaa_sim.scenario import Step
 from tests.ledger_helpers import create_tba, mint_nftaa, must
 
 
@@ -90,3 +92,10 @@ def test_operation_kinds_with_equal_fields_differ():
     payload = ProxyPayload("noop")
     assert ProxyExecute(caller, account, payload) == ProxyExecute(caller, account, payload)
     assert ProxyExecute(caller, account, payload) != TbaExecute(caller, account, payload)
+
+
+def test_codes_and_kinds_show_their_value_and_a_record_its_fields():
+    # reports write each as the bare value, whichever Python's default a str enum has
+    for member, value in ((ErrorCode.FRAUD_GUARD, "FraudGuard"), (EventKind.TRANSFER, "Transfer")):
+        assert (str(member), format(member)) == (value, value)
+    assert repr(Step("actor", ("a",), 1)) == "Step(kind='actor', args=('a',), line=1)"

@@ -20,13 +20,13 @@ def _spot_scripts() -> dict[str, str]:
 
 
 class _PurityRunner(ScenarioRunner):
-    """Compares the digest around every step that reports it changed nothing."""
+    """Compares the digest around every plan unit that reports it changed nothing."""
 
     checked = 0
 
-    def _run_step(self, step, group):
+    def _run_unit(self, *unit):
         before = self.ledger.state_digest()
-        outcome = super()._run_step(step, group)
+        outcome = super()._run_unit(*unit)
         if outcome.status in (ROLLED_BACK, NOT_COMPARABLE):
             assert self.ledger.state_digest() == before, \
                 f"{self.report.name} lane={self.lane}: {outcome.render()}"

@@ -182,12 +182,12 @@ def _locked_by_token_scan(state):
 
 
 class _LockCheckingRunner(ScenarioRunner):
-    """Compares the lock diagnostic with the token scan after every step."""
+    """Compares the lock diagnostic with the token scan after every plan unit."""
 
     most_locked = 0
 
-    def _run_step(self, step, group):
-        outcome = super()._run_step(step, group)
+    def _run_unit(self, *unit):
+        outcome = super()._run_unit(*unit)
         expected = _locked_by_token_scan(self.ledger.state)
         assert detect_locked_nfts(self.ledger.state) == expected, outcome.render()
         self.most_locked = max(self.most_locked, len(expected))
